@@ -51,7 +51,6 @@ from .recon import (
     BoundedOffset,
     HybridStrategy,
     ReconGridResult,
-    ReconPointResult,
     SqrtScaled,
     beta_solve,
     determinant,

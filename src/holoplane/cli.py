@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import ExperimentConfig, parse_config
 from .errors import HoloplaneError
-from .fields import eval_radiation, far_field, plane_wave
+from .fields import eval_radiation, far_field
 from .geometry import grid_coords, grid_points, point_on_plane
 from .hologram import (
     add_noise,
@@ -24,9 +24,6 @@ from .hologram import (
 )
 from .metrics import discrepancy, region_masks, rel_l2, slope_estimate
 from .recon import (
-    BoundedOffset,
-    SqrtScaled,
-    determinant,
     f11,
     f11_refined_2d,
     recon_to_csv,
@@ -329,8 +326,6 @@ def build_parser():
     )
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (results are independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="sample the hologram")
     sub.add_parser("reconstruct", help="reconstruct the field on the grid")

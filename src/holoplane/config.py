@@ -10,7 +10,7 @@ Vectors are comma-separated; `#` starts a comment; a `source` line is
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

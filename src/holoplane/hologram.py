@@ -4,6 +4,7 @@ The hologram is I = |psi0 + psi1|^2 sampled on the grid patch; the
 normalized scattered signal is a(x, k) = |x|^{(d-1)/2} (I(x) - 1).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,33 @@ def sample_hologram(field, params, spec):
     return Hologram(spec=spec, params=params, values=values)
 
 
-def _bilinear_1d(coords, values, u):
-    i = np.clip(np.searchsorted(coords, u) - 1, 0, len(coords) - 2)
-    t = (u - coords[i]) / (coords[i + 1] - coords[i])
-    return (1 - t) * values[i] + t * values[i + 1]
+def bilinear_lookup(holo, y):
+    """Interpolate the sampled hologram at plane points `y`, one point or an
+    (m, d) batch, bilinearly in the in-plane coordinates (linearly for d=2).
+
+    Returns (values, inside); points off the grid patch are False in
+    `inside` and NaN in `values`.
+    """
+    spec = holo.spec
+    frame = spec.frame
+    y = np.asarray(y, dtype=float)
+    uv = (y - frame.s * frame.omega) @ frame.basis[list(spec.axes)].T
+    h = spec.half_width
+    inside = ~np.any(np.abs(uv) > h * (1 + 1e-12), axis=-1)
+    uv = np.clip(uv, -h, h)
+    coords = spec.coords
+    i = np.clip(np.searchsorted(coords, uv) - 1, 0, spec.n - 2)
+    t = (uv - coords[i]) / (coords[i + 1] - coords[i])
+    grid = holo.values.reshape((spec.n,) * uv.shape[-1])
+    value = 0.0
+    for corner in itertools.product((0, 1), repeat=uv.shape[-1]):
+        corner = corner[::-1]  # first in-plane axis varies fastest
+        weight = 1.0
+        for a, c in enumerate(corner):
+            weight = weight * (t[..., a] if c else 1 - t[..., a])
+        node = tuple(i[..., a] + c for a, c in enumerate(corner))
+        value = value + weight * grid[node]
+    return np.where(inside, value, np.nan), inside
 
 
 def intensity_at(data, y, mode="analytic", field=None, params=None):
@@ -83,31 +107,11 @@ def intensity_at(data, y, mode="analytic", field=None, params=None):
         return float(intensity(field, params, y))
     if mode != "bilinear":
         raise ValueError(f"unknown lookup mode {mode!r}")
-
-    holo = data
-    spec = holo.spec
-    frame = spec.frame
-    uv = np.array([np.dot(y - frame.s * frame.omega, frame.basis[a])
-                   for a in spec.axes])
-    h = spec.half_width
-    if np.any(np.abs(uv) > h * (1 + 1e-12)):
-        raise OutOfPatchError(f"in-plane coordinates {uv} outside [-{h}, {h}]")
-    uv = np.clip(uv, -h, h)
-    coords = spec.coords
-    if frame.dim == 2:
-        return float(_bilinear_1d(coords, holo.values, uv[0]))
-
-    vals = holo.values.reshape(spec.n, spec.n)
-    i = int(np.clip(np.searchsorted(coords, uv[0]) - 1, 0, spec.n - 2))
-    j = int(np.clip(np.searchsorted(coords, uv[1]) - 1, 0, spec.n - 2))
-    du = (uv[0] - coords[i]) / (coords[i + 1] - coords[i])
-    dv = (uv[1] - coords[j]) / (coords[j + 1] - coords[j])
-    return float(
-        (1 - du) * (1 - dv) * vals[i, j]
-        + du * (1 - dv) * vals[i + 1, j]
-        + (1 - du) * dv * vals[i, j + 1]
-        + du * dv * vals[i + 1, j + 1]
-    )
+    value, inside = bilinear_lookup(data, y)
+    if not inside:
+        h = data.spec.half_width
+        raise OutOfPatchError(f"point {y} outside the grid patch [-{h}, {h}]")
+    return float(value)
 
 
 def add_noise(holo, relative_level, seed):

@@ -13,10 +13,17 @@ Two offset choices are implemented:
   * sqrt-scaled: |zeta| grows like sqrt(|x|) and the step beta solves a
     quadratic so the second-order phase equals alpha; valid everywhere on
     the half-sphere.
+
+Each formula (mismatch, offsets, beta, D, phase factor, estimator,
+refinement) is written once, as a private function that takes one point or
+an (m, d) batch.  `reconstruct_grid` calls them on the whole grid; the
+public point helpers (`zeta_bounded`, `zeta_sqrt`, `beta_solve`,
+`determinant`, `f11`, `f11_refined_2d`) wrap them and raise on the
+failures the grid only records.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +31,9 @@ from .errors import (
     DegenerateDeterminantError,
     ExceptionalDirectionError,
     InfeasibleParametersError,
-    OutOfPatchError,
 )
-from .geometry import grid_points
-from .hologram import intensity_at, scattered_signal
+from .geometry import decompose, grid_points
+from .hologram import bilinear_lookup, intensity
 
 DET_FLOOR = 1e-6
 
@@ -70,8 +76,84 @@ class HybridStrategy:
     sqrt: SqrtScaled
 
 
-def _par(v, frame):
-    return v - np.dot(v, frame.omega) * frame.omega
+def _mismatch(theta, params, frame):
+    """theta_par, m = kappa theta_par - k_par and |m|."""
+    theta = np.asarray(theta, dtype=float)
+    theta_par = theta - (theta @ frame.omega)[..., None] * frame.omega
+    m = params.kappa * theta_par - decompose(params.k, frame).par
+    return theta_par, m, np.linalg.norm(m, axis=-1)
+
+
+def _bounded_offset(m, mn, alpha, eps):
+    """zeta = -alpha m / |m|^2 where |m| >= eps (zero elsewhere), and that mask."""
+    ok = mn >= eps
+    zeta = -alpha * m / np.where(ok, mn * mn, 1.0)[..., None]
+    return np.where(ok[..., None], zeta, 0.0), ok
+
+
+def _beta(alpha, kappa, r, mn, t2):
+    """Stable root of beta |m| + (kappa / 2r) beta^2 (t2 - 1) = alpha, with
+    t2 = (theta_par, zeta_hat)^2; NaN where the quadratic has no real root."""
+    disc = mn * mn + (2.0 * kappa / r) * (t2 - 1.0) * alpha
+    with np.errstate(invalid="ignore"):
+        return 2.0 * alpha / (mn + np.sqrt(disc))
+
+
+def _sqrt_offset(theta_par, m, mn, r, kappa, alpha, fallback):
+    """zeta = beta zeta_hat with zeta_hat = -m/|m|, or the `fallback` basis
+    vector on the singular direction, where m has no direction."""
+    sing = mn < _SINGULAR_TOL * kappa
+    zeta_hat = np.where(
+        sing[..., None], fallback, -m / np.where(sing, 1.0, mn)[..., None]
+    )
+    t2 = np.einsum("...i,...i->...", theta_par, zeta_hat) ** 2
+    return _beta(alpha, kappa, r, mn, t2)[..., None] * zeta_hat
+
+
+def _offsets(strategy, theta_par, m, mn, r, params, frame):
+    """Offsets for `strategy` and their validity mask; invalid rows are zero."""
+    if isinstance(strategy, HybridStrategy):
+        zeta, ok = _bounded_offset(m, mn, strategy.bounded.alpha, strategy.bounded.eps)
+        sqrt_zeta, _ = _offsets(strategy.sqrt, theta_par, m, mn, r, params, frame)
+        return np.where(ok[..., None], zeta, sqrt_zeta), np.ones_like(ok)
+    if isinstance(strategy, BoundedOffset):
+        return _bounded_offset(m, mn, strategy.alpha, strategy.eps)
+    if isinstance(strategy, SqrtScaled):
+        zeta = _sqrt_offset(theta_par, m, mn, r, params.kappa, strategy.alpha,
+                            frame.basis[strategy.fallback_axis])
+        return zeta, np.ones_like(mn, dtype=bool)
+    raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def _determinant(zeta, r, ry, params):
+    """D = 2i sin((k, zeta) + kappa (|x| - |y|)), given |x| and |y|."""
+    return 2j * np.sin(zeta @ params.k + params.kappa * (r - ry))
+
+
+def _phase_factor(x, r, params):
+    # e^{i((k, x) - kappa |x|)}, the coefficient of f1 conjugate in the
+    # linearized intensity.
+    return np.exp(1j * ((x @ params.k) - params.kappa * r))
+
+
+def _refine(f, e_x, e_y, D, rh):
+    """Remove the self-interference term (e_y - e_x) |f11|^2 / (D |x|^{(d-1)/2})."""
+    return f - (e_y - e_x) * np.abs(f) ** 2 / (D * rh)
+
+
+def _estimate(a_x, a_y, e_x, e_y, D):
+    """f11 = (e_y a(x) - e_x a(y)) / D."""
+    return (e_y * a_x - e_x * a_y) / D
+
+
+def _pair(x, y, params):
+    """|x|, D and the phase factors e_x, e_y of the point pair (x, y)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = np.linalg.norm(x, axis=-1)
+    ry = np.linalg.norm(y, axis=-1)
+    D = _determinant(y - x, r, ry, params)
+    return r, D, _phase_factor(x, r, params), _phase_factor(y, ry, params)
 
 
 def zeta_bounded(theta, params, frame, alpha, eps):
@@ -80,35 +162,32 @@ def zeta_bounded(theta, params, frame, alpha, eps):
     Guarantees (k - kappa theta, zeta) = alpha exactly and |zeta| <= |alpha|/eps.
     Raises ExceptionalDirectionError when |kappa theta_par - k_par| < eps.
     """
-    theta = np.asarray(theta, dtype=float)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    m = params.kappa * _par(theta, frame) - _par(params.k, frame)
-    mn = np.linalg.norm(m)
-    if mn < eps:
+    _, m, mn = _mismatch(theta, params, frame)
+    zeta, ok = _bounded_offset(m, mn, alpha, eps)
+    if not ok:
         raise ExceptionalDirectionError(
             f"|kappa*theta_par - k_par| = {mn!r} < eps = {eps!r}"
         )
-    return -alpha * m / (mn * mn)
+    return zeta
 
 
 def beta_solve(alpha, kappa, r, theta_par, k_par, zeta_hat):
     """Step size beta solving
     beta |k_par - kappa theta_par| + (kappa / 2r) beta^2 ((theta_par, zeta_hat)^2 - 1) = alpha
     via the stable quadratic-root form."""
-    theta_par = np.asarray(theta_par, dtype=float)
-    k_par = np.asarray(k_par, dtype=float)
-    zeta_hat = np.asarray(zeta_hat, dtype=float)
     if alpha >= 0:
         raise ValueError("alpha must be negative")
-    mn = np.linalg.norm(k_par - kappa * theta_par)
-    t2 = float(np.dot(theta_par, zeta_hat)) ** 2
-    disc = mn * mn + (2.0 * kappa / r) * (t2 - 1.0) * alpha
-    if disc < 0:
+    theta_par = np.asarray(theta_par, dtype=float)
+    mn = np.linalg.norm(np.asarray(k_par, dtype=float) - kappa * theta_par)
+    t2 = float(np.dot(theta_par, np.asarray(zeta_hat, dtype=float))) ** 2
+    beta = _beta(alpha, kappa, r, mn, t2)
+    if np.isnan(beta):
         raise InfeasibleParametersError(
             "negative discriminant in the step-size quadratic"
         )
-    return 2.0 * alpha / (mn + math.sqrt(disc))
+    return beta
 
 
 def zeta_sqrt(theta, params, frame, alpha, r, fallback_axis=0):
@@ -118,18 +197,16 @@ def zeta_sqrt(theta, params, frame, alpha, r, fallback_axis=0):
     kappa theta_par - k_par; on it the frame basis vector `fallback_axis`
     is used (the direction there is arbitrary).
     """
-    theta = np.asarray(theta, dtype=float)
-    theta_par = _par(theta, frame)
-    k_par = _par(params.k, frame)
-    m = params.kappa * theta_par - k_par
-    mn = np.linalg.norm(m)
-    if mn < _SINGULAR_TOL * params.kappa:
-        zeta_hat = frame.basis[fallback_axis]
-        beta = beta_solve(alpha, params.kappa, r, theta_par, k_par, zeta_hat)
-        return beta * zeta_hat
-    u = m / mn
-    beta = beta_solve(alpha, params.kappa, r, theta_par, k_par, u)
-    return -beta * u
+    if alpha >= 0:
+        raise ValueError("alpha must be negative")
+    theta_par, m, mn = _mismatch(theta, params, frame)
+    zeta = _sqrt_offset(theta_par, m, mn, r, params.kappa, alpha,
+                        frame.basis[fallback_axis])
+    if np.isnan(zeta).any():
+        raise InfeasibleParametersError(
+            "negative discriminant in the step-size quadratic"
+        )
+    return zeta
 
 
 def determinant(x, zeta, params):
@@ -137,11 +214,8 @@ def determinant(x, zeta, params):
     |D| <= 2."""
     x = np.asarray(x, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    phase = (
-        np.dot(params.k, zeta)
-        + params.kappa * (np.linalg.norm(x) - np.linalg.norm(x + zeta))
-    )
-    return 2j * math.sin(phase)
+    r = np.linalg.norm(x, axis=-1)
+    return _determinant(zeta, r, np.linalg.norm(x + zeta, axis=-1), params)
 
 
 def determinant_phase_expansion(x, zeta, params):
@@ -157,22 +231,13 @@ def determinant_phase_expansion(x, zeta, params):
     return lead + (params.kappa / (2.0 * r)) * (tz * tz - float(zeta @ zeta))
 
 
-def _phase_factor(params, x):
-    # e^{i((k, x) - kappa |x|)}, the coefficient of f1 conjugate in the
-    # linearized intensity.
-    x = np.asarray(x, dtype=float)
-    return np.exp(1j * (x @ params.k - params.kappa * np.linalg.norm(x, axis=-1)))
-
-
 def f11(a_x, a_y, x, y, params, det_floor=DET_FLOOR):
     """Two-point far-field estimator
     f11 = (e^{i((k,y) - kappa|y|)} a(x) - e^{i((k,x) - kappa|x|)} a(y)) / D."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = determinant(x, y - x, params)
-    if abs(d) <= det_floor:
-        raise DegenerateDeterminantError(f"|D| = {abs(d)!r} <= {det_floor!r}")
-    return (_phase_factor(params, y) * a_x - _phase_factor(params, x) * a_y) / d
+    _, D, e_x, e_y = _pair(x, y, params)
+    if abs(D) <= det_floor:
+        raise DegenerateDeterminantError(f"|D| = {abs(D)!r} <= {det_floor!r}")
+    return _estimate(a_x, a_y, e_x, e_y, D)
 
 
 def f11_refined_2d(f11_value, x, y, params):
@@ -180,33 +245,10 @@ def f11_refined_2d(f11_value, x, y, params):
     term |f11|^2 / sqrt(|x|) from the estimator."""
     if params.dim != 2:
         raise ValueError("refinement applies to d=2 only")
-    x = np.asarray(x, dtype=float)
-    d = determinant(x, np.asarray(y, dtype=float) - x, params)
-    if abs(d) == 0:
+    r, D, e_x, e_y = _pair(x, y, params)
+    if D == 0:
         raise DegenerateDeterminantError("D = 0")
-    corr = (
-        (_phase_factor(params, y) - _phase_factor(params, x))
-        * abs(f11_value) ** 2
-        / (d * math.sqrt(np.linalg.norm(x)))
-    )
-    return f11_value - corr
-
-
-@dataclass(frozen=True)
-class PointFlags:
-    in_exceptional_set: bool
-    small_determinant: bool
-
-
-@dataclass(frozen=True)
-class ReconPointResult:
-    x: np.ndarray
-    theta: np.ndarray
-    zeta: np.ndarray
-    D: complex
-    f11: complex
-    psi1_rec: complex
-    flags: PointFlags
+    return _refine(f11_value, e_x, e_y, D, math.sqrt(r))
 
 
 @dataclass
@@ -225,70 +267,11 @@ class ReconGridResult:
 
     @property
     def max_zeta(self):
-        return float(np.linalg.norm(self.zeta, axis=1).max())
+        # fmax skips the NaN rows of nodes that have no offset.
+        return float(np.fmax.reduce(np.linalg.norm(self.zeta, axis=1)))
 
     def __len__(self):
         return self.points.shape[0]
-
-    def __getitem__(self, i):
-        return ReconPointResult(
-            x=self.points[i],
-            theta=self.theta[i],
-            zeta=self.zeta[i],
-            D=complex(self.D[i]),
-            f11=complex(self.f11[i]),
-            psi1_rec=complex(self.psi1_rec[i]),
-            flags=PointFlags(
-                in_exceptional_set=bool(self.flag_exceptional[i]),
-                small_determinant=bool(self.flag_small_d[i]),
-            ),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-
-def _zeta_for_grid(theta, theta_par, m, mn, r, params, frame, strategy):
-    """Offsets for all grid directions at once.
-
-    Returns (zeta, valid) where invalid rows (bounded strategy inside the
-    exceptional set, no fallback) are zero and marked False.
-    """
-    npts, d = theta.shape
-    zeta = np.zeros((npts, d))
-    valid = np.ones(npts, dtype=bool)
-
-    def sqrt_rows(rows, strat):
-        if not np.any(rows):
-            return
-        sing = rows & (mn < _SINGULAR_TOL * params.kappa)
-        reg = rows & ~sing
-        if np.any(reg):
-            u = m[reg] / mn[reg, None]
-            t2 = np.einsum("ij,ij->i", theta_par[reg], u) ** 2
-            disc = mn[reg] ** 2 + (2.0 * params.kappa / r[reg]) * (t2 - 1.0) * strat.alpha
-            beta = 2.0 * strat.alpha / (mn[reg] + np.sqrt(disc))
-            zeta[reg] = -beta[:, None] * u
-        if np.any(sing):
-            # theta_par vanishes on singular rows, so (theta_par, zeta_hat) = 0.
-            zhat = frame.basis[strat.fallback_axis]
-            disc = (2.0 * params.kappa / r[sing]) * (-1.0) * strat.alpha
-            beta = 2.0 * strat.alpha / np.sqrt(disc)
-            zeta[sing] = beta[:, None] * zhat[None, :]
-
-    if isinstance(strategy, SqrtScaled):
-        sqrt_rows(np.ones(npts, dtype=bool), strategy)
-    elif isinstance(strategy, BoundedOffset):
-        ok = mn >= strategy.eps
-        zeta[ok] = -strategy.alpha * m[ok] / (mn[ok] ** 2)[:, None]
-        valid = ok
-    elif isinstance(strategy, HybridStrategy):
-        ok = mn >= strategy.bounded.eps
-        zeta[ok] = -strategy.bounded.alpha * m[ok] / (mn[ok] ** 2)[:, None]
-        sqrt_rows(~ok, strategy.sqrt)
-    else:
-        raise TypeError(f"unknown strategy {strategy!r}")
-    return zeta, valid
 
 
 def reconstruct_grid(
@@ -311,61 +294,41 @@ def reconstruct_grid(
     tiny determinant) are recorded in flags / NaN results; the grid run
     never aborts.
     """
-    frame = spec.frame
-    d = frame.dim
+    if mode == "bilinear" and hologram is None:
+        raise ValueError("bilinear mode needs a sampled hologram")
+    if mode not in ("analytic", "bilinear"):
+        raise ValueError(f"unknown lookup mode {mode!r}")
     pts = grid_points(spec)
     r = np.linalg.norm(pts, axis=1)
     theta = pts / r[:, None]
-    theta_par = theta - (theta @ frame.omega)[:, None] * frame.omega
-    k_par = _par(params.k, frame)
-    m = params.kappa * theta_par - k_par
-    mn = np.linalg.norm(m, axis=1)
-
-    zeta, valid = _zeta_for_grid(theta, theta_par, m, mn, r, params, frame, strategy)
+    theta_par, m, mn = _mismatch(theta, params, spec.frame)
+    zeta, valid = _offsets(strategy, theta_par, m, mn, r, params, spec.frame)
     y = pts + zeta
     ry = np.linalg.norm(y, axis=1)
+    D = _determinant(zeta, r, ry, params)
 
-    phase = (zeta @ params.k) + params.kappa * (r - ry)
-    D = 2j * np.sin(phase)
-
-    half = (d - 1) / 2.0
     if mode == "analytic":
-        i_x = _intensity_vec(field, params, pts)
-        i_y = _intensity_vec(field, params, y)
-        a_x = r ** half * (i_x - 1.0)
-        a_y = ry ** half * (i_y - 1.0)
-    elif mode == "bilinear":
-        if hologram is None:
-            raise ValueError("bilinear mode needs a sampled hologram")
-        a_x = r ** half * (hologram.values - 1.0)
-        a_y = np.empty(len(pts))
-        for idx in range(len(pts)):
-            try:
-                iy = intensity_at(hologram, y[idx], mode="bilinear")
-            except OutOfPatchError:
-                valid[idx] = False
-                a_y[idx] = np.nan
-                continue
-            a_y[idx] = ry[idx] ** half * (iy - 1.0)
+        i_x = intensity(field, params, pts)
+        i_y = intensity(field, params, y)
     else:
-        raise ValueError(f"unknown lookup mode {mode!r}")
-
-    e_x = np.exp(1j * ((pts @ params.k) - params.kappa * r))
-    e_y = np.exp(1j * ((y @ params.k) - params.kappa * ry))
+        i_x = hologram.values
+        i_y, inside = bilinear_lookup(hologram, y)
+        valid &= inside
+    half = (spec.frame.dim - 1) / 2.0
+    rh = r ** half
+    a_x = rh * (i_x - 1.0)
+    a_y = ry ** half * (i_y - 1.0)
+    e_x = _phase_factor(pts, r, params)
+    e_y = _phase_factor(y, ry, params)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        f11_vals = (e_y * a_x - e_x * a_y) / D
+        f11_vals = _estimate(a_x, a_y, e_x, e_y, D)
         if refine2d:
-            # Self-interference removal; derived for d=2, where it improves
-            # the error order, but the same algebra applies in any dimension.
-            f11_vals = f11_vals - (e_y - e_x) * np.abs(f11_vals) ** 2 / (
-                D * r ** half
-            )
+            # Derived for d=2, where it improves the error order, but the
+            # same algebra applies in any dimension.
+            f11_vals = _refine(f11_vals, e_x, e_y, D, rh)
     f11_vals = np.where(valid, f11_vals, np.nan + 0j)
     psi1_rec = np.exp(1j * params.kappa * r) * r ** (-half) * f11_vals
-
-    flag_exceptional = mn < flag_eps
-    flag_small_d = np.abs(D) <= det_floor
 
     return ReconGridResult(
         spec=spec,
@@ -375,15 +338,9 @@ def reconstruct_grid(
         D=D,
         f11=f11_vals,
         psi1_rec=psi1_rec,
-        flag_exceptional=flag_exceptional,
-        flag_small_d=flag_small_d,
+        flag_exceptional=mn < flag_eps,
+        flag_small_d=np.abs(D) <= det_floor,
     )
-
-
-def _intensity_vec(field, params, pts):
-    from .hologram import intensity
-
-    return intensity(field, params, pts)
 
 
 def recon_to_csv(result, psi1_exact, path):

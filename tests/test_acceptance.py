@@ -7,7 +7,7 @@ tolerance and prints a single PASS/FAIL line directly to the terminal.
 import numpy as np
 import pytest
 
-from holoplane.cli import RATE_S_LADDER, run_rates, run_sweep
+from holoplane.cli import run_rates, run_sweep
 from holoplane.config import ExperimentConfig
 from holoplane.errors import (
     ExceptionalDirectionError,

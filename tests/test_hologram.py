@@ -9,6 +9,7 @@ from holoplane.geometry import GridSpec, grid_coords, grid_points, make_frame
 from holoplane.hologram import (
     Hologram,
     add_noise,
+    bilinear_lookup,
     hologram_to_csv,
     hologram_to_pgm,
     intensity,
@@ -126,6 +127,28 @@ class TestIntensityAt:
         holo = Hologram(spec=spec, params=params3(), values=np.ones(100))
         with pytest.raises(OutOfPatchError):
             intensity_at(holo, np.array([100.0, 25.0, 0.0]), mode="bilinear")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_point_lookup_matches_batch(self, dim):
+        p = WaveParams(kappa=4.0, k=4.0 * np.eye(dim)[0])
+        x0 = np.zeros(dim)
+        x0[1] = 2.5
+        f = RadiationField(dim, (PointSource(c=1.0 + 0j, x0=x0),))
+        spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=30)
+        holo = sample_hologram(f, p, spec)
+        rng = np.random.default_rng(1)
+        uv = rng.uniform(-24.0, 24.0, size=(200, dim - 1))
+        ys = 100.0 * np.eye(dim)[0] + uv @ spec.frame.basis
+        values, inside = bilinear_lookup(holo, ys)
+        assert inside.any() and (~inside).any()
+        np.testing.assert_array_equal(inside, np.all(np.abs(uv) <= 20.0, axis=1))
+        assert np.all(np.isnan(values[~inside]))
+        for y, value, ok in zip(ys, values, inside):
+            if ok:
+                assert intensity_at(holo, y, mode="bilinear") == value
+            else:
+                with pytest.raises(OutOfPatchError):
+                    intensity_at(holo, y, mode="bilinear")
 
 
 class TestAddNoise:

@@ -13,10 +13,12 @@ from holoplane.fields import (
     far_field,
     plane_wave,
 )
-from holoplane.geometry import GridSpec, grid_points, make_frame, point_on_plane
+from holoplane.geometry import GridSpec, make_frame, point_on_plane
+from holoplane.hologram import scattered_signal
 from holoplane.metrics import rel_l2, slope_estimate
 from holoplane.recon import (
     BoundedOffset,
+    HybridStrategy,
     SqrtScaled,
     beta_solve,
     determinant,
@@ -30,6 +32,16 @@ from holoplane.recon import (
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
+
+
+def preset_field(dim=3):
+    x0 = np.zeros(dim)
+    x0[1] = 2.5
+    return RadiationField(dim, (PointSource(1.0 + 0j, x0),))
+
+
+def small_spec(n, dim=3):
+    return GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=n)
 
 
 def params_d(d, kappa=4.0):
@@ -357,24 +369,37 @@ class TestReconstructGrid:
         expected = np.exp(1j * 4.0 * r) / r * result.f11
         np.testing.assert_allclose(result.psi1_rec, expected, rtol=1e-12)
 
-    def test_point_view_matches_arrays(self, preset_run):
-        _, result, _ = preset_run
-        pt = result[4321]
-        assert pt.f11 == complex(result.f11[4321])
-        assert pt.flags.in_exceptional_set == bool(result.flag_exceptional[4321])
-
     def test_bounded_strategy_marks_exceptional_nodes(self):
-        p = params_d(3)
-        field = RadiationField(3, (PointSource(1.0 + 0j, np.array([0.0, 2.5, 0.0])),))
-        spec = GridSpec(frame=make_frame(E1, 100.0), half_width=20.0, n=20)
         res = reconstruct_grid(
-            field, p, spec, BoundedOffset(alpha=-0.5, eps=0.1)
+            preset_field(), params_d(3), small_spec(20), BoundedOffset(alpha=-0.5, eps=0.1)
         )
         inside = res.flag_exceptional
         assert inside.any()
         # inside the exceptional set the bounded offset is undefined
         assert np.all(np.isnan(res.f11[inside].real))
         assert np.all(np.isfinite(res.f11[~inside].real))
+
+    def test_max_zeta_skips_nodes_without_offset(self):
+        res = reconstruct_grid(
+            preset_field(), params_d(3), small_spec(20), BoundedOffset(alpha=-0.5, eps=0.1)
+        )
+        norms = np.linalg.norm(res.zeta, axis=1)
+        assert np.isnan(norms).any()
+        assert np.isfinite(res.max_zeta)
+        assert res.max_zeta == norms[np.isfinite(norms)].max()
+
+    def test_hybrid_combines_bounded_and_sqrt(self):
+        field, p, spec = preset_field(), params_d(3), small_spec(20)
+        bounded = BoundedOffset(alpha=-0.5, eps=0.1)
+        sqrt = SqrtScaled(alpha=-0.5)
+        hyb = reconstruct_grid(field, p, spec, HybridStrategy(bounded, sqrt))
+        res_b = reconstruct_grid(field, p, spec, bounded)
+        res_s = reconstruct_grid(field, p, spec, sqrt)
+        inside = hyb.flag_exceptional  # |m| < eps, as flag_eps == eps
+        assert inside.any() and (~inside).any()
+        np.testing.assert_array_equal(hyb.zeta[~inside], res_b.zeta[~inside])
+        np.testing.assert_array_equal(hyb.zeta[inside], res_s.zeta[inside])
+        assert np.all(np.isfinite(hyb.f11))
 
     def test_csv_export(self, preset_run, tmp_path):
         _, result, psi1 = preset_run
@@ -386,3 +411,45 @@ class TestReconstructGrid:
             "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD"
         )
         assert len(lines) == 1 + 10000
+
+
+class TestGridMatchesPointHelpers:
+    """The grid and the public point helpers share each formula."""
+
+    def test_sampled_preset_nodes(self, preset_run):
+        cfg, result, _ = preset_run
+        field, p, frame = cfg.radiation_field(), cfg.wave_params(), cfg.frame()
+        nodes = list(range(0, len(result), 997))
+        nodes += list(np.flatnonzero(result.flag_exceptional)[::17])
+        assert result.flag_exceptional[nodes].any()
+        for i in nodes:
+            x = result.points[i]
+            r = np.linalg.norm(x)
+            zeta = zeta_sqrt(result.theta[i], p, frame, cfg.alpha, r, cfg.fallback_axis)
+            np.testing.assert_allclose(zeta, result.zeta[i], rtol=1e-12, atol=1e-12)
+            D = determinant(x, zeta, p)
+            assert D == pytest.approx(result.D[i], rel=1e-12)
+            y = x + zeta
+            est = f11(scattered_signal(field, p, x), scattered_signal(field, p, y), x, y, p)
+            assert est == pytest.approx(result.f11[i], rel=1e-9, abs=1e-12)
+
+    def test_singular_center_node_of_odd_grid(self):
+        p = params_d(3)
+        spec = small_spec(21)
+        res = reconstruct_grid(preset_field(), p, spec, SqrtScaled(alpha=-0.5))
+        center = 10 * 21 + 10
+        np.testing.assert_array_equal(res.points[center], 100.0 * E1)
+        expected = zeta_sqrt(E1, p, spec.frame, -0.5, 100.0)
+        np.testing.assert_allclose(res.zeta[center], expected, rtol=0, atol=1e-12)
+        assert np.isfinite(res.f11[center])
+
+    def test_refined_2d_nodes(self):
+        field, p, spec = preset_field(2), params_d(2), small_spec(41, dim=2)
+        strategy = BoundedOffset(alpha=-0.5, eps=0.1)
+        res = reconstruct_grid(field, p, spec, strategy, refine2d=True)
+        for i in np.flatnonzero(~res.flag_exceptional)[::5]:
+            x = res.points[i]
+            y = x + res.zeta[i]
+            est = f11(scattered_signal(field, p, x), scattered_signal(field, p, y), x, y, p)
+            refined = f11_refined_2d(est, x, y, p)
+            assert refined == pytest.approx(res.f11[i], rel=1e-9, abs=1e-12)
