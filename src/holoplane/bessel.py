@@ -4,6 +4,13 @@ Two branches: the ascending power series of J0 and Y0 for moderate
 arguments, and the large-argument asymptotic (amplitude/phase) expansion.
 Both are accurate to better than 1e-7 absolute over their ranges and agree
 near the switch point.
+
+Both branches are numpy code over the whole argument array. The series is
+one masked recurrence that each element leaves at its own stopping point;
+the asymptotic terms are tabulated per argument and each column is cut at
+its own smallest term. Either way an element stops where a term-by-term
+loop over that element alone would stop, and its value does not depend on
+the other elements. Scalars go through the same code as one-element arrays.
 """
 
 import math
@@ -17,62 +24,102 @@ EULER_GAMMA = 0.5772156649015328606
 # optimally truncated asymptotic tail is far below 1e-7.
 Z_SWITCH = 18.0
 
+_SERIES_TERMS = 200
 _ASYMPTOTIC_TERMS = 24
 
 
-def _h0_series(z):
-    """Ascending series: J0 + i*Y0 with
+def _series(z):
+    """Ascending series for a 1-d array z: J0 + i*Y0 with
     J0(z) = sum (-1)^m q^m / (m!)^2,        q = z^2/4,
     Y0(z) = (2/pi) [(ln(z/2) + gamma) J0 + sum (-1)^{m+1} H_m q^m / (m!)^2].
+    An element stops once |term| < 1e-18 (1 + |J0|).
     """
+    j0 = np.empty_like(z)
+    ysum = np.empty_like(z)
+    # Running sums of the elements still summing, compacted to `live`.
+    live = np.arange(z.size)
     q = 0.25 * z * z
-    j0 = 1.0
-    ysum = 0.0
-    term = 1.0
+    term = np.ones_like(z)
+    lj0 = np.ones_like(z)
+    lysum = np.zeros_like(z)
     harmonic = 0.0
-    for m in range(1, 200):
+    for m in range(1, _SERIES_TERMS):
+        if not live.size:
+            break
         term *= -q / (m * m)
         harmonic += 1.0 / m
-        j0 += term
-        ysum -= term * harmonic
-        if abs(term) < 1e-18 * (1.0 + abs(j0)):
-            break
-    y0 = (2.0 / math.pi) * ((math.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
-    return complex(j0, y0)
+        lj0 += term
+        lysum -= term * harmonic
+        done = np.abs(term) < 1e-18 * (1.0 + np.abs(lj0))
+        if np.count_nonzero(done):
+            j0[live[done]] = lj0[done]
+            ysum[live[done]] = lysum[done]
+            keep = ~done
+            live, q, term, lj0, lysum = (
+                live[keep], q[keep], term[keep], lj0[keep], lysum[keep])
+    j0[live] = lj0
+    ysum[live] = lysum
+    y0 = (2.0 / math.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = j0
+    out.imag = y0
+    return out
 
 
-def _h0_asymptotic(z):
-    """Large-argument form: sqrt(2/(pi z)) e^{i(z - pi/4)} sum_m i^m a_m / z^m
-    with a_m = prod_{j<=m} (-(2j-1)^2) / (m! 8^m); truncated at the smallest
-    term."""
-    s = 0.0 + 0.0j
+def _asymptotic_coefficients():
+    """i^m a_m for m < _ASYMPTOTIC_TERMS, a_m = prod_{j<=m} (-(2j-1)^2) / (8j),
+    as a column."""
+    coef = []
     a = 1.0
-    best = math.inf
     for m in range(_ASYMPTOTIC_TERMS):
         if m > 0:
             a *= -((2 * m - 1) ** 2) / (8.0 * m)
-        term = (1j ** m) * a / z ** m
-        if abs(term) > best:
-            break
-        best = abs(term)
-        s += term
-    amp = math.sqrt(2.0 / (math.pi * z))
+        coef.append((1j ** m) * a)
+    return np.array(coef)[:, None]
+
+
+_COEF = _asymptotic_coefficients()
+_POWERS = np.arange(_ASYMPTOTIC_TERMS)[:, None]
+# Arguments per asymptotic term table, which holds _ASYMPTOTIC_TERMS
+# complex values per argument: bounds its memory on long argument arrays.
+_BLOCK = 256
+
+
+def _asymptotic(z):
+    """Large-argument form for a 1-d array z:
+    sqrt(2/(pi z)) e^{i(z - pi/4)} sum_m i^m a_m / z^m, each element's sum
+    truncated before its first term that is larger than the one before.
+
+    The terms are tabulated, one column per argument, and summed in order,
+    so a one-point call costs a few numpy calls rather than one per term.
+    """
+    s = np.empty(z.shape, dtype=complex)
+    for start in range(0, z.size, _BLOCK):
+        terms = _COEF / z[start:start + _BLOCK] ** _POWERS
+        size = np.abs(terms)
+        grew = size[1:] > size[:-1]
+        if np.count_nonzero(grew):
+            terms[1:][np.logical_or.accumulate(grew, axis=0)] = 0
+        s[start:start + _BLOCK] = np.add.accumulate(terms, axis=0)[-1]
+    amp = np.sqrt(2.0 / (math.pi * z))
     return amp * np.exp(1j * (z - 0.25 * math.pi)) * s
 
 
 def hankel0_first_kind(z):
     """H0^(1)(z) = J0(z) + i Y0(z) for real z > 0.
 
-    Accepts scalars or arrays; absolute accuracy better than 1e-7 for
-    z in (0, 1e4].
+    Accepts scalars or arrays of any shape (the result has the same shape);
+    absolute accuracy better than 1e-7 for z in (0, 1e4].
     """
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr <= 0):
         raise ValueError("argument of H0^(1) must be positive")
     flat = z_arr.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    for i, zi in enumerate(flat):
-        out[i] = _h0_series(zi) if zi <= Z_SWITCH else _h0_asymptotic(zi)
+    series = flat <= Z_SWITCH
+    for branch, mask in ((_series, series), (_asymptotic, ~series)):
+        if mask.any():
+            out[mask] = branch(flat[mask])
     out = out.reshape(z_arr.shape)
     if np.isscalar(z) or z_arr.ndim == 0:
         return complex(out.reshape(())[()])

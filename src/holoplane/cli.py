@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, parse_config
+from .csvrows import write_rows
 from .errors import HoloplaneError
-from .fields import eval_radiation, far_field
+from .fields import eval_radiation, far_field, plane_wave
 from .geometry import grid_coords, grid_points, point_on_plane
 from .hologram import (
     add_noise,
@@ -22,7 +23,7 @@ from .hologram import (
     sample_hologram,
     scattered_signal,
 )
-from .metrics import discrepancy, region_masks, rel_l2, slope_estimate
+from .metrics import intensity_discrepancy, region_masks, rel_l2, slope_estimate
 from .recon import (
     f11,
     f11_refined_2d,
@@ -86,14 +87,14 @@ def _reconstruct(cfg, s=None):
 def compute_metrics(cfg, result, psi1_exact):
     """Reconstruction error and intensity discrepancy on G, D, G\\D."""
     masks = region_masks(result.spec, cfg.region_halfwidth)
-    field = cfg.radiation_field()
-    params = cfg.wave_params()
+    # The true intensity comes from the exact field already at hand, so the
+    # forward model is not run again for each region.
+    psi0 = plane_wave(result.points, cfg.wave_params())
     out = {}
     for name, mask in masks.items():
         out[("E", name)] = rel_l2(result.psi1_rec, psi1_exact, mask)
-        out[("E_dis", name)] = discrepancy(
-            field, params, result.points, result.psi1_rec, mask
-        )
+        out[("E_dis", name)] = intensity_discrepancy(
+            psi0, psi1_exact, result.psi1_rec, mask)
     return out
 
 
@@ -117,27 +118,18 @@ def _write_profile(result, psi1_exact, path):
     """Central vertical profile: the column with smallest |first in-plane
     coordinate| (ties -> smaller index), second coordinate varying."""
     spec = result.spec
+    if spec.frame.dim == 3:
+        name = "x3"
+        i0 = int(np.argmin(np.abs(spec.coords)))
+        rows = slice(i0 * spec.n, (i0 + 1) * spec.n)
+    else:
+        name = "x2"
+        rows = slice(None)
+    ex, rec = psi1_exact[rows], result.psi1_rec[rows]
     with open(path, "w", newline="") as fh:
-        if spec.frame.dim == 3:
-            coords = spec.coords
-            i0 = int(np.argmin(np.abs(coords)))
-            fh.write("x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
-            for j in range(spec.n):
-                idx = i0 * spec.n + j
-                ex, rec = psi1_exact[idx], result.psi1_rec[idx]
-                fh.write(
-                    f"{coords[j]:.10g},{ex.real:.10g},{ex.imag:.10g},"
-                    f"{rec.real:.10g},{rec.imag:.10g}\n"
-                )
-        else:
-            uv = grid_coords(spec)
-            fh.write("x2,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
-            for idx in range(len(result)):
-                ex, rec = psi1_exact[idx], result.psi1_rec[idx]
-                fh.write(
-                    f"{uv[idx, 0]:.10g},{ex.real:.10g},{ex.imag:.10g},"
-                    f"{rec.real:.10g},{rec.imag:.10g}\n"
-                )
+        fh.write(f"{name},re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
+        write_rows(fh, "%.10g,%.10g,%.10g,%.10g,%.10g\n",
+                   [spec.coords, ex.real, ex.imag, rec.real, rec.imag])
 
 
 def _sweep_config(cfg, param, value):

@@ -131,9 +131,13 @@ class ExperimentConfig:
 
 def _parse_number(text, line_no):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"malformed number {text!r}", line=line_no) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text.strip()!r} is not finite",
+                          line=line_no)
+    return value
 
 
 def _parse_vector(text, line_no):

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvrows import grid_columns, write_rows
 from .errors import OutOfPatchError, SingularEvaluationError
 from .fields import eval_radiation, plane_wave
-from .geometry import grid_coords, grid_points
+from .geometry import grid_points
 
 
 @dataclass(frozen=True)
@@ -129,18 +130,10 @@ def add_noise(holo, relative_level, seed):
 
 def hologram_to_csv(holo, path):
     """Write the sampled intensity as CSV (d=3: i,j,x2,x3,I; d=2: i,x2,I)."""
-    spec = holo.spec
-    uv = grid_coords(spec)
+    names, template, columns = grid_columns(holo.spec)
     with open(path, "w", newline="") as fh:
-        if spec.frame.dim == 3:
-            fh.write("i,j,x2,x3,I\n")
-            for idx, val in enumerate(holo.values):
-                i, j = divmod(idx, spec.n)
-                fh.write(f"{i},{j},{uv[idx, 0]:.10g},{uv[idx, 1]:.10g},{val:.10g}\n")
-        else:
-            fh.write("i,x2,I\n")
-            for idx, val in enumerate(holo.values):
-                fh.write(f"{idx},{uv[idx, 0]:.10g},{val:.10g}\n")
+        fh.write(names + "I\n")
+        write_rows(fh, template + "%.10g\n", columns + [holo.values])
 
 
 def hologram_to_pgm(holo, path):

@@ -4,7 +4,7 @@ rectangular region masks, and log-log slope fits."""
 import numpy as np
 
 from .errors import UndefinedDenominatorError
-from .fields import plane_wave
+from .fields import eval_radiation, plane_wave
 from .geometry import grid_coords
 
 
@@ -38,10 +38,14 @@ def rel_l2(u2, u1, mask=None):
 def discrepancy(field, params, points, psi1_rec, mask=None):
     """Relative L2 mismatch of reconstructed vs measured intensity, both
     shifted by -1: rel_l2(|psi0 + psi1_rec|^2 - 1, I - 1)."""
-    from .hologram import intensity
+    psi1 = eval_radiation(field, params.kappa, points)
+    return intensity_discrepancy(plane_wave(points, params), psi1, psi1_rec, mask)
 
-    psi0 = plane_wave(points, params)
-    i_true = intensity(field, params, points)
+
+def intensity_discrepancy(psi0, psi1, psi1_rec, mask=None):
+    """`discrepancy` from the reference wave psi0 and the true scattered
+    field psi1 at the points, which give I = |psi0 + psi1|^2."""
+    i_true = np.abs(psi0 + psi1) ** 2
     i_rec = np.abs(psi0 + psi1_rec) ** 2
     return rel_l2(i_rec - 1.0, i_true - 1.0, mask)
 

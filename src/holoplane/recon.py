@@ -32,6 +32,7 @@ from .errors import (
     ExceptionalDirectionError,
     InfeasibleParametersError,
 )
+from .csvrows import grid_columns, write_rows
 from .geometry import decompose, grid_points
 from .hologram import bilinear_lookup, intensity
 
@@ -350,34 +351,15 @@ def recon_to_csv(result, psi1_exact, path):
     re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD.
     d=2 drops j and x3.
     """
-    from .geometry import grid_coords
-
-    spec = result.spec
-    uv = grid_coords(spec)
-    zn = np.linalg.norm(result.zeta, axis=1)
+    names, template, columns = grid_columns(result.spec)
+    columns += [
+        psi1_exact.real, psi1_exact.imag,
+        result.psi1_rec.real, result.psi1_rec.imag,
+        result.f11.real, result.f11.imag,
+        np.abs(result.D), np.linalg.norm(result.zeta, axis=1),
+        result.flag_exceptional, result.flag_small_d,
+    ]
     with open(path, "w", newline="") as fh:
-        if spec.frame.dim == 3:
-            fh.write(
-                "i,j,x2,x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
-                "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD\n"
-            )
-        else:
-            fh.write(
-                "i,x2,re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
-                "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD\n"
-            )
-        for idx in range(len(result)):
-            rec = result.psi1_rec[idx]
-            f = result.f11[idx]
-            ex = psi1_exact[idx]
-            tail = (
-                f"{ex.real:.10g},{ex.imag:.10g},{rec.real:.10g},{rec.imag:.10g},"
-                f"{f.real:.10g},{f.imag:.10g},{abs(result.D[idx]):.10g},"
-                f"{zn[idx]:.10g},{int(result.flag_exceptional[idx])},"
-                f"{int(result.flag_small_d[idx])}\n"
-            )
-            if spec.frame.dim == 3:
-                i, j = divmod(idx, spec.n)
-                fh.write(f"{i},{j},{uv[idx, 0]:.10g},{uv[idx, 1]:.10g},{tail}")
-            else:
-                fh.write(f"{idx},{uv[idx, 0]:.10g},{tail}")
+        fh.write(names + "re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
+                 "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD\n")
+        write_rows(fh, template + "%.10g," * 8 + "%d,%d\n", columns)

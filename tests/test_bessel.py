@@ -51,3 +51,94 @@ def test_array_input_matches_scalar():
     vec = hankel0_first_kind(z)
     scal = np.array([hankel0_first_kind(float(v)) for v in z])
     np.testing.assert_allclose(vec, scal, rtol=0, atol=0)
+
+
+def test_array_straddling_switch_matches_scalar_calls():
+    # both branches in one call, in mixed order; each element must come out
+    # exactly as it does on its own
+    from holoplane.bessel import Z_SWITCH
+
+    z = np.concatenate([np.linspace(0.01, 2 * Z_SWITCH, 301), [Z_SWITCH]])
+    z = np.random.default_rng(4).permutation(z)
+    assert (z <= Z_SWITCH).any() and (z > Z_SWITCH).any()
+    vec = hankel0_first_kind(z)
+    scal = np.array([hankel0_first_kind(float(v)) for v in z])
+    np.testing.assert_allclose(vec, scal, rtol=0, atol=0)
+
+
+def test_2d_input_keeps_shape():
+    z = np.array([[0.5, 3.0, 18.0], [18.5, 30.0, 420.0]])
+    out = hankel0_first_kind(z)
+    assert out.shape == z.shape
+    np.testing.assert_array_equal(out.ravel(), hankel0_first_kind(z.ravel()))
+
+
+def test_matches_scipy_on_plane_distances():
+    # kappa |x - x0| for kappa = 4 and plane points at s = 100, |u| <= 20
+    z = np.linspace(400.0, 440.0, 4001)
+    assert np.max(np.abs(hankel0_first_kind(z) - hankel1(0, z))) < 1e-7
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.0])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_nonpositive_element_in_array_rejected(bad, where):
+    z = np.linspace(1.0, 40.0, 7)
+    z[where] = bad
+    with pytest.raises(ValueError):
+        hankel0_first_kind(z)
+    with pytest.raises(ValueError):
+        hankel0_first_kind(z.reshape(7, 1))
+
+
+def _series_reference(z):
+    """The ascending series summed term by term for one float z."""
+    q = 0.25 * z * z
+    j0, ysum, term, harmonic = 1.0, 0.0, 1.0, 0.0
+    for m in range(1, 200):
+        term *= -q / (m * m)
+        harmonic += 1.0 / m
+        j0 += term
+        ysum -= term * harmonic
+        if abs(term) < 1e-18 * (1.0 + abs(j0)):
+            break
+    y0 = (2.0 / np.pi) * ((np.log(0.5 * z) + 0.5772156649015328606) * j0 + ysum)
+    return complex(j0, y0)
+
+
+def _asymptotic_reference(z):
+    """The asymptotic expansion for one float z, truncated before the first
+    term that is larger than the one before."""
+    s, a, best = 0j, 1.0, np.inf
+    for m in range(24):
+        if m > 0:
+            a *= -((2 * m - 1) ** 2) / (8.0 * m)
+        term = (1j ** m) * a / z ** m
+        if abs(term) > best:
+            break
+        best = abs(term)
+        s += term
+    return np.sqrt(2.0 / (np.pi * z)) * np.exp(1j * (z - 0.25 * np.pi)) * s
+
+
+# numpy's log and pow may round differently from the libm calls of the
+# one-element loops; everything else is the same arithmetic
+_ROUNDING = 16 * np.finfo(float).eps
+
+
+def test_matches_term_by_term_reference():
+    from holoplane.bessel import Z_SWITCH
+
+    z = np.logspace(-3, 4, 700)
+    ref = np.array([_series_reference(v) if v <= Z_SWITCH else _asymptotic_reference(v)
+                    for v in z])
+    np.testing.assert_allclose(hankel0_first_kind(z), ref, rtol=_ROUNDING, atol=0)
+
+
+def test_asymptotic_truncation_is_per_element():
+    # below the switch the smallest asymptotic term comes early and at a
+    # different index for each argument
+    from holoplane.bessel import _asymptotic
+
+    z = np.array([0.3, 1.0, 2.5, 4.0, 7.0, 11.0, 17.0, 30.0])
+    ref = np.array([_asymptotic_reference(v) for v in z])
+    np.testing.assert_allclose(_asymptotic(z), ref, rtol=_ROUNDING, atol=0)

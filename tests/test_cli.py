@@ -1,6 +1,9 @@
 import pytest
 
-from holoplane.cli import main
+from holoplane import csvrows
+from holoplane.cli import _reconstruct, main
+from holoplane.config import parse_config
+from holoplane.geometry import grid_coords
 
 SMALL = "n = 16\n"
 
@@ -78,6 +81,47 @@ class TestReconstruct:
         assert (out / "metrics.csv").exists()
 
 
+class TestProfileBytes:
+    """profile.csv from the chunked writer matches a per-row f-string
+    writer, on a bilinear bounded run with NaN rows."""
+
+    BILINEAR = "mode = bilinear\nstrategy = bounded\n"
+
+    def check(self, tmp_path, config, coords, header):
+        rc, out = run(tmp_path, ["reconstruct"], config=config)
+        assert rc == 0
+        result, psi1 = _reconstruct(parse_config(config))
+        rows = coords(result)
+        assert len(rows) > csvrows.ROW_CHUNK and len(rows) % csvrows.ROW_CHUNK
+        expected = header
+        for c, idx in rows:
+            ex, rec = psi1[idx], result.psi1_rec[idx]
+            expected += (f"{c:.10g},{ex.real:.10g},{ex.imag:.10g},"
+                         f"{rec.real:.10g},{rec.imag:.10g}\n")
+        assert "nan" in expected
+        assert (out / "profile.csv").read_text() == expected
+
+    def test_3d(self, tmp_path, monkeypatch):
+        # a 3-d profile has only n rows: shrink the chunk to cross boundaries
+        monkeypatch.setattr(csvrows, "ROW_CHUNK", 8)
+
+        def column(result):
+            spec = result.spec
+            i0 = min(range(spec.n), key=lambda i: abs(spec.coords[i]))
+            return [(spec.coords[j], i0 * spec.n + j) for j in range(spec.n)]
+
+        self.check(tmp_path, self.BILINEAR + "n = 21\n", column,
+                   "x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
+
+    def test_2d(self, tmp_path):
+        def line(result):
+            uv = grid_coords(result.spec)
+            return [(uv[idx, 0], idx) for idx in range(len(result))]
+
+        self.check(tmp_path, self.BILINEAR + "dim = 2\nn = 301\n", line,
+                   "x2,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
+
+
 class TestSweep:
     def test_sweep_table(self, tmp_path):
         rc, out = run(tmp_path, ["sweep", "--param", "s", "--values", "50,100"])
@@ -122,3 +166,12 @@ class TestParser:
         rc = main(["--config", str(cfg_path), "simulate"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["n = inf", "n = nan", "s = nan", "h = inf"])
+    def test_non_finite_number_fails_cleanly(self, tmp_path, capsys, line):
+        rc, out = run(tmp_path, ["reconstruct"], config=line + "\n")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1:")
+        assert "Traceback" not in err
+        assert not out.exists()

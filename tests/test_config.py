@@ -59,6 +59,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config("n = 10.5")
 
+    @pytest.mark.parametrize("line", ["n = inf", "n = nan", "s = nan", "h = inf",
+                                      "kappa = -inf"])
+    def test_non_finite_number_reports_line(self, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("dim = 3\n" + line)
+        assert exc.value.line == 2
+        assert "not finite" in str(exc.value)
+
 
 class TestSources:
     def test_source_lines_replace_default(self):
@@ -71,6 +79,11 @@ class TestSources:
     def test_short_source_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("source = 1, 0")
+
+    def test_non_finite_source_reports_line(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("source = 1, 0, 0, 2.5, 0\nsource = 1, 0, nan, 1, 0")
+        assert exc.value.line == 2
 
 
 class TestDerivedObjects:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoplane.csvrows import ROW_CHUNK
 from holoplane.errors import OutOfPatchError
 from holoplane.fields import PointSource, RadiationField, WaveParams
 from holoplane.geometry import GridSpec, grid_coords, grid_points, make_frame
@@ -181,6 +182,32 @@ class TestExport:
         first = lines[1].split(",")
         assert first[:2] == ["0", "0"]
         assert float(first[2]) == -20.0
+
+    @pytest.mark.parametrize("dim, n", [(3, 23), (2, 301)])
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, dim, n):
+        x0 = np.zeros(dim)
+        x0[1] = 2.5
+        field = RadiationField(dim, (PointSource(c=1.0 + 0j, x0=x0),))
+        k = np.zeros(dim)
+        k[0] = 4.0
+        spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=n)
+        holo = add_noise(sample_hologram(field, WaveParams(4.0, k), spec), 0.01, 2)
+        assert holo.values.size > ROW_CHUNK and holo.values.size % ROW_CHUNK
+        uv = grid_coords(spec)
+        if dim == 3:
+            expected = "i,j,x2,x3,I\n" + "".join(
+                f"{i},{j},{uv[idx, 0]:.10g},{uv[idx, 1]:.10g},{val:.10g}\n"
+                for idx, val in enumerate(holo.values)
+                for i, j in [divmod(idx, n)]
+            )
+        else:
+            expected = "i,x2,I\n" + "".join(
+                f"{idx},{uv[idx, 0]:.10g},{val:.10g}\n"
+                for idx, val in enumerate(holo.values)
+            )
+        path = tmp_path / "holo.csv"
+        hologram_to_csv(holo, str(path))
+        assert path.read_text() == expected
 
     def test_pgm_layout(self, tmp_path):
         holo = sample_hologram(field3(), params3(), spec3(n=3))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoplane.cli import compute_metrics
 from holoplane.errors import UndefinedDenominatorError
 from holoplane.fields import PointSource, RadiationField, WaveParams, eval_radiation
 from holoplane.geometry import GridSpec, grid_points, make_frame
@@ -123,3 +124,14 @@ class TestSlopeEstimate:
     def test_duplicate_scales_rejected(self):
         with pytest.raises(ValueError):
             slope_estimate([(1, 1.0), (1, 0.5), (3, 0.2)])
+
+
+def test_compute_metrics_discrepancy_matches_per_mask_calls(preset_run):
+    cfg, result, psi1 = preset_run
+    metrics = compute_metrics(cfg, result, psi1)
+    masks = region_masks(result.spec, cfg.region_halfwidth)
+    for name, mask in masks.items():
+        assert metrics[("E", name)] == rel_l2(result.psi1_rec, psi1, mask)
+        assert metrics[("E_dis", name)] == discrepancy(
+            cfg.radiation_field(), cfg.wave_params(), result.points,
+            result.psi1_rec, mask)

@@ -13,8 +13,9 @@ from holoplane.fields import (
     far_field,
     plane_wave,
 )
-from holoplane.geometry import GridSpec, make_frame, point_on_plane
-from holoplane.hologram import scattered_signal
+from holoplane.csvrows import ROW_CHUNK
+from holoplane.geometry import GridSpec, grid_coords, make_frame, point_on_plane
+from holoplane.hologram import sample_hologram, scattered_signal
 from holoplane.metrics import rel_l2, slope_estimate
 from holoplane.recon import (
     BoundedOffset,
@@ -411,6 +412,56 @@ class TestReconstructGrid:
             "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD"
         )
         assert len(lines) == 1 + 10000
+
+
+def recon_csv_reference(result, psi1):
+    """recon.csv body written one f-string row at a time."""
+    spec = result.spec
+    uv = grid_coords(spec)
+    zn = np.linalg.norm(result.zeta, axis=1)
+    rows = []
+    for idx in range(len(result)):
+        ex, rec, f = psi1[idx], result.psi1_rec[idx], result.f11[idx]
+        tail = (
+            f"{ex.real:.10g},{ex.imag:.10g},{rec.real:.10g},{rec.imag:.10g},"
+            f"{f.real:.10g},{f.imag:.10g},{abs(result.D[idx]):.10g},"
+            f"{zn[idx]:.10g},{int(result.flag_exceptional[idx])},"
+            f"{int(result.flag_small_d[idx])}\n"
+        )
+        if spec.frame.dim == 3:
+            i, j = divmod(idx, spec.n)
+            rows.append(f"{i},{j},{uv[idx, 0]:.10g},{uv[idx, 1]:.10g},{tail}")
+        else:
+            rows.append(f"{idx},{uv[idx, 0]:.10g},{tail}")
+    return "".join(rows)
+
+
+class TestCsvBytes:
+    """The chunked writer gives the bytes of a per-row f-string writer."""
+
+    @pytest.mark.parametrize("dim, n, header", [
+        (3, 21, "i,j,x2,x3,"),
+        (2, 301, "i,x2,"),
+    ])
+    def test_bilinear_bounded_run(self, tmp_path, dim, n, header):
+        field, p, spec = preset_field(dim), params_d(dim), small_spec(n, dim)
+        holo = sample_hologram(field, p, spec)
+        res = reconstruct_grid(field, p, spec, BoundedOffset(alpha=-0.5, eps=0.1),
+                               mode="bilinear", hologram=holo)
+        psi1 = eval_radiation(field, p.kappa, res.points)
+        # rows past a chunk boundary, a partial last chunk, NaN rows both
+        # out of the patch and in the exceptional set, and both flags
+        assert len(res) > ROW_CHUNK and len(res) % ROW_CHUNK
+        nan_rows = np.isnan(res.f11)
+        assert (nan_rows & ~res.flag_exceptional).any()
+        assert res.flag_exceptional.any() and res.flag_small_d.any()
+        path = tmp_path / "recon.csv"
+        recon_to_csv(res, psi1, str(path))
+        assert path.read_text() == (
+            header + "re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
+            "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD\n"
+            + recon_csv_reference(res, psi1)
+        )
 
 
 class TestGridMatchesPointHelpers:
