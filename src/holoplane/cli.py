@@ -13,24 +13,24 @@ import numpy as np
 
 from .config import ExperimentConfig, parse_config
 from .csvrows import write_rows
-from .errors import HoloplaneError
+from .errors import DegenerateDeterminantError, ExceptionalDirectionError, HoloplaneError
 from .fields import eval_radiation, far_field, plane_wave
 from .geometry import grid_coords, grid_points, point_on_plane
 from .hologram import (
     add_noise,
     hologram_to_csv,
     hologram_to_pgm,
+    intensity_lookup,
     sample_hologram,
-    scattered_signal,
 )
 from .metrics import intensity_discrepancy, region_masks, rel_l2, slope_estimate
 from .recon import (
-    f11,
-    f11_refined_2d,
+    DET_FLOOR,
+    BoundedOffset,
+    SqrtScaled,
     recon_to_csv,
     reconstruct_grid,
-    zeta_bounded,
-    zeta_sqrt,
+    reconstruct_points,
 )
 
 RATE_S_LADDER = (50.0, 100.0, 200.0, 400.0, 800.0)
@@ -59,21 +59,16 @@ def run_simulate(cfg, outdir):
     return holo
 
 
-def _reconstruct(cfg, s=None):
+def _reconstruct(cfg):
     field = cfg.radiation_field()
     params = cfg.wave_params()
-    spec = cfg.grid_spec(s)
     # Noisy data can only be consumed through the sampled hologram.
     mode = "bilinear" if cfg.noise_level > 0 else cfg.mode
-    holo = None
-    if mode == "bilinear":
-        holo = sample_hologram(field, params, spec)
-        if cfg.noise_level > 0:
-            holo = add_noise(holo, cfg.noise_level, cfg.noise_seed)
+    holo = _sampled_hologram(cfg) if mode == "bilinear" else None
     result = reconstruct_grid(
         field,
         params,
-        spec,
+        cfg.grid_spec(),
         cfg.zeta_strategy(),
         mode=mode,
         refine2d=cfg.refine2d,
@@ -178,47 +173,42 @@ def _probe_theta(cfg):
     return x / np.linalg.norm(x)
 
 
-def probe_errors(cfg, strategy_name, s_values=RATE_S_LADDER, refine2d=False):
-    """|f11 - f1| at the probe direction over an s-ladder."""
+def probe_errors(cfg, strategy, s_values=RATE_S_LADDER, refine2d=False):
+    """|f11 - f1| at the probe direction over an s-ladder, with the forward
+    model read exactly.  Raises where the offset or the determinant fails."""
     theta = _probe_theta(cfg)
     field = cfg.radiation_field()
     params = cfg.wave_params()
-    f1 = far_field(field, params.kappa, theta)
-    alpha_sqrt = cfg.alpha if cfg.alpha < 0 else -abs(cfg.alpha)
-    rows = []
-    for s in s_values:
-        frame = cfg.frame(s)
-        x = point_on_plane(theta, frame)
-        r = float(np.linalg.norm(x))
-        if strategy_name == "bounded":
-            zeta = zeta_bounded(theta, params, frame, cfg.alpha, cfg.eps)
-        else:
-            zeta = zeta_sqrt(theta, params, frame, alpha_sqrt, r,
-                             cfg.fallback_axis)
-        y = x + zeta
-        a_x = float(scattered_signal(field, params, x))
-        a_y = float(scattered_signal(field, params, y))
-        est = f11(a_x, a_y, x, y, params)
-        if refine2d and cfg.dim == 2:
-            est = f11_refined_2d(est, x, y, params)
-        rows.append((s, abs(est - f1)))
-    return rows
+    x = np.array([point_on_plane(theta, cfg.frame(s)) for s in s_values])
+    # The planes differ only in s, which the kernel does not read.
+    _, zeta, D, est, _, mn = reconstruct_points(
+        x, intensity_lookup("analytic", field, params), params, cfg.frame(),
+        strategy, refine2d)
+    if np.isnan(zeta).any():
+        raise ExceptionalDirectionError(
+            f"|kappa*theta_par - k_par| = {mn[0]!r} < eps = {strategy.eps!r}")
+    if np.any(np.abs(D) <= DET_FLOOR):
+        raise DegenerateDeterminantError(
+            f"|D| = {np.abs(D).min()!r} <= {DET_FLOOR!r}")
+    err = np.abs(est - far_field(field, params.kappa, theta))
+    return list(zip(s_values, err.tolist()))
 
 
 def run_rates(cfg, outdir):
     """Convergence-rate study: error vs s for each offset strategy."""
     os.makedirs(outdir, exist_ok=True)
-    studies = [("sqrt", False), ("bounded", False)]
+    bounded = BoundedOffset(cfg.alpha, cfg.eps)
+    studies = [("sqrt", SqrtScaled(-abs(cfg.alpha), cfg.fallback_axis), False),
+               ("bounded", bounded, False)]
     if cfg.dim == 2:
         # The refinement's improved order is stated for bounded offsets,
         # so the refined study reuses the bounded strategy.
-        studies.append(("bounded_refined", True))
+        studies.append(("bounded_refined", bounded, True))
     table = {}
     with open(os.path.join(outdir, "rates.csv"), "w", newline="") as fh:
         fh.write("strategy,s,error\n")
-        for name, refined in studies:
-            base = "sqrt" if name.startswith("sqrt") else "bounded"
-            rows = probe_errors(cfg, base, refine2d=refined)
+        for name, strategy, refined in studies:
+            rows = probe_errors(cfg, strategy, refine2d=refined)
             for s, err in rows:
                 fh.write(f"{name},{s:.6g},{err:.6g}\n")
             slope = slope_estimate(rows)

@@ -109,8 +109,8 @@ class ExperimentConfig:
                      for c, x0 in self.sources)
         return RadiationField(dim=self.dim, sources=srcs)
 
-    def grid_spec(self, s=None):
-        return GridSpec(frame=self.frame(s), half_width=self.h, n=self.n)
+    def grid_spec(self):
+        return GridSpec(frame=self.frame(), half_width=self.h, n=self.n)
 
     def zeta_strategy(self):
         if self.strategy == "bounded":

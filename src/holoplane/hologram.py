@@ -94,21 +94,30 @@ def bilinear_lookup(holo, y):
     return np.where(inside, value, np.nan), inside
 
 
-def intensity_at(data, y, mode="analytic", field=None, params=None):
-    """Intensity at an arbitrary plane point `y`.
+def intensity_lookup(mode, field=None, params=None, hologram=None):
+    """How the intensity is read at plane points: returns a function mapping
+    one point or an (m, d) batch `y` to (values, inside).
 
     `analytic` mode evaluates the forward model exactly (requires `field`
-    and `params`); `bilinear` mode interpolates the sampled hologram, with
-    `y` restricted to the grid patch.
+    and `params`), and `inside` is True for every point; `bilinear` mode
+    interpolates the sampled `hologram`, see `bilinear_lookup`.
     """
-    y = np.asarray(y, dtype=float)
     if mode == "analytic":
         if field is None or params is None:
             raise ValueError("analytic mode needs the forward model")
-        return float(intensity(field, params, y))
+        return lambda y: (intensity(field, params, y), True)
     if mode != "bilinear":
         raise ValueError(f"unknown lookup mode {mode!r}")
-    value, inside = bilinear_lookup(data, y)
+    if hologram is None:
+        raise ValueError("bilinear mode needs a sampled hologram")
+    return lambda y: bilinear_lookup(hologram, y)
+
+
+def intensity_at(data, y, mode="analytic", field=None, params=None):
+    """Intensity at an arbitrary plane point `y`, read as `intensity_lookup`
+    says; in `bilinear` mode `y` is restricted to the patch of `data`."""
+    y = np.asarray(y, dtype=float)
+    value, inside = intensity_lookup(mode, field, params, data)(y)
     if not inside:
         h = data.spec.half_width
         raise OutOfPatchError(f"point {y} outside the grid patch [-{h}, {h}]")

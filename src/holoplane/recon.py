@@ -16,10 +16,11 @@ Two offset choices are implemented:
 
 Each formula (mismatch, offsets, beta, D, phase factor, estimator,
 refinement) is written once, as a private function that takes one point or
-an (m, d) batch.  `reconstruct_grid` calls them on the whole grid; the
-public point helpers (`zeta_bounded`, `zeta_sqrt`, `beta_solve`,
-`determinant`, `f11`, `f11_refined_2d`) wrap them and raise on the
-failures the grid only records.
+an (m, d) batch.  `reconstruct_points` chains them over a batch of plane
+points; the grid (`reconstruct_grid`) and the `rates` probe both run it.
+The public point helpers (`zeta_bounded`, `zeta_sqrt`, `beta_solve`,
+`determinant`, `f11`, `f11_refined_2d`) wrap the formulas and raise on the
+failures a batch only records.
 """
 
 import math
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .csvrows import grid_columns, write_rows
 from .geometry import decompose, grid_points
-from .hologram import bilinear_lookup, intensity
+from .hologram import intensity_lookup
 
 DET_FLOOR = 1e-6
 
@@ -275,6 +276,46 @@ class ReconGridResult:
         return self.points.shape[0]
 
 
+def reconstruct_points(x, lookup, params, frame, strategy, refine2d=False):
+    """Run the two-point estimator at each plane point of the (m, d) batch `x`.
+
+    `lookup` maps plane points to (intensity, inside), as built by
+    `hologram.intensity_lookup`.  Only the normal and the in-plane basis of
+    `frame` are read, so the points may lie on different parallel planes.
+    Returns (theta, zeta, D, f11, psi1_rec, mismatch), with mismatch =
+    |kappa theta_par - k_par|.  Points without an offset, or whose offset
+    point y = x + zeta is outside the data, are NaN in zeta, f11 and
+    psi1_rec; a tiny D is left to the caller.
+    """
+    r = np.linalg.norm(x, axis=1)
+    theta = x / r[:, None]
+    theta_par, m, mn = _mismatch(theta, params, frame)
+    zeta, valid = _offsets(strategy, theta_par, m, mn, r, params, frame)
+    y = x + zeta
+    ry = np.linalg.norm(y, axis=1)
+    D = _determinant(zeta, r, ry, params)
+
+    i_x, inside_x = lookup(x)
+    i_y, inside_y = lookup(y)
+    valid &= inside_x & inside_y
+    half = (frame.dim - 1) / 2.0
+    rh = r ** half
+    a_x = rh * (i_x - 1.0)
+    a_y = ry ** half * (i_y - 1.0)
+    e_x = _phase_factor(x, r, params)
+    e_y = _phase_factor(y, ry, params)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f11_vals = _estimate(a_x, a_y, e_x, e_y, D)
+        if refine2d:
+            # Derived for d=2, where it improves the error order, but the
+            # same algebra applies in any dimension.
+            f11_vals = _refine(f11_vals, e_x, e_y, D, rh)
+    f11_vals = np.where(valid, f11_vals, np.nan + 0j)
+    psi1_rec = np.exp(1j * params.kappa * r) * r ** (-half) * f11_vals
+    return theta, np.where(valid[:, None], zeta, np.nan), D, f11_vals, psi1_rec, mn
+
+
 def reconstruct_grid(
     field,
     params,
@@ -286,62 +327,21 @@ def reconstruct_grid(
     flag_eps=0.1,
     det_floor=DET_FLOOR,
 ):
-    """Run the two-point estimator at every grid node.
+    """Run `reconstruct_points` at every grid node.
 
-    `mode` selects how the intensity at the offset point y = x + zeta is
-    obtained: `analytic` evaluates the forward model, `bilinear`
-    interpolates the sampled hologram (which must then be supplied).
-    Per-point failures (exceptional direction, offset leaving the patch,
-    tiny determinant) are recorded in flags / NaN results; the grid run
-    never aborts.
+    `mode` (`analytic`, or `bilinear` with a sampled `hologram`) chooses
+    how the intensity is read, see `hologram.intensity_lookup`.  Per-point
+    failures (exceptional direction, offset leaving the patch, tiny
+    determinant) are recorded in flags / NaN results; the grid run never
+    aborts.
     """
-    if mode == "bilinear" and hologram is None:
-        raise ValueError("bilinear mode needs a sampled hologram")
-    if mode not in ("analytic", "bilinear"):
-        raise ValueError(f"unknown lookup mode {mode!r}")
+    lookup = intensity_lookup(mode, field, params, hologram)
     pts = grid_points(spec)
-    r = np.linalg.norm(pts, axis=1)
-    theta = pts / r[:, None]
-    theta_par, m, mn = _mismatch(theta, params, spec.frame)
-    zeta, valid = _offsets(strategy, theta_par, m, mn, r, params, spec.frame)
-    y = pts + zeta
-    ry = np.linalg.norm(y, axis=1)
-    D = _determinant(zeta, r, ry, params)
-
-    if mode == "analytic":
-        i_x = intensity(field, params, pts)
-        i_y = intensity(field, params, y)
-    else:
-        i_x = hologram.values
-        i_y, inside = bilinear_lookup(hologram, y)
-        valid &= inside
-    half = (spec.frame.dim - 1) / 2.0
-    rh = r ** half
-    a_x = rh * (i_x - 1.0)
-    a_y = ry ** half * (i_y - 1.0)
-    e_x = _phase_factor(pts, r, params)
-    e_y = _phase_factor(y, ry, params)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f11_vals = _estimate(a_x, a_y, e_x, e_y, D)
-        if refine2d:
-            # Derived for d=2, where it improves the error order, but the
-            # same algebra applies in any dimension.
-            f11_vals = _refine(f11_vals, e_x, e_y, D, rh)
-    f11_vals = np.where(valid, f11_vals, np.nan + 0j)
-    psi1_rec = np.exp(1j * params.kappa * r) * r ** (-half) * f11_vals
-
-    return ReconGridResult(
-        spec=spec,
-        points=pts,
-        theta=theta,
-        zeta=np.where(valid[:, None], zeta, np.nan),
-        D=D,
-        f11=f11_vals,
-        psi1_rec=psi1_rec,
-        flag_exceptional=mn < flag_eps,
-        flag_small_d=np.abs(D) <= det_floor,
-    )
+    theta, zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
+        pts, lookup, params, spec.frame, strategy, refine2d)
+    return ReconGridResult(spec, pts, theta, zeta, D, f11_vals, psi1_rec,
+                           flag_exceptional=mn < flag_eps,
+                           flag_small_d=np.abs(D) <= det_floor)
 
 
 def recon_to_csv(result, psi1_exact, path):

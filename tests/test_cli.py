@@ -1,9 +1,21 @@
+import numpy as np
 import pytest
 
-from holoplane import csvrows
-from holoplane.cli import _reconstruct, main
+from holoplane import cli, csvrows
+from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe_errors
 from holoplane.config import parse_config
-from holoplane.geometry import grid_coords
+from holoplane.errors import DegenerateDeterminantError
+from holoplane.fields import far_field
+from holoplane.geometry import grid_coords, point_on_plane
+from holoplane.hologram import scattered_signal
+from holoplane.recon import (
+    BoundedOffset,
+    SqrtScaled,
+    f11,
+    f11_refined_2d,
+    zeta_bounded,
+    zeta_sqrt,
+)
 
 SMALL = "n = 16\n"
 
@@ -153,6 +165,88 @@ class TestRates:
         lines = (out / "rates.csv").read_text().splitlines()
         strategies = {line.split(",")[0] for line in lines[1:]}
         assert strategies == {"sqrt", "bounded", "bounded_refined"}
+
+
+def scalar_probe(cfg, strategy_name, refine2d=False):
+    """The rates probe one s at a time through the point helpers; the
+    reference for the batched `probe_errors`."""
+    theta = _probe_theta(cfg)
+    field, params = cfg.radiation_field(), cfg.wave_params()
+    f1 = far_field(field, params.kappa, theta)
+    rows = []
+    for s in RATE_S_LADDER:
+        frame = cfg.frame(s)
+        x = point_on_plane(theta, frame)
+        if strategy_name == "bounded":
+            zeta = zeta_bounded(theta, params, frame, cfg.alpha, cfg.eps)
+        else:
+            zeta = zeta_sqrt(theta, params, frame, -abs(cfg.alpha),
+                             float(np.linalg.norm(x)), cfg.fallback_axis)
+        y = x + zeta
+        a_x = float(scattered_signal(field, params, x))
+        a_y = float(scattered_signal(field, params, y))
+        est = f11(a_x, a_y, x, y, params)
+        if refine2d:
+            est = f11_refined_2d(est, x, y, params)
+        rows.append((s, abs(est - f1)))
+    return rows
+
+
+class TestProbe:
+    @pytest.mark.parametrize("config, name, refine2d", [
+        ("", "sqrt", False),
+        ("", "bounded", False),
+        ("dim = 2\n", "sqrt", False),
+        ("dim = 2\n", "bounded", False),
+        ("dim = 2\n", "bounded", True),
+        ("strategy = bounded\nalpha = 0.7\n", "sqrt", False),
+        ("strategy = bounded\nalpha = 0.7\n", "bounded", False),
+        ("k = 3.2, 2.4, 0\nfallback_axis = 1\n", "sqrt", False),
+    ])
+    def test_batch_matches_scalar_chain(self, config, name, refine2d):
+        cfg = parse_config(config)
+        if name == "bounded":
+            strategy = BoundedOffset(cfg.alpha, cfg.eps)
+        else:
+            strategy = SqrtScaled(-abs(cfg.alpha), cfg.fallback_axis)
+        got = probe_errors(cfg, strategy, refine2d=refine2d)
+        want = scalar_probe(cfg, name, refine2d)
+        assert [s for s, _ in got] == list(RATE_S_LADDER)
+        # Batched and 1-d norms round differently, hence not bit-equal.
+        np.testing.assert_allclose([e for _, e in got], [e for _, e in want],
+                                   rtol=1e-9, atol=0)
+
+    def test_rates_table_matches_scalar_chain(self, tmp_path):
+        config = "dim = 2\nstrategy = bounded\nalpha = 0.7\n"
+        rc, out = run(tmp_path, ["rates"], config=config)
+        assert rc == 0
+        cfg = parse_config(config)
+        want = [(name, s, err)
+                for name, strategy, refine2d in [("sqrt", "sqrt", False),
+                                                 ("bounded", "bounded", False),
+                                                 ("bounded_refined", "bounded", True)]
+                for s, err in scalar_probe(cfg, strategy, refine2d)]
+        rows = [line.split(",") for line in
+                (out / "rates.csv").read_text().splitlines()[1:]]
+        assert [(name, float(s)) for name, s, _ in rows] == [(n, s) for n, s, _ in want]
+        np.testing.assert_allclose([float(e) for _, _, e in rows],
+                                   [e for _, _, e in want], rtol=1e-5)
+
+    def test_exceptional_probe_exits_2_after_sqrt_rows(self, tmp_path, capsys):
+        rc, out = run(tmp_path, ["rates"], config="strategy = bounded\neps = 1\n")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: |kappa*theta_par - k_par| = ")
+        assert err.endswith(" < eps = 1.0\n")
+        lines = (out / "rates.csv").read_text().splitlines()
+        assert lines[0] == "strategy,s,error"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["sqrt", f"{s:g}"] for s in RATE_S_LADDER]
+
+    def test_small_determinant_raises(self, monkeypatch):
+        monkeypatch.setattr(cli, "DET_FLOOR", 2.0)  # |D| <= 2 always
+        with pytest.raises(DegenerateDeterminantError, match=r"<= 2\.0$"):
+            probe_errors(parse_config(""), SqrtScaled(-0.5))
 
 
 class TestParser:

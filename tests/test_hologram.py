@@ -129,6 +129,16 @@ class TestIntensityAt:
         with pytest.raises(OutOfPatchError):
             intensity_at(holo, np.array([100.0, 25.0, 0.0]), mode="bilinear")
 
+    def test_unknown_mode_rejected(self):
+        holo = sample_hologram(field3(), params3(), spec3(n=4))
+        with pytest.raises(ValueError, match="unknown lookup mode 'exact'"):
+            intensity_at(holo, grid_points(holo.spec)[0], mode="exact")
+
+    def test_analytic_needs_field(self):
+        holo = sample_hologram(field3(), params3(), spec3(n=4))
+        with pytest.raises(ValueError, match="analytic mode needs the forward model"):
+            intensity_at(holo, grid_points(holo.spec)[0], params=params3())
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_point_lookup_matches_batch(self, dim):
         p = WaveParams(kappa=4.0, k=4.0 * np.eye(dim)[0])

@@ -402,6 +402,15 @@ class TestReconstructGrid:
         np.testing.assert_array_equal(hyb.zeta[inside], res_s.zeta[inside])
         assert np.all(np.isfinite(hyb.f11))
 
+    @pytest.mark.parametrize("mode, hologram, message", [
+        ("nearest", None, "unknown lookup mode 'nearest'"),
+        ("bilinear", None, "bilinear mode needs a sampled hologram"),
+    ])
+    def test_lookup_mode_errors(self, mode, hologram, message):
+        with pytest.raises(ValueError, match=message):
+            reconstruct_grid(preset_field(), params_d(3), small_spec(4),
+                             SqrtScaled(alpha=-0.5), mode=mode, hologram=hologram)
+
     def test_csv_export(self, preset_run, tmp_path):
         _, result, psi1 = preset_run
         path = tmp_path / "recon.csv"
