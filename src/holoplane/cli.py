@@ -38,7 +38,7 @@ RATE_S_LADDER = (50.0, 100.0, 200.0, 400.0, 800.0)
 
 def _load_config(path):
     if path is None:
-        return ExperimentConfig().validate()
+        return ExperimentConfig()
     with open(path) as fh:
         return parse_config(fh.read())
 
@@ -150,7 +150,7 @@ def run_sweep(cfg, param, values, outdir):
     os.makedirs(outdir, exist_ok=True)
     rows = []
     for value in values:
-        sub = _sweep_config(cfg, param, value).validate()
+        sub = _sweep_config(cfg, param, value)
         result, psi1_exact = _reconstruct(sub)
         e_g = rel_l2(result.psi1_rec, psi1_exact)
         rows.append((value, e_g))
@@ -186,10 +186,11 @@ def probe_errors(cfg, strategy, s_values=RATE_S_LADDER, refine2d=False):
         strategy, refine2d)
     if np.isnan(zeta).any():
         raise ExceptionalDirectionError(
-            f"|kappa*theta_par - k_par| = {mn[0]!r} < eps = {strategy.eps!r}")
+            f"|kappa*theta_par - k_par| = {float(mn[0])!r} "
+            f"< eps = {float(strategy.eps)!r}")
     if np.any(np.abs(D) <= DET_FLOOR):
         raise DegenerateDeterminantError(
-            f"|D| = {np.abs(D).min()!r} <= {DET_FLOOR!r}")
+            f"|D| = {float(np.abs(D).min())!r} <= {DET_FLOOR!r}")
     err = np.abs(est - far_field(field, params.kappa, theta))
     return list(zip(s_values, err.tolist()))
 
@@ -265,10 +266,8 @@ def run_reproduce(cfg, outdir):
         "x0_2": ([0, 2.5, 5], [None, 0.117, 0.222], None),
         "c": ([0.1, 1, 10, 20], None, None),
     }
-    sweep_results = {}
     for param, (values, expected, tol) in sweeps.items():
         rows = run_sweep(cfg, param, values, os.path.join(outdir, f"sweep_{param}"))
-        sweep_results[param] = rows
         errs = [e for _, e in rows]
         if param == "s":
             for (v, e), exp in zip(rows, expected):

@@ -9,6 +9,11 @@ direction, and on G \\ D.
 
 Vectors are comma-separated; `#` starts a comment; a `source` line is
 `re_c, im_c, x0_1, ..., x0_d` and may repeat to add sources.
+
+Construction validates: an `ExperimentConfig`, however it is made, raises
+`ConfigError` on any input out of its domain.  Each rule is written once,
+in the type that enforces it; the config builds its domain objects to run
+their checks and checks here only what no domain object owns.
 """
 
 import math
@@ -59,30 +64,20 @@ class ExperimentConfig:
     noise_seed: int = 0
     region_halfwidth: float = 4.0
 
-    def validate(self):
+    def __post_init__(self):
         if self.dim not in (2, 3):
             raise ConfigError("dim must be 2 or 3")
         if len(self.k) != self.dim or len(self.omega) != self.dim:
             raise ConfigError("k and omega must have `dim` components")
-        if self.kappa <= 0:
-            raise ConfigError("kappa must be positive")
-        if abs(np.linalg.norm(self.k) - self.kappa) > 1e-9 * self.kappa:
-            raise ConfigError("|k| must equal kappa")
-        if self.s <= 0 or self.h <= 0:
-            raise ConfigError("s and h must be positive")
-        if self.n < 2:
-            raise ConfigError("n must be at least 2")
-        for c, x0 in self.sources:
-            if len(x0) != self.dim:
-                raise ConfigError("source location must have `dim` components")
         if self.strategy not in ("sqrt", "bounded", "hybrid"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.strategy in ("sqrt", "hybrid"):
-            if self.alpha >= 0 or math.sin(self.alpha) == 0:
-                raise ConfigError("sqrt strategy needs alpha < 0, sin(alpha) != 0")
-        else:
-            if self.alpha == 0 or math.sin(self.alpha) == 0:
-                raise ConfigError("bounded strategy needs alpha != 0, sin(alpha) != 0")
+        try:
+            self.wave_params()
+            self.grid_spec()
+            self.radiation_field()
+            self.zeta_strategy()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not 0 < self.eps < 2 * self.kappa:
             raise ConfigError("eps must lie in (0, 2*kappa)")
         if not 0 <= self.fallback_axis < self.dim - 1:
@@ -91,9 +86,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown lookup mode {self.mode!r}")
         if self.noise_level < 0:
             raise ConfigError("noise_level must be nonnegative")
+        if self.noise_seed < 0:
+            raise ConfigError("noise_seed must be nonnegative")
         if self.region_halfwidth <= 0:
             raise ConfigError("region_halfwidth must be positive")
-        return self
 
     # --- derived objects -------------------------------------------------
 
@@ -124,9 +120,12 @@ class ExperimentConfig:
 
     def with_kappa(self, kappa):
         """Rescale kappa, keeping k collinear."""
-        k = np.array(self.k, dtype=float)
-        k = tuple(k * (kappa / np.linalg.norm(k)))
-        return replace(self, kappa=float(kappa), k=k)
+        return replace(self, kappa=float(kappa), k=_rescaled(self.k, kappa))
+
+
+def _rescaled(k, kappa):
+    k = np.array(k, dtype=float)
+    return tuple(k * (kappa / np.linalg.norm(k)))
 
 
 def _parse_number(text, line_no):
@@ -144,13 +143,12 @@ def _parse_vector(text, line_no):
     return tuple(_parse_number(p, line_no) for p in text.split(","))
 
 
-def _default_for_dim(dim):
-    if dim == 3:
-        return ExperimentConfig()
-    return ExperimentConfig(
-        dim=2, k=(4.0, 0.0), omega=(1.0, 0.0),
-        sources=((complex(1.0), (0.0, 2.5)),),
-    )
+# Defaults that differ in d=2 from the reference (d=3) experiment.
+_DIM2_DEFAULTS = {
+    "k": (4.0, 0.0),
+    "omega": (1.0, 0.0),
+    "sources": ((complex(1.0), (0.0, 2.5)),),
+}
 
 
 def parse_config(text):
@@ -189,13 +187,11 @@ def parse_config(text):
         else:
             raise ConfigError(f"unknown key {key!r}", line=line_no)
 
-    dim = entries.get("dim", 3)
-    base = _default_for_dim(dim)
     if sources:
         entries["sources"] = tuple(sources)
+    defaults = _DIM2_DEFAULTS if entries.get("dim") == 2 else {}
     if "kappa" in entries and "k" not in entries:
         # keep k collinear with the default when only the wavenumber is set
-        base = base.with_kappa(entries["kappa"])
-    cfg = replace(base, **{k: v for k, v in entries.items() if k != "dim"})
-    cfg = replace(cfg, dim=dim)
-    return cfg.validate()
+        entries["k"] = _rescaled(defaults.get("k", ExperimentConfig.k),
+                                 entries["kappa"])
+    return ExperimentConfig(**{**defaults, **entries})

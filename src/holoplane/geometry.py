@@ -6,7 +6,7 @@ half-sphere (theta, omega) > 0 are mapped to plane points by
 x = s * theta / (theta, omega).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ def _as_unit(v, name="vector"):
     if n < 1e-14:
         raise ValueError(f"{name} must be nonzero")
     if abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector (|{name}| = {n!r})")
+        raise ValueError(f"{name} must be a unit vector (|{name}| = {float(n)!r})")
     return v / n
 
 
@@ -96,7 +96,7 @@ def point_on_plane(theta, frame):
     c = np.dot(theta, frame.omega)
     if c <= 1e-9:
         raise OutOfHalfspaceError(
-            f"(theta, omega) = {c!r} <= 0: direction does not meet the plane"
+            f"(theta, omega) = {float(c)!r} <= 0: direction does not meet the plane"
         )
     return frame.s * theta / c
 
@@ -114,7 +114,7 @@ def in_exceptional_set(theta, k, eps, frame):
         raise ValueError("wave vector k must be nonzero")
     eps = float(eps)
     if not 0 < eps < 2 * kappa:
-        raise ValueError(f"eps must lie in (0, 2*kappa) = (0, {2 * kappa!r})")
+        raise ValueError(f"eps must lie in (0, 2*kappa) = (0, {float(2 * kappa)!r})")
     k_par = decompose(k, frame).par
     theta_par = decompose(theta, frame).par
     return bool(np.linalg.norm(k_par - kappa * theta_par) < eps)
@@ -140,18 +140,12 @@ class GridSpec:
     frame: PlaneFrame
     half_width: float
     n: int
-    axes: tuple = field(default=None)
 
     def __post_init__(self):
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
         if self.n < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if self.axes is None:
-            d = self.frame.dim
-            object.__setattr__(self, "axes", tuple(range(d - 1)))
-        if len(self.axes) != self.frame.dim - 1:
-            raise ValueError("number of in-plane axes must be dim - 1")
 
     @property
     def coords(self):
@@ -180,9 +174,7 @@ def grid_points(spec):
     """Ambient coordinates of the grid nodes, shape (size, d), row-major."""
     uv = grid_coords(spec)
     frame = spec.frame
-    base = frame.s * frame.omega
-    axes_basis = frame.basis[list(spec.axes)]
-    return base + uv @ axes_basis
+    return frame.s * frame.omega + uv @ frame.basis
 
 
 def expansion_oracles(x, zeta):

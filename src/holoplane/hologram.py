@@ -75,7 +75,7 @@ def bilinear_lookup(holo, y):
     spec = holo.spec
     frame = spec.frame
     y = np.asarray(y, dtype=float)
-    uv = (y - frame.s * frame.omega) @ frame.basis[list(spec.axes)].T
+    uv = (y - frame.s * frame.omega) @ frame.basis.T
     h = spec.half_width
     inside = ~np.any(np.abs(uv) > h * (1 + 1e-12), axis=-1)
     uv = np.clip(uv, -h, h)

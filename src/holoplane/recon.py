@@ -170,7 +170,7 @@ def zeta_bounded(theta, params, frame, alpha, eps):
     zeta, ok = _bounded_offset(m, mn, alpha, eps)
     if not ok:
         raise ExceptionalDirectionError(
-            f"|kappa*theta_par - k_par| = {mn!r} < eps = {eps!r}"
+            f"|kappa*theta_par - k_par| = {float(mn)!r} < eps = {float(eps)!r}"
         )
     return zeta
 
@@ -233,12 +233,12 @@ def determinant_phase_expansion(x, zeta, params):
     return lead + (params.kappa / (2.0 * r)) * (tz * tz - float(zeta @ zeta))
 
 
-def f11(a_x, a_y, x, y, params, det_floor=DET_FLOOR):
+def f11(a_x, a_y, x, y, params):
     """Two-point far-field estimator
     f11 = (e^{i((k,y) - kappa|y|)} a(x) - e^{i((k,x) - kappa|x|)} a(y)) / D."""
     _, D, e_x, e_y = _pair(x, y, params)
-    if abs(D) <= det_floor:
-        raise DegenerateDeterminantError(f"|D| = {abs(D)!r} <= {det_floor!r}")
+    if abs(D) <= DET_FLOOR:
+        raise DegenerateDeterminantError(f"|D| = {float(abs(D))!r} <= {DET_FLOOR!r}")
     return _estimate(a_x, a_y, e_x, e_y, D)
 
 
@@ -325,7 +325,6 @@ def reconstruct_grid(
     refine2d=False,
     hologram=None,
     flag_eps=0.1,
-    det_floor=DET_FLOOR,
 ):
     """Run `reconstruct_points` at every grid node.
 
@@ -341,7 +340,7 @@ def reconstruct_grid(
         pts, lookup, params, spec.frame, strategy, refine2d)
     return ReconGridResult(spec, pts, theta, zeta, D, f11_vals, psi1_rec,
                            flag_exceptional=mn < flag_eps,
-                           flag_small_d=np.abs(D) <= det_floor)
+                           flag_small_d=np.abs(D) <= DET_FLOOR)
 
 
 def recon_to_csv(result, psi1_exact, path):

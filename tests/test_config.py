@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from holoplane.cli import main
 from holoplane.config import ExperimentConfig, parse_config
 from holoplane.errors import ConfigError
 from holoplane.metrics import region_masks, rel_l2
@@ -66,6 +69,61 @@ class TestValidation:
             parse_config("dim = 3\n" + line)
         assert exc.value.line == 2
         assert "not finite" in str(exc.value)
+
+
+# One config per rule that a domain object owns, with the text of its error.
+DOMAIN_RULES = [
+    ("kappa = -1", "kappa must be positive"),
+    ("kappa = 4\nk = 3, 0, 0", r"\|k\| must equal kappa"),
+    ("s = -1", "plane distance s must be positive"),
+    ("h = 0", "half_width must be positive"),
+    ("n = 1", "at least 2 points"),
+    ("source = 1, 0, 0, 2.5", "source location dimension mismatch"),
+    ("alpha = 0.5", "alpha must be negative"),
+    ("strategy = bounded\nalpha = 0", r"sin\(alpha\) != 0"),
+    ("strategy = hybrid\nalpha = 0.5", "alpha must be negative"),
+    ("omega = 2, 0, 0", r"unit vector \(\|omega\| = 2\.0\)$"),
+    ("omega = 0, 0, 0", "omega must be nonzero"),
+    ("source = 1, 0, 0, 2.5, 0\nsource = 1, 0, 0, 2.5, 0", "distinct"),
+    ("noise_level = 0.01\nnoise_seed = -1", "noise_seed must be nonnegative"),
+]
+
+
+class TestConstruction:
+    """Every instance is checked, however it is made."""
+
+    @pytest.mark.parametrize("text, message", DOMAIN_RULES)
+    def test_domain_rule_is_config_error(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, message", DOMAIN_RULES)
+    def test_domain_rule_exits_2_with_one_line(self, tmp_path, capsys, text,
+                                               message):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(text + "\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg_path), "--out", str(out), "reconstruct"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_direct_instance_checked(self):
+        with pytest.raises(ConfigError, match="at least 2 points"):
+            ExperimentConfig(n=1)
+
+    def test_replaced_instance_checked(self):
+        with pytest.raises(ConfigError, match="plane distance s"):
+            replace(ExperimentConfig(), s=-1)
+
+    def test_only_final_state_checked(self):
+        # the default eps = 0.1 is >= 2 kappa here; only the final
+        # (kappa, eps) pair counts
+        cfg = parse_config("kappa = 0.04\neps = 0.01")
+        assert (cfg.kappa, cfg.eps) == (0.04, 0.01)
+        np.testing.assert_allclose(cfg.k, (0.04, 0.0, 0.0))
 
 
 class TestSources:

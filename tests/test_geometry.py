@@ -82,7 +82,7 @@ class TestPointOnPlane:
 
     def test_tangent_direction_rejected(self):
         fr = make_frame(np.array([1.0, 0.0, 0.0]), 100.0)
-        with pytest.raises(OutOfHalfspaceError):
+        with pytest.raises(OutOfHalfspaceError, match=r"^\(theta, omega\) = 0\.0 <= 0"):
             point_on_plane(np.array([0.0, 1.0, 0.0]), fr)
 
     @given(half_sphere_directions(), st.floats(0.1, 1e3))
@@ -133,7 +133,7 @@ class TestExceptionalSet:
 
     def test_eps_range_enforced(self):
         fr = make_frame(np.array([1.0, 0.0, 0.0]), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"= \(0, 8\.0\)$"):
             in_exceptional_set(np.array([1.0, 0, 0]), np.array([4.0, 0, 0]), 9.0, fr)
 
 

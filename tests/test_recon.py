@@ -82,7 +82,7 @@ class TestZetaBounded:
 
     def test_singular_direction_rejected(self):
         frame = make_frame(E1, 100.0)
-        with pytest.raises(ExceptionalDirectionError):
+        with pytest.raises(ExceptionalDirectionError, match=r"= 0\.0 < eps = 0\.1$"):
             zeta_bounded(E1, params_d(3), frame, -0.5, 0.1)
 
     def test_phase_exactness_and_bound(self):
