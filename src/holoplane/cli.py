@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_config
-from .csvrows import write_rows
+from .config import ExperimentConfig, _parse_number, parse_config
+from .csvrows import write_csv
 from .errors import DegenerateDeterminantError, ExceptionalDirectionError, HoloplaneError
 from .fields import eval_radiation, far_field, plane_wave
 from .geometry import grid_coords, grid_points, point_on_plane
@@ -34,6 +34,13 @@ from .recon import (
 )
 
 RATE_S_LADDER = (50.0, 100.0, 200.0, 400.0, 800.0)
+# The reference experiment's parameter sweeps, in run order.
+REFERENCE_SWEEPS = {
+    "s": (5, 10, 100, 200),
+    "kappa": (1, 4, 16),
+    "x0_2": (0, 2.5, 5),
+    "c": (0.1, 1, 10, 20),
+}
 
 
 def _load_config(path):
@@ -121,10 +128,8 @@ def _write_profile(result, psi1_exact, path):
         name = "x2"
         rows = slice(None)
     ex, rec = psi1_exact[rows], result.psi1_rec[rows]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{name},re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
-        write_rows(fh, "%.10g,%.10g,%.10g,%.10g,%.10g\n",
-                   [spec.coords, ex.real, ex.imag, rec.real, rec.imag])
+    write_csv(path, {name: spec.coords, "re_psi1": ex.real, "im_psi1": ex.imag,
+                     "re_psi1rec": rec.real, "im_psi1rec": rec.imag})
 
 
 def _sweep_config(cfg, param, value):
@@ -146,14 +151,14 @@ def _sweep_config(cfg, param, value):
 
 
 def run_sweep(cfg, param, values, outdir):
-    """One full reconstruction per value; writes sweep.csv with E on G."""
+    """One full reconstruction per value; writes sweep.csv with E on G.
+    Every swept config is built, and so checked, before the first run."""
+    configs = [_sweep_config(cfg, param, value) for value in values]
     os.makedirs(outdir, exist_ok=True)
     rows = []
-    for value in values:
-        sub = _sweep_config(cfg, param, value)
+    for value, sub in zip(values, configs):
         result, psi1_exact = _reconstruct(sub)
-        e_g = rel_l2(result.psi1_rec, psi1_exact)
-        rows.append((value, e_g))
+        rows.append((value, rel_l2(result.psi1_rec, psi1_exact)))
     with open(os.path.join(outdir, "sweep.csv"), "w", newline="") as fh:
         fh.write("param,value,E_G\n")
         for value, e_g in rows:
@@ -218,84 +223,55 @@ def run_rates(cfg, outdir):
     return table
 
 
-def _check(name, value, ok, lines):
-    status = "PASS" if ok else "FAIL"
-    lines.append(f"{status}  {name}: {value}")
-    return ok
-
-
 def run_reproduce(cfg, outdir):
     """Reference-experiment reproduction with tolerance checks.
 
-    Runs the hologram synthesis, the full reconstruction, the four
-    parameter sweeps and the discrepancy tables, and compares each number
-    against its expected value.  Returns 0 iff everything is in tolerance.
+    Runs the hologram synthesis, the full reconstruction and the four
+    parameter sweeps of `REFERENCE_SWEEPS`, then compares each number with
+    its expected value.  Returns 0 iff everything is in tolerance.
     """
     os.makedirs(outdir, exist_ok=True)
     run_simulate(cfg, outdir)
-    result, psi1_exact, metrics = run_reconstruct(cfg, outdir)
+    result, _, metrics = run_reconstruct(cfg, outdir)
+    e_s, e_kappa, e_x0, e_c = (
+        [e for _, e in run_sweep(cfg, p, v, os.path.join(outdir, f"sweep_{p}"))]
+        for p, v in REFERENCE_SWEEPS.items())
+    v_s, v_kappa, v_x0, _ = REFERENCE_SWEEPS.values()
+    e_g, e_d, e_gd = (metrics[("E", region)] for region in ("G", "D", "G\\D"))
+    dis = {region: metrics[("E_dis", region)] for region in ("G", "D", "G\\D")}
 
-    lines = []
-    ok = True
-    e_g = metrics[("E", "G")]
-    e_d = metrics[("E", "D")]
-    e_gd = metrics[("E", "G\\D")]
-    ok &= _check("E(G) ~ 11.7%", f"{100 * e_g:.2f}%", abs(e_g - 0.117) <= 0.015, lines)
-    ok &= _check("E(D) ~ 29.7%", f"{100 * e_d:.2f}%", abs(e_d - 0.297) <= 0.04, lines)
-    ok &= _check("E(G\\D) ~ 10.2%", f"{100 * e_gd:.2f}%",
-                 abs(e_gd - 0.102) <= 0.015, lines)
+    def pct(e):
+        return f"{100 * e:.2f}%"
 
-    dis_expect = {"G": 7.2e-3, "D": 6.7e-3, "G\\D": 7.2e-3}
-    for region, expect in dis_expect.items():
-        got = metrics[("E_dis", region)]
-        ok &= _check(
-            f"E_dis({region}) ~ {expect:.1e}",
-            f"{got:.2e}",
-            expect / 2 <= got <= expect * 2,
-            lines,
-        )
-    ok &= _check("E_dis(G) < 0.02 while E(G) > 0.09",
-                 f"{metrics[('E_dis', 'G')]:.2e} / {100 * e_g:.1f}%",
-                 metrics[("E_dis", "G")] < 0.02 and e_g > 0.09, lines)
-    ok &= _check("max|zeta| < 15", f"{result.max_zeta:.3f}",
-                 result.max_zeta < 15, lines)
-
-    sweeps = {
-        "s": ([5, 10, 100, 200], [0.25, 0.16, 0.117, 0.108], 0.025),
-        "kappa": ([1, 4, 16], [0.098, 0.117, 0.130], 0.02),
-        "x0_2": ([0, 2.5, 5], [None, 0.117, 0.222], None),
-        "c": ([0.1, 1, 10, 20], None, None),
-    }
-    for param, (values, expected, tol) in sweeps.items():
-        rows = run_sweep(cfg, param, values, os.path.join(outdir, f"sweep_{param}"))
-        errs = [e for _, e in rows]
-        if param == "s":
-            for (v, e), exp in zip(rows, expected):
-                ok &= _check(f"E(s={v})", f"{100 * e:.2f}%", abs(e - exp) <= tol, lines)
-            ok &= _check("E decreasing in s", str([f"{e:.3f}" for e in errs]),
-                         all(a > b for a, b in zip(errs, errs[1:])), lines)
-        elif param == "kappa":
-            for (v, e), exp in zip(rows, expected):
-                ok &= _check(f"E(kappa={v})", f"{100 * e:.2f}%",
-                             abs(e - exp) <= tol, lines)
-        elif param == "x0_2":
-            ok &= _check("E(x0_2=0) <= 0.5%", f"{100 * errs[0]:.3f}%",
-                         errs[0] <= 0.005, lines)
-            ok &= _check("E(x0_2=2.5)", f"{100 * errs[1]:.2f}%",
-                         abs(errs[1] - 0.117) <= 0.015, lines)
-            ok &= _check("E(x0_2=5)", f"{100 * errs[2]:.2f}%",
-                         abs(errs[2] - 0.222) <= 0.03, lines)
-        else:  # c
-            inside = all(0.097 <= e <= 0.138 for e in errs)
-            spread = max(errs) - min(errs)
-            ok &= _check("E(c sweep) in [9.7%, 13.8%], spread <= 1pt",
-                         f"{[f'{100 * e:.2f}%' for e in errs]}",
-                         inside and spread <= 0.01, lines)
-
-    summary = os.path.join(outdir, "summary.txt")
-    with open(summary, "w") as fh:
+    # (name, value text, ok), in the order of summary.txt
+    checks = [
+        ("E(G) ~ 11.7%", pct(e_g), abs(e_g - 0.117) <= 0.015),
+        ("E(D) ~ 29.7%", pct(e_d), abs(e_d - 0.297) <= 0.04),
+        ("E(G\\D) ~ 10.2%", pct(e_gd), abs(e_gd - 0.102) <= 0.015),
+        *[(f"E_dis({region}) ~ {x:.1e}", f"{dis[region]:.2e}",
+           x / 2 <= dis[region] <= x * 2)
+          for region, x in (("G", 7.2e-3), ("D", 6.7e-3), ("G\\D", 7.2e-3))],
+        ("E_dis(G) < 0.02 while E(G) > 0.09", f"{dis['G']:.2e} / {100 * e_g:.1f}%",
+         dis["G"] < 0.02 and e_g > 0.09),
+        ("max|zeta| < 15", f"{result.max_zeta:.3f}", result.max_zeta < 15),
+        *[(f"E(s={v})", pct(e), abs(e - x) <= 0.025)
+          for v, e, x in zip(v_s, e_s, (0.25, 0.16, 0.117, 0.108))],
+        ("E decreasing in s", str([f"{e:.3f}" for e in e_s]),
+         all(a > b for a, b in zip(e_s, e_s[1:]))),
+        *[(f"E(kappa={v})", pct(e), abs(e - x) <= 0.02)
+          for v, e, x in zip(v_kappa, e_kappa, (0.098, 0.117, 0.130))],
+        (f"E(x0_2={v_x0[0]}) <= 0.5%", f"{100 * e_x0[0]:.3f}%", e_x0[0] <= 0.005),
+        (f"E(x0_2={v_x0[1]})", pct(e_x0[1]), abs(e_x0[1] - 0.117) <= 0.015),
+        (f"E(x0_2={v_x0[2]})", pct(e_x0[2]), abs(e_x0[2] - 0.222) <= 0.03),
+        ("E(c sweep) in [9.7%, 13.8%], spread <= 1pt", str([pct(e) for e in e_c]),
+         all(0.097 <= e <= 0.138 for e in e_c) and max(e_c) - min(e_c) <= 0.01),
+    ]
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {value}"
+             for name, value, ok in checks]
+    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
+    ok = all(ok for _, _, ok in checks)
     print("ALL CHECKS PASSED" if ok else "SOME CHECKS FAILED")
     return 0 if ok else 1
 
@@ -339,7 +315,7 @@ def _dispatch(args):
         run_reconstruct(cfg, outdir)
         return 0
     if args.command == "sweep":
-        values = [float(v) for v in args.values.split(",")]
+        values = [_parse_number(v, None) for v in args.values.split(",")]
         run_sweep(cfg, args.param, values, outdir)
         return 0
     if args.command == "rates":

@@ -17,7 +17,7 @@ their checks and checks here only what no domain object owns.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -65,6 +65,14 @@ class ExperimentConfig:
     region_halfwidth: float = 4.0
 
     def __post_init__(self):
+        # Every comparison with NaN is false, so no rule below would see one.
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self)
+                   if f.name not in ("sources", "strategy", "mode")]
+        for i, (c, x0) in enumerate(self.sources, start=1):
+            numbers += [(f"source {i} c", c), (f"source {i} x0", x0)]
+        for name, value in numbers:
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite")
         if self.dim not in (2, 3):
             raise ConfigError("dim must be 2 or 3")
         if len(self.k) != self.dim or len(self.omega) != self.dim:

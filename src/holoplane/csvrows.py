@@ -1,8 +1,10 @@
-"""Row writer and grid-node columns shared by the CSV exporters.
+"""CSV writer and grid-node columns shared by the per-node exporters.
 
-Columns are converted to Python scalars a chunk of rows at a time and each
-row is formatted by one `%` template. `"%.10g" % x` gives the same bytes as
-`f"{x:.10g}"`, so the files match a per-row f-string writer byte for byte.
+`write_csv` takes named columns. It converts them to Python scalars a chunk
+of rows at a time and formats each row by one `%` template: integer and
+boolean columns as `%d`, float columns as `%.10g`. `%`-formatting a float
+gives the same bytes as an f-string with the same spec, so the files match a
+per-row f-string writer byte for byte.
 """
 
 import numpy as np
@@ -15,21 +17,24 @@ ROW_CHUNK = 256
 
 
 def grid_columns(spec):
-    """Node index and in-plane coordinate columns of a per-node CSV, in
-    row-major grid order (d=3: i,j,x2,x3; d=2: i,x2), as (header prefix,
-    `%` template prefix, list of arrays); callers append their own."""
+    """Node index and in-plane coordinate columns of a per-node CSV, by
+    name, in row-major grid order (d=3: i,j,x2,x3; d=2: i,x2)."""
     uv = grid_coords(spec)
     idx = np.arange(spec.size)
     if spec.frame.dim == 3:
         i, j = np.divmod(idx, spec.n)
-        return "i,j,x2,x3,", "%d,%d,%.10g,%.10g,", [i, j, uv[:, 0], uv[:, 1]]
-    return "i,x2,", "%d,%.10g,", [idx, uv[:, 0]]
+        return {"i": i, "j": j, "x2": uv[:, 0], "x3": uv[:, 1]}
+    return {"i": idx, "x2": uv[:, 0]}
 
 
-def write_rows(fh, template, columns):
-    """Write `template % row` for each row of `columns`, a sequence of
-    equal-length 1-d arrays; `template` ends with the newline."""
-    n = len(columns[0])
-    for start in range(0, n, ROW_CHUNK):
-        chunk = [c[start:start + ROW_CHUNK].tolist() for c in columns]
-        fh.write("".join([template % row for row in zip(*chunk)]))
+def write_csv(path, columns):
+    """Write `columns`, a dict from header name to equal-length 1-d array,
+    as CSV with a header line."""
+    arrays = list(columns.values())
+    template = ",".join("%d" if a.dtype.kind in "biu" else "%.10g"
+                        for a in arrays) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(arrays[0]), ROW_CHUNK):
+            chunk = [a[start:start + ROW_CHUNK].tolist() for a in arrays]
+            fh.write("".join([template % row for row in zip(*chunk)]))

@@ -81,17 +81,19 @@ def plane_wave(x, params):
 
 def eval_radiation(field, kappa, x):
     """Evaluate the point-source superposition at `x` (a point or an
-    (m, d) array of points)."""
+    (m, d) array of points).  A point on a source raises, naming the first
+    such point by its index in the batch."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
+    dist = [np.linalg.norm(pts - src.x0, axis=-1) for src in field.sources]
+    hit = np.flatnonzero(np.any([r < _SOURCE_TOL for r in dist], axis=0))
+    if hit.size:
+        p = tuple(float(v) for v in pts[hit[0]])
+        raise SingularEvaluationError(
+            f"evaluation point {hit[0]} at {p} coincides with a source")
     total = np.zeros(pts.shape[0], dtype=complex)
-    for src in field.sources:
-        r = np.linalg.norm(pts - src.x0, axis=-1)
-        if np.any(r < _SOURCE_TOL):
-            raise SingularEvaluationError(
-                f"evaluation point coincides with source at {src.x0}"
-            )
+    for src, r in zip(field.sources, dist):
         if field.dim == 3:
             total += src.c * np.exp(1j * kappa * r) / r
         else:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvrows import grid_columns, write_rows
-from .errors import OutOfPatchError, SingularEvaluationError
+from .csvrows import grid_columns, write_csv
+from .errors import OutOfPatchError
 from .fields import eval_radiation, plane_wave
 from .geometry import grid_points
 
@@ -49,19 +49,7 @@ def scattered_signal(field, params, x):
 
 def sample_hologram(field, params, spec):
     """Evaluate the intensity at every grid node, row-major order."""
-    pts = grid_points(spec)
-    try:
-        values = intensity(field, params, pts)
-    except SingularEvaluationError:
-        # Re-run pointwise to name the offending node.
-        for idx, p in enumerate(pts):
-            try:
-                intensity(field, params, p)
-            except SingularEvaluationError as exc:
-                raise SingularEvaluationError(
-                    f"grid node {idx} at {p} coincides with a source"
-                ) from exc
-        raise
+    values = intensity(field, params, grid_points(spec))
     return Hologram(spec=spec, params=params, values=values)
 
 
@@ -80,7 +68,9 @@ def bilinear_lookup(holo, y):
     inside = ~np.any(np.abs(uv) > h * (1 + 1e-12), axis=-1)
     uv = np.clip(uv, -h, h)
     coords = spec.coords
-    i = np.clip(np.searchsorted(coords, uv) - 1, 0, spec.n - 2)
+    # The coordinates are equally spaced, so the cell is found by arithmetic.
+    step = 2 * h / (spec.n - 1)
+    i = np.clip(np.floor((uv + h) / step).astype(int), 0, spec.n - 2)
     t = (uv - coords[i]) / (coords[i + 1] - coords[i])
     grid = holo.values.reshape((spec.n,) * uv.shape[-1])
     value = 0.0
@@ -139,10 +129,7 @@ def add_noise(holo, relative_level, seed):
 
 def hologram_to_csv(holo, path):
     """Write the sampled intensity as CSV (d=3: i,j,x2,x3,I; d=2: i,x2,I)."""
-    names, template, columns = grid_columns(holo.spec)
-    with open(path, "w", newline="") as fh:
-        fh.write(names + "I\n")
-        write_rows(fh, template + "%.10g\n", columns + [holo.values])
+    write_csv(path, {**grid_columns(holo.spec), "I": holo.values})
 
 
 def hologram_to_pgm(holo, path):

@@ -33,7 +33,7 @@ from .errors import (
     ExceptionalDirectionError,
     InfeasibleParametersError,
 )
-from .csvrows import grid_columns, write_rows
+from .csvrows import grid_columns, write_csv
 from .geometry import decompose, grid_points
 from .hologram import intensity_lookup
 
@@ -350,15 +350,13 @@ def recon_to_csv(result, psi1_exact, path):
     re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD.
     d=2 drops j and x3.
     """
-    names, template, columns = grid_columns(result.spec)
-    columns += [
-        psi1_exact.real, psi1_exact.imag,
-        result.psi1_rec.real, result.psi1_rec.imag,
-        result.f11.real, result.f11.imag,
-        np.abs(result.D), np.linalg.norm(result.zeta, axis=1),
-        result.flag_exceptional, result.flag_small_d,
-    ]
-    with open(path, "w", newline="") as fh:
-        fh.write(names + "re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
-                 "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD\n")
-        write_rows(fh, template + "%.10g," * 8 + "%d,%d\n", columns)
+    write_csv(path, {
+        **grid_columns(result.spec),
+        "re_psi1": psi1_exact.real, "im_psi1": psi1_exact.imag,
+        "re_psi1rec": result.psi1_rec.real, "im_psi1rec": result.psi1_rec.imag,
+        "re_f11": result.f11.real, "im_f11": result.f11.imag,
+        "abs_D": np.abs(result.D),
+        "zeta_norm": np.linalg.norm(result.zeta, axis=1),
+        "flag_exceptional": result.flag_exceptional,
+        "flag_smallD": result.flag_small_d,
+    })

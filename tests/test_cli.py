@@ -148,6 +148,72 @@ class TestSweep:
         with pytest.raises(SystemExit):
             run(tmp_path, ["sweep", "--param", "bogus", "--values", "1"])
 
+    @pytest.mark.parametrize("param, values, message", [
+        ("s", "50,abc", "malformed number 'abc'"),
+        ("s", "nan", "number 'nan' is not finite"),
+        ("s", "inf", "number 'inf' is not finite"),
+        ("kappa", "4,0.01", "eps must lie in (0, 2*kappa)"),
+    ])
+    def test_bad_value_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                              param, values, message):
+        calls = []
+        reconstruct = cli._reconstruct
+        monkeypatch.setattr(cli, "_reconstruct",
+                            lambda cfg: calls.append(cfg) or reconstruct(cfg))
+        rc, out = run(tmp_path, ["sweep", "--param", param, "--values", values])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
+
+
+class TestSourceOnPoint:
+    CONFIG = "n = 3\nsource = 1, 0, 100, 0, 0\n"  # grid node 4 is (100, 0, 0)
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_names_the_node(self, tmp_path, capsys, command):
+        rc, _ = run(tmp_path, [command], config=self.CONFIG)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: evaluation point 4 at (100.0, 0.0, 0.0) coincides with a source\n")
+
+
+class TestReproduce:
+    SUMMARY = """\
+PASS  E(G) ~ 11.7%: 11.16%
+PASS  E(D) ~ 29.7%: 33.01%
+PASS  E(G\\D) ~ 10.2%: 10.43%
+PASS  E_dis(G) ~ 7.2e-03: 7.21e-03
+PASS  E_dis(D) ~ 6.7e-03: 6.42e-03
+PASS  E_dis(G\\D) ~ 7.2e-03: 7.24e-03
+PASS  E_dis(G) < 0.02 while E(G) > 0.09: 7.21e-03 / 11.2%
+PASS  max|zeta| < 15: 3.459
+PASS  E(s=5): 24.64%
+PASS  E(s=10): 17.00%
+PASS  E(s=100): 11.16%
+PASS  E(s=200): 10.27%
+PASS  E decreasing in s: ['0.246', '0.170', '0.112', '0.103']
+PASS  E(kappa=1): 9.31%
+PASS  E(kappa=4): 11.16%
+PASS  E(kappa=16): 13.14%
+FAIL  E(x0_2=0) <= 0.5%: 0.508%
+PASS  E(x0_2=2.5): 11.16%
+PASS  E(x0_2=5): 21.37%
+FAIL  E(c sweep) in [9.7%, 13.8%], spread <= 1pt: ['11.14%', '11.16%', '12.33%', '15.21%']
+"""
+
+    def test_summary_and_exit_code(self, tmp_path, capsys):
+        # The two FAILs are the standing criterion-2 misses (see README).
+        rc, out = run(tmp_path, ["reproduce-paper"])
+        assert rc == 1
+        assert (out / "summary.txt").read_text() == self.SUMMARY
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[-1] == "SOME CHECKS FAILED"
+        assert stdout[-21:-1] == self.SUMMARY.splitlines()
+        for param, lines in {"s": 5, "kappa": 4, "x0_2": 4, "c": 5}.items():
+            rows = (out / f"sweep_{param}" / "sweep.csv").read_text().splitlines()
+            assert len(rows) == lines
+
 
 class TestRates:
     def test_rates_table_and_slopes(self, tmp_path, capsys):

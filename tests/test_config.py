@@ -118,6 +118,30 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="plane distance s"):
             replace(ExperimentConfig(), s=-1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, build", [
+        ("dim", lambda x: {"dim": x}),
+        ("kappa", lambda x: {"kappa": x}),
+        ("k", lambda x: {"k": (4.0, x, 0.0)}),
+        ("omega", lambda x: {"omega": (1.0, 0.0, x)}),
+        ("s", lambda x: {"s": x}),
+        ("source 1 c", lambda x: {"sources": ((complex(1.0, x), (0.0, 2.5, 0.0)),)}),
+        ("source 2 x0", lambda x: {"sources": ((1.0 + 0j, (0.0, 2.5, 0.0)),
+                                               (1.0 + 0j, (x, 0.0, 0.0)))}),
+        ("h", lambda x: {"h": x}),
+        ("n", lambda x: {"n": x}),
+        ("alpha", lambda x: {"alpha": x}),
+        ("eps", lambda x: {"eps": x}),
+        ("fallback_axis", lambda x: {"fallback_axis": x}),
+        ("noise_level", lambda x: {"noise_level": x}),
+        ("noise_seed", lambda x: {"noise_seed": x}),
+        ("region_halfwidth", lambda x: {"region_halfwidth": x}),
+    ])
+    def test_non_finite_field_rejected(self, field, build, value):
+        # NaN fails no comparison-based rule, so each field needs the check
+        with pytest.raises(ConfigError, match=f"^{field} must be finite$"):
+            replace(ExperimentConfig(), **build(value))
+
     def test_only_final_state_checked(self):
         # the default eps = 0.1 is >= 2 kappa here; only the final
         # (kappa, eps) pair counts

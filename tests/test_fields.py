@@ -84,6 +84,16 @@ class TestEvalRadiation:
         with pytest.raises(SingularEvaluationError):
             eval_radiation(f, 4.0, np.array([0.0, 2.5, 0.0]))
 
+    def test_singular_message_names_first_point(self):
+        # point 1 is on the second source, point 3 on the first
+        f = RadiationField(3, (PointSource(c=1.0 + 0j, x0=np.array([0.0, 2.5, 0.0])),
+                               PointSource(c=1.0 + 0j, x0=np.array([0.0, -1.0, 0.5]))))
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.5],
+                        [2.0, 0.0, 0.0], [0.0, 2.5, 0.0]])
+        with pytest.raises(SingularEvaluationError, match=(
+                r"^evaluation point 1 at \(0\.0, -1\.0, 0\.5\) coincides with a source$")):
+            eval_radiation(f, 4.0, pts)
+
     def test_array_matches_pointwise(self):
         f = source_field(3, 2.0 - 1j, (0.0, 2.5, 0.0))
         pts = np.array([[100.0, 1.0, 2.0], [80.0, -3.0, 5.0]])

@@ -162,6 +162,54 @@ class TestIntensityAt:
                     intensity_at(holo, y, mode="bilinear")
 
 
+    @staticmethod
+    def searchsorted_lookup(holo, y):
+        """Bilinear lookup with the cell found by `np.searchsorted`."""
+        spec = holo.spec
+        uv = (y - spec.frame.s * spec.frame.omega) @ spec.frame.basis.T
+        inside = ~np.any(np.abs(uv) > spec.half_width * (1 + 1e-12), axis=-1)
+        uv = np.clip(uv, -spec.half_width, spec.half_width)
+        c = spec.coords
+        i = np.clip(np.searchsorted(c, uv) - 1, 0, spec.n - 2)
+        t = (uv - c[i]) / (c[i + 1] - c[i])
+        grid = holo.values.reshape((spec.n,) * uv.shape[-1])
+        if uv.shape[-1] == 1:
+            value = (1 - t[:, 0]) * grid[i[:, 0]] + t[:, 0] * grid[i[:, 0] + 1]
+        else:
+            (i0, i1), (t0, t1) = i.T, t.T
+            value = ((1 - t0) * (1 - t1) * grid[i0, i1] + t0 * (1 - t1) * grid[i0 + 1, i1]
+                     + (1 - t0) * t1 * grid[i0, i1 + 1] + t0 * t1 * grid[i0 + 1, i1 + 1])
+        return np.where(inside, value, np.nan)
+
+    @pytest.mark.parametrize("dim, n", [(2, 30), (2, 301), (3, 30), (3, 37)])
+    def test_arithmetic_cell_matches_searchsorted(self, dim, n):
+        p = WaveParams(kappa=4.0, k=4.0 * np.eye(dim)[0])
+        x0 = np.zeros(dim)
+        x0[1] = 2.5
+        f = RadiationField(dim, (PointSource(c=1.0 + 0j, x0=x0),))
+        spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=n)
+        holo = sample_hologram(f, p, spec)
+
+        def plane(uv):
+            return 100.0 * np.eye(dim)[0] + uv @ spec.frame.basis
+
+        rng = np.random.default_rng(7)
+        # exact nodes, and points on the patch edges
+        edge = rng.uniform(-20.0, 20.0, size=(50, dim - 1))
+        edge[:25, 0] = rng.choice([-20.0, 20.0], size=25)
+        edge[25:, -1] = rng.choice([-20.0, 20.0], size=25)
+        exact = np.concatenate([grid_points(spec), plane(edge)])
+        values, inside = bilinear_lookup(holo, exact)
+        assert inside.all()
+        np.testing.assert_array_equal(values, self.searchsorted_lookup(holo, exact))
+        np.testing.assert_array_equal(values[:spec.size], holo.values)
+        ys = plane(rng.uniform(-21.0, 21.0, size=(2000, dim - 1)))
+        values, inside = bilinear_lookup(holo, ys)
+        assert (~inside).any()
+        np.testing.assert_allclose(values, self.searchsorted_lookup(holo, ys),
+                                   rtol=1e-15, atol=0)
+
+
 class TestAddNoise:
     def test_zero_level_is_identity(self):
         holo = sample_hologram(field3(), params3(), spec3(n=8))
