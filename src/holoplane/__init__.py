@@ -24,15 +24,11 @@ from .fields import (
     plane_wave,
 )
 from .geometry import (
-    DirectionDecomp,
     GridSpec,
     PlaneFrame,
-    decompose,
     expansion_oracles,
     grid_coords,
     grid_points,
-    in_cap_delta,
-    in_exceptional_set,
     make_frame,
     point_on_plane,
 )

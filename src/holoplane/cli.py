@@ -13,7 +13,12 @@ import numpy as np
 
 from .config import ExperimentConfig, _parse_number, parse_config
 from .csvrows import write_csv
-from .errors import DegenerateDeterminantError, ExceptionalDirectionError, HoloplaneError
+from .errors import (
+    DegenerateDeterminantError,
+    ExceptionalDirectionError,
+    HoloplaneError,
+    UndefinedDenominatorError,
+)
 from .fields import eval_radiation, far_field, plane_wave
 from .geometry import grid_coords, grid_points, point_on_plane
 from .hologram import (
@@ -70,14 +75,13 @@ def _reconstruct(cfg):
     field = cfg.radiation_field()
     params = cfg.wave_params()
     # Noisy data can only be consumed through the sampled hologram.
-    mode = "bilinear" if cfg.noise_level > 0 else cfg.mode
-    holo = _sampled_hologram(cfg) if mode == "bilinear" else None
+    sampled = cfg.mode == "bilinear" or cfg.noise_level > 0
+    holo = _sampled_hologram(cfg) if sampled else None
     result = reconstruct_grid(
         field,
         params,
         cfg.grid_spec(),
         cfg.zeta_strategy(),
-        mode=mode,
         refine2d=cfg.refine2d,
         hologram=holo,
         flag_eps=cfg.eps,
@@ -94,6 +98,8 @@ def compute_metrics(cfg, result, psi1_exact):
     psi0 = plane_wave(result.points, cfg.wave_params())
     out = {}
     for name, mask in masks.items():
+        if not mask.any():
+            raise UndefinedDenominatorError(f"region {name} holds no grid node")
         out[("E", name)] = rel_l2(result.psi1_rec, psi1_exact, mask)
         out[("E_dis", name)] = intensity_discrepancy(
             psi0, psi1_exact, result.psi1_rec, mask)
@@ -178,17 +184,17 @@ def _probe_theta(cfg):
     return x / np.linalg.norm(x)
 
 
-def probe_errors(cfg, strategy, s_values=RATE_S_LADDER, refine2d=False):
-    """|f11 - f1| at the probe direction over an s-ladder, with the forward
-    model read exactly.  Raises where the offset or the determinant fails."""
+def probe_errors(cfg, strategy, refine2d=False):
+    """|f11 - f1| at the probe direction over `RATE_S_LADDER`, with the
+    forward model read exactly.  Raises where the offset or the determinant
+    fails."""
     theta = _probe_theta(cfg)
     field = cfg.radiation_field()
     params = cfg.wave_params()
-    x = np.array([point_on_plane(theta, cfg.frame(s)) for s in s_values])
+    x = np.array([point_on_plane(theta, cfg.frame(s)) for s in RATE_S_LADDER])
     # The planes differ only in s, which the kernel does not read.
-    _, zeta, D, est, _, mn = reconstruct_points(
-        x, intensity_lookup("analytic", field, params), params, cfg.frame(),
-        strategy, refine2d)
+    zeta, D, est, _, mn = reconstruct_points(
+        x, intensity_lookup(field, params), params, cfg.frame(), strategy, refine2d)
     if np.isnan(zeta).any():
         raise ExceptionalDirectionError(
             f"|kappa*theta_par - k_par| = {float(mn[0])!r} "
@@ -197,7 +203,7 @@ def probe_errors(cfg, strategy, s_values=RATE_S_LADDER, refine2d=False):
         raise DegenerateDeterminantError(
             f"|D| = {float(np.abs(D).min())!r} <= {DET_FLOOR!r}")
     err = np.abs(est - far_field(field, params.kappa, theta))
-    return list(zip(s_values, err.tolist()))
+    return list(zip(RATE_S_LADDER, err.tolist()))
 
 
 def run_rates(cfg, outdir):

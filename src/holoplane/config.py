@@ -26,24 +26,6 @@ from .fields import PointSource, RadiationField, WaveParams
 from .geometry import GridSpec, make_frame
 from .recon import BoundedOffset, HybridStrategy, SqrtScaled
 
-_SCALAR_KEYS = {
-    "dim": int,
-    "kappa": float,
-    "s": float,
-    "h": float,
-    "n": int,
-    "alpha": float,
-    "eps": float,
-    "fallback_axis": int,
-    "noise_level": float,
-    "noise_seed": int,
-    "region_halfwidth": float,
-}
-_VECTOR_KEYS = {"k", "omega"}
-_STRING_KEYS = {"strategy", "mode"}
-_BOOL_KEYS = {"refine2d"}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dim: int = 3
@@ -66,8 +48,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Every comparison with NaN is false, so no rule below would see one.
-        numbers = [(f.name, getattr(self, f.name)) for f in fields(self)
-                   if f.name not in ("sources", "strategy", "mode")]
+        numbers = [(key, getattr(self, key)) for key, kind in _KEY_TYPES.items()
+                   if kind is not str]
         for i, (c, x0) in enumerate(self.sources, start=1):
             numbers += [(f"source {i} c", c), (f"source {i} x0", x0)]
         for name, value in numbers:
@@ -131,6 +113,11 @@ class ExperimentConfig:
         return replace(self, kappa=float(kappa), k=_rescaled(self.k, kappa))
 
 
+# The type of each config-file key, read off the dataclass; `source` lines
+# build `sources`.
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "sources"}
+
+
 def _rescaled(k, kappa):
     k = np.array(k, dtype=float)
     return tuple(k * (kappa / np.linalg.norm(k)))
@@ -177,23 +164,25 @@ def parse_config(text):
             if len(parts) < 3:
                 raise ConfigError("source needs re_c, im_c, x0...", line=line_no)
             sources.append((complex(parts[0], parts[1]), tuple(parts[2:])))
-        elif key in _SCALAR_KEYS:
+            continue
+        kind = _KEY_TYPES.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown key {key!r}", line=line_no)
+        if kind is bool:
+            if value.lower() not in ("true", "false", "0", "1"):
+                raise ConfigError(f"{key} must be a boolean", line=line_no)
+            entries[key] = value.lower() in ("true", "1")
+        elif kind is tuple:
+            entries[key] = _parse_vector(value, line_no)
+        elif kind is str:
+            entries[key] = value
+        else:
             num = _parse_number(value, line_no)
-            if _SCALAR_KEYS[key] is int:
+            if kind is int:
                 if num != int(num):
                     raise ConfigError(f"{key} must be an integer", line=line_no)
                 num = int(num)
             entries[key] = num
-        elif key in _VECTOR_KEYS:
-            entries[key] = _parse_vector(value, line_no)
-        elif key in _STRING_KEYS:
-            entries[key] = value
-        elif key in _BOOL_KEYS:
-            if value.lower() not in ("true", "false", "0", "1"):
-                raise ConfigError(f"{key} must be a boolean", line=line_no)
-            entries[key] = value.lower() in ("true", "1")
-        else:
-            raise ConfigError(f"unknown key {key!r}", line=line_no)
 
     if sources:
         entries["sources"] = tuple(sources)

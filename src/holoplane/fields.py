@@ -82,7 +82,7 @@ def plane_wave(x, params):
 def eval_radiation(field, kappa, x):
     """Evaluate the point-source superposition at `x` (a point or an
     (m, d) array of points).  A point on a source raises, naming the first
-    such point by its index in the batch."""
+    such point by its coordinates."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
@@ -91,7 +91,7 @@ def eval_radiation(field, kappa, x):
     if hit.size:
         p = tuple(float(v) for v in pts[hit[0]])
         raise SingularEvaluationError(
-            f"evaluation point {hit[0]} at {p} coincides with a source")
+            f"evaluation point at {p} coincides with a source")
     total = np.zeros(pts.shape[0], dtype=complex)
     for src, r in zip(field.sources, dist):
         if field.dim == 3:

@@ -72,23 +72,6 @@ def make_frame(omega, s):
     return PlaneFrame(omega=omega, s=s, basis=basis)
 
 
-@dataclass(frozen=True)
-class DirectionDecomp:
-    """Split of an ambient vector into its in-plane part and the signed
-    coefficient along the plane normal."""
-
-    par: np.ndarray
-    perp: float
-
-
-def decompose(v, frame):
-    """Decompose `v` into components parallel and perpendicular to the plane."""
-    v = np.asarray(v, dtype=float)
-    perp = float(np.dot(v, frame.omega))
-    par = v - perp * frame.omega
-    return DirectionDecomp(par=par, perp=perp)
-
-
 def point_on_plane(theta, frame):
     """Map a direction in the open half-sphere to its plane point
     x = s * theta / (theta, omega)."""
@@ -99,34 +82,6 @@ def point_on_plane(theta, frame):
             f"(theta, omega) = {float(c)!r} <= 0: direction does not meet the plane"
         )
     return frame.s * theta / c
-
-
-def in_exceptional_set(theta, k, eps, frame):
-    """True iff the in-plane mismatch |k_par - kappa * theta_par| < eps.
-
-    `eps` must lie in (0, 2*kappa); outside that range the set is empty or
-    all of the half-sphere and the query is a mistake.
-    """
-    theta = _as_unit(theta, "theta")
-    k = np.asarray(k, dtype=float)
-    kappa = np.linalg.norm(k)
-    if kappa <= 0:
-        raise ValueError("wave vector k must be nonzero")
-    eps = float(eps)
-    if not 0 < eps < 2 * kappa:
-        raise ValueError(f"eps must lie in (0, 2*kappa) = (0, {float(2 * kappa)!r})")
-    k_par = decompose(k, frame).par
-    theta_par = decompose(theta, frame).par
-    return bool(np.linalg.norm(k_par - kappa * theta_par) < eps)
-
-
-def in_cap_delta(theta, delta, frame):
-    """True iff theta lies in the near-normal cap |theta_par| < delta."""
-    theta = _as_unit(theta, "theta")
-    delta = float(delta)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return bool(np.linalg.norm(decompose(theta, frame).par) < delta)
 
 
 @dataclass(frozen=True)

@@ -84,30 +84,27 @@ def bilinear_lookup(holo, y):
     return np.where(inside, value, np.nan), inside
 
 
-def intensity_lookup(mode, field=None, params=None, hologram=None):
+def intensity_lookup(field, params, hologram=None):
     """How the intensity is read at plane points: returns a function mapping
     one point or an (m, d) batch `y` to (values, inside).
 
-    `analytic` mode evaluates the forward model exactly (requires `field`
-    and `params`), and `inside` is True for every point; `bilinear` mode
-    interpolates the sampled `hologram`, see `bilinear_lookup`.
+    A sampled `hologram` is read bilinearly, see `bilinear_lookup`.  Without
+    one the forward model (`field`, `params`) is evaluated exactly, and
+    `inside` is True for every point.
     """
-    if mode == "analytic":
-        if field is None or params is None:
-            raise ValueError("analytic mode needs the forward model")
-        return lambda y: (intensity(field, params, y), True)
-    if mode != "bilinear":
-        raise ValueError(f"unknown lookup mode {mode!r}")
-    if hologram is None:
-        raise ValueError("bilinear mode needs a sampled hologram")
-    return lambda y: bilinear_lookup(hologram, y)
+    if hologram is not None:
+        return lambda y: bilinear_lookup(hologram, y)
+    if field is None or params is None:
+        raise ValueError("the intensity needs a sampled hologram or the forward model")
+    return lambda y: (intensity(field, params, y), True)
 
 
-def intensity_at(data, y, mode="analytic", field=None, params=None):
+def intensity_at(data, y, field=None, params=None):
     """Intensity at an arbitrary plane point `y`, read as `intensity_lookup`
-    says; in `bilinear` mode `y` is restricted to the patch of `data`."""
+    says: bilinearly from the hologram `data`, where `y` must lie on its
+    patch, or, with `data` None, from the forward model."""
     y = np.asarray(y, dtype=float)
-    value, inside = intensity_lookup(mode, field, params, data)(y)
+    value, inside = intensity_lookup(field, params, data)(y)
     if not inside:
         h = data.spec.half_width
         raise OutOfPatchError(f"point {y} outside the grid patch [-{h}, {h}]")

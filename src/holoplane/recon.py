@@ -34,7 +34,7 @@ from .errors import (
     InfeasibleParametersError,
 )
 from .csvrows import grid_columns, write_csv
-from .geometry import decompose, grid_points
+from .geometry import grid_points
 from .hologram import intensity_lookup
 
 DET_FLOOR = 1e-6
@@ -82,7 +82,8 @@ def _mismatch(theta, params, frame):
     """theta_par, m = kappa theta_par - k_par and |m|."""
     theta = np.asarray(theta, dtype=float)
     theta_par = theta - (theta @ frame.omega)[..., None] * frame.omega
-    m = params.kappa * theta_par - decompose(params.k, frame).par
+    k_par = params.k - (params.k @ frame.omega) * frame.omega
+    m = params.kappa * theta_par - k_par
     return theta_par, m, np.linalg.norm(m, axis=-1)
 
 
@@ -259,7 +260,6 @@ class ReconGridResult:
 
     spec: object
     points: np.ndarray  # (m, d)
-    theta: np.ndarray  # (m, d)
     zeta: np.ndarray  # (m, d)
     D: np.ndarray  # complex (m,)
     f11: np.ndarray  # complex (m,)
@@ -282,7 +282,7 @@ def reconstruct_points(x, lookup, params, frame, strategy, refine2d=False):
     `lookup` maps plane points to (intensity, inside), as built by
     `hologram.intensity_lookup`.  Only the normal and the in-plane basis of
     `frame` are read, so the points may lie on different parallel planes.
-    Returns (theta, zeta, D, f11, psi1_rec, mismatch), with mismatch =
+    Returns (zeta, D, f11, psi1_rec, mismatch), with mismatch =
     |kappa theta_par - k_par|.  Points without an offset, or whose offset
     point y = x + zeta is outside the data, are NaN in zeta, f11 and
     psi1_rec; a tiny D is left to the caller.
@@ -313,7 +313,7 @@ def reconstruct_points(x, lookup, params, frame, strategy, refine2d=False):
             f11_vals = _refine(f11_vals, e_x, e_y, D, rh)
     f11_vals = np.where(valid, f11_vals, np.nan + 0j)
     psi1_rec = np.exp(1j * params.kappa * r) * r ** (-half) * f11_vals
-    return theta, np.where(valid[:, None], zeta, np.nan), D, f11_vals, psi1_rec, mn
+    return np.where(valid[:, None], zeta, np.nan), D, f11_vals, psi1_rec, mn
 
 
 def reconstruct_grid(
@@ -321,24 +321,23 @@ def reconstruct_grid(
     params,
     spec,
     strategy,
-    mode="analytic",
     refine2d=False,
     hologram=None,
     flag_eps=0.1,
 ):
     """Run `reconstruct_points` at every grid node.
 
-    `mode` (`analytic`, or `bilinear` with a sampled `hologram`) chooses
-    how the intensity is read, see `hologram.intensity_lookup`.  Per-point
-    failures (exceptional direction, offset leaving the patch, tiny
-    determinant) are recorded in flags / NaN results; the grid run never
-    aborts.
+    The intensity is read bilinearly from `hologram` when one is given and
+    from the forward model (`field`, `params`) otherwise, see
+    `hologram.intensity_lookup`.  Per-point failures (exceptional
+    direction, offset leaving the patch, tiny determinant) are recorded in
+    flags / NaN results; the grid run never aborts.
     """
-    lookup = intensity_lookup(mode, field, params, hologram)
+    lookup = intensity_lookup(field, params, hologram)
     pts = grid_points(spec)
-    theta, zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
+    zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
         pts, lookup, params, spec.frame, strategy, refine2d)
-    return ReconGridResult(spec, pts, theta, zeta, D, f11_vals, psi1_rec,
+    return ReconGridResult(spec, pts, zeta, D, f11_vals, psi1_rec,
                            flag_exceptional=mn < flag_eps,
                            flag_small_d=np.abs(D) <= DET_FLOOR)
 

@@ -168,14 +168,27 @@ class TestSweep:
 
 
 class TestSourceOnPoint:
-    CONFIG = "n = 3\nsource = 1, 0, 100, 0, 0\n"  # grid node 4 is (100, 0, 0)
+    # grid node 4, and the rates probe point at s = 100, is (100, 0, 0)
+    CONFIG = "n = 3\nsource = 1, 0, 100, 0, 0\n"
 
-    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "rates"])
     def test_names_the_node(self, tmp_path, capsys, command):
         rc, _ = run(tmp_path, [command], config=self.CONFIG)
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: evaluation point 4 at (100.0, 0.0, 0.0) coincides with a source\n")
+            "error: evaluation point at (100.0, 0.0, 0.0) coincides with a source\n")
+
+
+class TestEmptyRegion:
+    @pytest.mark.parametrize("config, region", [
+        ("n = 2\n", "D"),  # both nodes per axis at |u| = 20
+        ("n = 16\nregion_halfwidth = 50\n", "G\\D"),
+    ])
+    def test_names_the_empty_region(self, tmp_path, capsys, config, region):
+        rc, out = run(tmp_path, ["reconstruct"], config=config)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: region {region} holds no grid node\n"
+        assert not (out / "metrics.csv").exists()
 
 
 class TestReproduce:

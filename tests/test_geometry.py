@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 from holoplane.errors import OutOfHalfspaceError
 from holoplane.geometry import (
     GridSpec,
-    decompose,
     expansion_oracles,
     grid_coords,
     grid_points,
-    in_cap_delta,
-    in_exceptional_set,
     make_frame,
     point_on_plane,
 )
@@ -94,64 +91,6 @@ class TestPointOnPlane:
         x = point_on_plane(theta, fr)
         assert abs(np.dot(x, fr.omega) - s) <= 1e-9 * np.linalg.norm(x) + 1e-9
         np.testing.assert_allclose(x / np.linalg.norm(x), theta, atol=1e-12)
-
-
-class TestDecompose:
-    @pytest.mark.parametrize(
-        "v,par,perp",
-        [
-            ((4, 0, 0), (0, 0, 0), 4.0),
-            ((0, 3, 0), (0, 3, 0), 0.0),
-            ((1, 2, 2), (0, 2, 2), 1.0),
-        ],
-    )
-    def test_examples(self, v, par, perp):
-        fr = make_frame(np.array([1.0, 0.0, 0.0]), 1.0)
-        dec = decompose(np.array(v, dtype=float), fr)
-        np.testing.assert_allclose(dec.par, par)
-        assert dec.perp == pytest.approx(perp)
-
-    @given(st.lists(st.floats(-10, 10), min_size=3, max_size=3))
-    def test_norm_preserved(self, v):
-        fr = make_frame(unit([1.0, 1.0, 1.0]), 1.0)
-        dec = decompose(np.array(v), fr)
-        assert np.dot(v, v) == pytest.approx(
-            np.dot(dec.par, dec.par) + dec.perp**2, abs=1e-9
-        )
-        assert abs(np.dot(dec.par, fr.omega)) <= 1e-9
-
-
-class TestExceptionalSet:
-    def test_forward_direction_inside(self):
-        fr = make_frame(np.array([1.0, 0.0, 0.0]), 1.0)
-        assert in_exceptional_set(np.array([1.0, 0, 0]), np.array([4.0, 0, 0]), 0.1, fr)
-
-    def test_wide_angle_outside(self):
-        fr = make_frame(np.array([1.0, 0.0, 0.0]), 1.0)
-        theta = np.array([0.6, 0.8, 0.0])
-        assert not in_exceptional_set(theta, np.array([4.0, 0, 0]), 0.1, fr)
-
-    def test_eps_range_enforced(self):
-        fr = make_frame(np.array([1.0, 0.0, 0.0]), 1.0)
-        with pytest.raises(ValueError, match=r"= \(0, 8\.0\)$"):
-            in_exceptional_set(np.array([1.0, 0, 0]), np.array([4.0, 0, 0]), 9.0, fr)
-
-
-class TestCapDelta:
-    def test_normal_always_inside(self):
-        fr = make_frame(np.array([1.0, 0.0, 0.0]), 1.0)
-        for delta in (0.01, 0.5, 0.99):
-            assert in_cap_delta(np.array([1.0, 0, 0]), delta, fr)
-
-    def test_examples(self):
-        fr = make_frame(np.array([1.0, 0.0, 0.0]), 1.0)
-        assert not in_cap_delta(np.array([0.6, 0.8, 0.0]), 0.5, fr)
-        assert in_cap_delta(np.array([0.8, 0.6, 0.0]), 0.7, fr)
-
-    def test_delta_range_enforced(self):
-        fr = make_frame(np.array([1.0, 0.0, 0.0]), 1.0)
-        with pytest.raises(ValueError):
-            in_cap_delta(np.array([1.0, 0, 0]), 1.5, fr)
 
 
 class TestGrid:

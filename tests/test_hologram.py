@@ -103,15 +103,15 @@ class TestIntensityAt:
         holo = sample_hologram(f, p, spec)
         pts = grid_points(spec)
         for idx in (0, 57, 399):
-            ana = intensity_at(holo, pts[idx], mode="analytic", field=f, params=p)
-            bil = intensity_at(holo, pts[idx], mode="bilinear")
+            ana = intensity_at(None, pts[idx], field=f, params=p)
+            bil = intensity_at(holo, pts[idx])
             assert bil == pytest.approx(ana, abs=1e-12)
 
     def test_bilinear_on_constant_data(self):
         spec = spec3(n=10)
         holo = Hologram(spec=spec, params=params3(), values=np.full(100, 1.7))
         y = grid_points(spec)[0] + np.array([0.0, 1.3, 2.9])
-        assert intensity_at(holo, y, mode="bilinear") == pytest.approx(1.7)
+        assert intensity_at(holo, y) == pytest.approx(1.7)
 
     def test_bilinear_exact_on_linear_data(self):
         spec = spec3(n=10)
@@ -119,7 +119,7 @@ class TestIntensityAt:
         vals = 2.0 + 0.02 * uv[:, 0] - 0.0125 * uv[:, 1]
         holo = Hologram(spec=spec, params=params3(), values=vals)
         y = np.array([100.0, 3.7, -11.2])
-        assert intensity_at(holo, y, mode="bilinear") == pytest.approx(
+        assert intensity_at(holo, y) == pytest.approx(
             2.0 + 0.02 * 3.7 - 0.0125 * (-11.2)
         )
 
@@ -127,17 +127,20 @@ class TestIntensityAt:
         spec = spec3(n=10)
         holo = Hologram(spec=spec, params=params3(), values=np.ones(100))
         with pytest.raises(OutOfPatchError):
-            intensity_at(holo, np.array([100.0, 25.0, 0.0]), mode="bilinear")
-
-    def test_unknown_mode_rejected(self):
-        holo = sample_hologram(field3(), params3(), spec3(n=4))
-        with pytest.raises(ValueError, match="unknown lookup mode 'exact'"):
-            intensity_at(holo, grid_points(holo.spec)[0], mode="exact")
+            intensity_at(holo, np.array([100.0, 25.0, 0.0]))
 
     def test_analytic_needs_field(self):
-        holo = sample_hologram(field3(), params3(), spec3(n=4))
-        with pytest.raises(ValueError, match="analytic mode needs the forward model"):
-            intensity_at(holo, grid_points(holo.spec)[0], params=params3())
+        with pytest.raises(
+                ValueError,
+                match="^the intensity needs a sampled hologram or the forward model$"):
+            intensity_at(None, np.array([100.0, 0.0, 0.0]), params=params3())
+
+    def test_hologram_is_read_when_given(self):
+        # the sample, not the forward model, decides the value
+        spec = spec3(n=10)
+        holo = Hologram(spec=spec, params=params3(), values=np.full(100, 1.7))
+        y = grid_points(spec)[3]
+        assert intensity_at(holo, y, field=field3(), params=params3()) == 1.7
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_point_lookup_matches_batch(self, dim):
@@ -156,10 +159,10 @@ class TestIntensityAt:
         assert np.all(np.isnan(values[~inside]))
         for y, value, ok in zip(ys, values, inside):
             if ok:
-                assert intensity_at(holo, y, mode="bilinear") == value
+                assert intensity_at(holo, y) == value
             else:
                 with pytest.raises(OutOfPatchError):
-                    intensity_at(holo, y, mode="bilinear")
+                    intensity_at(holo, y)
 
 
     @staticmethod

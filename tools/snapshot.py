@@ -1,0 +1,105 @@
+"""Record every output of the holoplane CLI on a fixed set of configs.
+
+    python3 tools/snapshot.py SRC OUT
+
+runs `python -m holoplane.cli` with PYTHONPATH=SRC (the directory that
+holds the `holoplane` package) on each config of `CONFIGS`, with the
+commands `simulate`, `reconstruct` and `rates`; then `reproduce-paper` at
+n = 16 and one `sweep` per parameter of the reference experiment. Each
+run gets its own directory OUT/<case>/<command>/ holding the config text
+(`config.txt`), the files the command wrote (under `out/`), and its
+`stdout`, `stderr` and `exit` code.
+
+To check that a change leaves every output byte alone, snapshot the old
+and the new sources and compare the two trees:
+
+    python3 tools/snapshot.py old/src /tmp/snap-old
+    python3 tools/snapshot.py src /tmp/snap-new
+    diff -r /tmp/snap-old /tmp/snap-new
+
+Last-bit float output is specific to a platform's numpy and libm, so a
+snapshot is compared only with one taken on the same machine.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import WORKLOADS, make_inputs  # noqa: E402
+
+CONFIGS = {
+    **{f"{name}-seed{seed}": make_inputs(WORKLOADS[name], seed).text
+       for name in WORKLOADS for seed in (0, 57)},
+    "default-3d": "",
+    "default-2d": "dim = 2\n",
+    "2d-offaxis-n16": "dim = 2\nsource = 3, 0, 0, 0.5\nn = 16\n",
+    "bounded-alpha0.7": "strategy = bounded\nalpha = 0.7\n",
+    "2d-hybrid-two-sources": ("dim = 2\nstrategy = hybrid\n"
+                              "source = 1, 0, 0, 2.5\nsource = 0.5, 0.5, 1, -1\n"),
+    "tilted-k": "k = 3.2, 2.4, 0\nfallback_axis = 1\n",
+    "bilinear-noise-hybrid-n37": ("mode = bilinear\nnoise_level = 0.02\n"
+                                  "strategy = hybrid\nn = 37\n"),
+    "2d-bounded-refine-n401": ("dim = 2\nstrategy = bounded\nrefine2d = true\n"
+                               "alpha = 0.7\nn = 401\n"),
+    "s30-kappa1": "s = 30\nkappa = 1\n",
+    "bounded-eps1-3d": "strategy = bounded\neps = 1\n",
+    "bounded-eps1-2d": "dim = 2\nstrategy = bounded\neps = 1\n",
+    "tilted-omega-bilinear-n41": "omega = 0.8, 0.6, 0\nmode = bilinear\nn = 41\n",
+    "tilted-omega-noise-n41": ("omega = 0.8, 0.6, 0\nmode = bilinear\nn = 41\n"
+                               "noise_level = 0.01\n"),
+    # Failing runs: an empty error region, and a source on a grid node.
+    "empty-D-n2": "n = 2\n",
+    "empty-D-box0.1": "region_halfwidth = 0.1\n",
+    "empty-GminusD-box50": "region_halfwidth = 50\n",
+    "source-on-node-n3": "n = 3\nsource = 1, 0, 100, 0, 0\n",
+}
+
+SMALL = "n = 16\n"
+# (case, config text, CLI arguments after the global options)
+RUNS = [
+    *[(case, text, [command]) for case, text in CONFIGS.items()
+      for command in ("simulate", "reconstruct", "rates")],
+    ("reproduce-n16", SMALL, ["reproduce-paper"]),
+    ("sweep-s-n16", SMALL, ["sweep", "--param", "s", "--values", "5,10,100,200"]),
+    ("sweep-kappa-n16", SMALL, ["sweep", "--param", "kappa", "--values", "1,4,16"]),
+    ("sweep-x0_2-n16", SMALL, ["sweep", "--param", "x0_2", "--values", "0,2.5,5"]),
+    ("sweep-c-n16", SMALL, ["sweep", "--param", "c", "--values", "0.1,1,10,20"]),
+]
+
+
+def run(src, rundir, text, args):
+    rundir.mkdir(parents=True)
+    config = rundir / "config.txt"
+    config.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "holoplane.cli", "--config", str(config),
+         "--out", str(rundir / "out"), *args],
+        capture_output=True, env=env)
+    (rundir / "stdout").write_bytes(proc.stdout)
+    (rundir / "stderr").write_bytes(proc.stderr)
+    (rundir / "exit").write_text(f"{proc.returncode}\n")
+    return proc.returncode
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: snapshot.py SRC OUT", file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (src / "holoplane" / "__init__.py").is_file():
+        print(f"error: no holoplane package under {src}", file=sys.stderr)
+        return 2
+    if out.exists():
+        print(f"error: {out} exists", file=sys.stderr)
+        return 2
+    for case, text, args in RUNS:
+        code = run(src, out / case / args[0], text, args)
+        print(f"{case} {args[0]}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
