@@ -26,7 +26,6 @@ from .fields import (
 from .geometry import (
     GridSpec,
     PlaneFrame,
-    expansion_oracles,
     grid_coords,
     grid_points,
     make_frame,

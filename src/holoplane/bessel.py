@@ -6,11 +6,11 @@ Both are accurate to better than 1e-7 absolute over their ranges and agree
 near the switch point.
 
 Both branches are numpy code over the whole argument array. The series is
-one masked recurrence that each element leaves at its own stopping point;
-the asymptotic terms are tabulated per argument and each column is cut at
-its own smallest term. Either way an element stops where a term-by-term
-loop over that element alone would stop, and its value does not depend on
-the other elements. Scalars go through the same code as one-element arrays.
+one masked recurrence that each element leaves at its own stopping point,
+where a term-by-term loop over that element alone would stop; the
+asymptotic terms are tabulated per argument and summed in order. Either way
+an element's value does not depend on the other elements. Scalars go
+through the same code as one-element arrays.
 """
 
 import math
@@ -20,8 +20,9 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015328606
 
 # Switch between the power series and the asymptotic expansion.  Below this
-# the series converges quickly with modest cancellation; above it the
-# optimally truncated asymptotic tail is far below 1e-7.
+# the series converges quickly with modest cancellation; above it each
+# asymptotic term is at most 0.62 times the one before, and the tail after
+# the last one is far below 1e-7.
 Z_SWITCH = 18.0
 
 _SERIES_TERMS = 200
@@ -86,9 +87,8 @@ _BLOCK = 256
 
 
 def _asymptotic(z):
-    """Large-argument form for a 1-d array z:
-    sqrt(2/(pi z)) e^{i(z - pi/4)} sum_m i^m a_m / z^m, each element's sum
-    truncated before its first term that is larger than the one before.
+    """Large-argument form for a 1-d array z > Z_SWITCH:
+    sqrt(2/(pi z)) e^{i(z - pi/4)} sum_{m < _ASYMPTOTIC_TERMS} i^m a_m / z^m.
 
     The terms are tabulated, one column per argument, and summed in order,
     so a one-point call costs a few numpy calls rather than one per term.
@@ -96,10 +96,6 @@ def _asymptotic(z):
     s = np.empty(z.shape, dtype=complex)
     for start in range(0, z.size, _BLOCK):
         terms = _COEF / z[start:start + _BLOCK] ** _POWERS
-        size = np.abs(terms)
-        grew = size[1:] > size[:-1]
-        if np.count_nonzero(grew):
-            terms[1:][np.logical_or.accumulate(grew, axis=0)] = 0
         s[start:start + _BLOCK] = np.add.accumulate(terms, axis=0)[-1]
     amp = np.sqrt(2.0 / (math.pi * z))
     return amp * np.exp(1j * (z - 0.25 * math.pi)) * s

@@ -19,7 +19,7 @@ from .errors import (
     HoloplaneError,
     UndefinedDenominatorError,
 )
-from .fields import eval_radiation, far_field, plane_wave
+from .fields import far_field, plane_wave
 from .geometry import grid_coords, grid_points, point_on_plane
 from .hologram import (
     add_noise,
@@ -72,57 +72,55 @@ def run_simulate(cfg, outdir):
 
 
 def _reconstruct(cfg):
-    field = cfg.radiation_field()
-    params = cfg.wave_params()
     # Noisy data can only be consumed through the sampled hologram.
     sampled = cfg.mode == "bilinear" or cfg.noise_level > 0
     holo = _sampled_hologram(cfg) if sampled else None
-    result = reconstruct_grid(
-        field,
-        params,
+    return reconstruct_grid(
+        cfg.radiation_field(),
+        cfg.wave_params(),
         cfg.grid_spec(),
         cfg.zeta_strategy(),
         refine2d=cfg.refine2d,
         hologram=holo,
         flag_eps=cfg.eps,
     )
-    psi1_exact = eval_radiation(field, params.kappa, result.points)
-    return result, psi1_exact
 
 
-def compute_metrics(cfg, result, psi1_exact):
+def compute_metrics(cfg, result):
     """Reconstruction error and intensity discrepancy on G, D, G\\D."""
     masks = region_masks(result.spec, cfg.region_halfwidth)
-    # The true intensity comes from the exact field already at hand, so the
-    # forward model is not run again for each region.
+    # The true intensity comes from the exact field the result carries, so
+    # the forward model is not run again for each region.
     psi0 = plane_wave(result.points, cfg.wave_params())
     out = {}
     for name, mask in masks.items():
         if not mask.any():
             raise UndefinedDenominatorError(f"region {name} holds no grid node")
-        out[("E", name)] = rel_l2(result.psi1_rec, psi1_exact, mask)
+        out[("E", name)] = rel_l2(result.psi1_rec, result.psi1, mask)
         out[("E_dis", name)] = intensity_discrepancy(
-            psi0, psi1_exact, result.psi1_rec, mask)
+            psi0, result.psi1, result.psi1_rec, mask)
     return out
 
 
 def run_reconstruct(cfg, outdir):
-    """Full-grid reconstruction; writes recon.csv, profile.csv, metrics.csv."""
+    """Full-grid reconstruction; writes recon.csv, profile.csv, metrics.csv.
+    The metrics are computed first, so a run whose metrics fail writes no
+    file."""
     os.makedirs(outdir, exist_ok=True)
-    result, psi1_exact = _reconstruct(cfg)
-    recon_to_csv(result, psi1_exact, os.path.join(outdir, "recon.csv"))
-    _write_profile(result, psi1_exact, os.path.join(outdir, "profile.csv"))
-    metrics = compute_metrics(cfg, result, psi1_exact)
+    result = _reconstruct(cfg)
+    metrics = compute_metrics(cfg, result)
+    recon_to_csv(result, os.path.join(outdir, "recon.csv"))
+    _write_profile(result, os.path.join(outdir, "profile.csv"))
     with open(os.path.join(outdir, "metrics.csv"), "w", newline="") as fh:
         fh.write("metric,region,value\n")
         for (metric, region), value in metrics.items():
             fh.write(f"{metric},{region},{value:.6g}\n")
             print(f"{metric},{region},{value:.6g}")
     print(f"max_zeta,,{result.max_zeta:.6g}")
-    return result, psi1_exact, metrics
+    return result, metrics
 
 
-def _write_profile(result, psi1_exact, path):
+def _write_profile(result, path):
     """Central vertical profile: the column with smallest |first in-plane
     coordinate| (ties -> smaller index), second coordinate varying."""
     spec = result.spec
@@ -133,7 +131,7 @@ def _write_profile(result, psi1_exact, path):
     else:
         name = "x2"
         rows = slice(None)
-    ex, rec = psi1_exact[rows], result.psi1_rec[rows]
+    ex, rec = result.psi1[rows], result.psi1_rec[rows]
     write_csv(path, {name: spec.coords, "re_psi1": ex.real, "im_psi1": ex.imag,
                      "re_psi1rec": rec.real, "im_psi1rec": rec.imag})
 
@@ -163,8 +161,8 @@ def run_sweep(cfg, param, values, outdir):
     os.makedirs(outdir, exist_ok=True)
     rows = []
     for value, sub in zip(values, configs):
-        result, psi1_exact = _reconstruct(sub)
-        rows.append((value, rel_l2(result.psi1_rec, psi1_exact)))
+        result = _reconstruct(sub)
+        rows.append((value, rel_l2(result.psi1_rec, result.psi1)))
     with open(os.path.join(outdir, "sweep.csv"), "w", newline="") as fh:
         fh.write("param,value,E_G\n")
         for value, e_g in rows:
@@ -192,9 +190,10 @@ def probe_errors(cfg, strategy, refine2d=False):
     field = cfg.radiation_field()
     params = cfg.wave_params()
     x = np.array([point_on_plane(theta, cfg.frame(s)) for s in RATE_S_LADDER])
+    lookup = intensity_lookup(field, params)
     # The planes differ only in s, which the kernel does not read.
     zeta, D, est, _, mn = reconstruct_points(
-        x, intensity_lookup(field, params), params, cfg.frame(), strategy, refine2d)
+        x, lookup(x)[0], lookup, params, cfg.frame(), strategy, refine2d)
     if np.isnan(zeta).any():
         raise ExceptionalDirectionError(
             f"|kappa*theta_par - k_par| = {float(mn[0])!r} "
@@ -216,15 +215,17 @@ def run_rates(cfg, outdir):
         # The refinement's improved order is stated for bounded offsets,
         # so the refined study reuses the bounded strategy.
         studies.append(("bounded_refined", bounded, True))
+    # Every study runs before rates.csv is opened, so a failing one writes
+    # no file.
     table = {}
+    for name, strategy, refined in studies:
+        rows = probe_errors(cfg, strategy, refine2d=refined)
+        table[name] = (rows, slope_estimate(rows))
     with open(os.path.join(outdir, "rates.csv"), "w", newline="") as fh:
         fh.write("strategy,s,error\n")
-        for name, strategy, refined in studies:
-            rows = probe_errors(cfg, strategy, refine2d=refined)
+        for name, (rows, slope) in table.items():
             for s, err in rows:
                 fh.write(f"{name},{s:.6g},{err:.6g}\n")
-            slope = slope_estimate(rows)
-            table[name] = (rows, slope)
             print(f"{name}: slope = {slope:.3f}")
     return table
 
@@ -238,7 +239,7 @@ def run_reproduce(cfg, outdir):
     """
     os.makedirs(outdir, exist_ok=True)
     run_simulate(cfg, outdir)
-    result, _, metrics = run_reconstruct(cfg, outdir)
+    result, metrics = run_reconstruct(cfg, outdir)
     e_s, e_kappa, e_x0, e_c = (
         [e for _, e in run_sweep(cfg, p, v, os.path.join(outdir, f"sweep_{p}"))]
         for p, v in REFERENCE_SWEEPS.items())

@@ -130,24 +130,3 @@ def grid_points(spec):
     uv = grid_coords(spec)
     frame = spec.frame
     return frame.s * frame.omega + uv @ frame.basis
-
-
-def expansion_oracles(x, zeta):
-    """First-order direction and second-order norm approximations of
-    y = x + zeta, used by tests to cross-check exact evaluation.
-
-    Returns (yhat_approx, ynorm_approx) where
-      yhat_approx  = theta + (zeta - theta (theta, zeta)) / |x|,
-      ynorm_approx = |x| (1 + (theta, zeta)/|x|
-                          + (|zeta|^2 - (theta, zeta)^2) / (2 |x|^2)).
-    """
-    x = np.asarray(x, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    r = np.linalg.norm(x)
-    if r <= 0:
-        raise ValueError("|x| must be positive")
-    theta = x / r
-    tz = np.dot(theta, zeta)
-    yhat = theta + (zeta - theta * tz) / r
-    ynorm = r * (1.0 + tz / r + (np.dot(zeta, zeta) - tz * tz) / (2 * r * r))
-    return yhat, ynorm

@@ -18,7 +18,6 @@ from .geometry import grid_points
 @dataclass(frozen=True)
 class Hologram:
     spec: object  # GridSpec
-    params: object  # WaveParams
     values: np.ndarray  # row-major grid order, nonnegative
 
     def __post_init__(self):
@@ -50,7 +49,7 @@ def scattered_signal(field, params, x):
 def sample_hologram(field, params, spec):
     """Evaluate the intensity at every grid node, row-major order."""
     values = intensity(field, params, grid_points(spec))
-    return Hologram(spec=spec, params=params, values=values)
+    return Hologram(spec=spec, values=values)
 
 
 def bilinear_lookup(holo, y):
@@ -121,7 +120,7 @@ def add_noise(holo, relative_level, seed):
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, size=holo.values.shape)
     noisy = np.maximum(holo.values * (1.0 + relative_level * u), 0.0)
-    return Hologram(spec=holo.spec, params=holo.params, values=noisy)
+    return Hologram(spec=holo.spec, values=noisy)
 
 
 def hologram_to_csv(holo, path):

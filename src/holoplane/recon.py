@@ -18,6 +18,10 @@ Each formula (mismatch, offsets, beta, D, phase factor, estimator,
 refinement) is written once, as a private function that takes one point or
 an (m, d) batch.  `reconstruct_points` chains them over a batch of plane
 points; the grid (`reconstruct_grid`) and the `rates` probe both run it.
+The caller gives the kernel the intensity at its own points, and the kernel
+reads only the offset points y through a lookup.  The grid evaluates the
+true field psi1 at its nodes once: the result carries it for scoring, and
+without a hologram the node intensity |psi0 + psi1|^2 comes from it.
 The public point helpers (`zeta_bounded`, `zeta_sqrt`, `beta_solve`,
 `determinant`, `f11`, `f11_refined_2d`) wrap the formulas and raise on the
 failures a batch only records.
@@ -34,6 +38,7 @@ from .errors import (
     InfeasibleParametersError,
 )
 from .csvrows import grid_columns, write_csv
+from .fields import eval_radiation, plane_wave
 from .geometry import grid_points
 from .hologram import intensity_lookup
 
@@ -113,18 +118,25 @@ def _sqrt_offset(theta_par, m, mn, r, kappa, alpha, fallback):
     return _beta(alpha, kappa, r, mn, t2)[..., None] * zeta_hat
 
 
-def _offsets(strategy, theta_par, m, mn, r, params, frame):
-    """Offsets for `strategy` and their validity mask; invalid rows are zero."""
+def _offsets(strategy, x, r, params, frame):
+    """Offsets for `strategy` at the points x with |x| = r, their validity
+    mask (invalid rows are zero) and |kappa theta_par - k_par|.  The
+    direction arrays die here, before the caller reads the offset points."""
+    theta_par, m, mn = _mismatch(x / r[..., None], params, frame)
+
+    def sqrt_offset(s):
+        return _sqrt_offset(theta_par, m, mn, r, params.kappa, s.alpha,
+                            frame.basis[s.fallback_axis])
+
     if isinstance(strategy, HybridStrategy):
-        zeta, ok = _bounded_offset(m, mn, strategy.bounded.alpha, strategy.bounded.eps)
-        sqrt_zeta, _ = _offsets(strategy.sqrt, theta_par, m, mn, r, params, frame)
-        return np.where(ok[..., None], zeta, sqrt_zeta), np.ones_like(ok)
+        b = strategy.bounded
+        zeta, ok = _bounded_offset(m, mn, b.alpha, b.eps)
+        zeta = np.where(ok[..., None], zeta, sqrt_offset(strategy.sqrt))
+        return zeta, np.ones_like(ok), mn
     if isinstance(strategy, BoundedOffset):
-        return _bounded_offset(m, mn, strategy.alpha, strategy.eps)
+        return (*_bounded_offset(m, mn, strategy.alpha, strategy.eps), mn)
     if isinstance(strategy, SqrtScaled):
-        zeta = _sqrt_offset(theta_par, m, mn, r, params.kappa, strategy.alpha,
-                            frame.basis[strategy.fallback_axis])
-        return zeta, np.ones_like(mn, dtype=bool)
+        return sqrt_offset(strategy), np.ones_like(mn, dtype=bool), mn
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
@@ -260,6 +272,7 @@ class ReconGridResult:
 
     spec: object
     points: np.ndarray  # (m, d)
+    psi1: np.ndarray  # complex (m,), the true field the run is scored against
     zeta: np.ndarray  # (m, d)
     D: np.ndarray  # complex (m,)
     f11: np.ndarray  # complex (m,)
@@ -272,32 +285,27 @@ class ReconGridResult:
         # fmax skips the NaN rows of nodes that have no offset.
         return float(np.fmax.reduce(np.linalg.norm(self.zeta, axis=1)))
 
-    def __len__(self):
-        return self.points.shape[0]
 
-
-def reconstruct_points(x, lookup, params, frame, strategy, refine2d=False):
+def reconstruct_points(x, i_x, lookup, params, frame, strategy, refine2d=False):
     """Run the two-point estimator at each plane point of the (m, d) batch `x`.
 
-    `lookup` maps plane points to (intensity, inside), as built by
-    `hologram.intensity_lookup`.  Only the normal and the in-plane basis of
-    `frame` are read, so the points may lie on different parallel planes.
-    Returns (zeta, D, f11, psi1_rec, mismatch), with mismatch =
-    |kappa theta_par - k_par|.  Points without an offset, or whose offset
-    point y = x + zeta is outside the data, are NaN in zeta, f11 and
-    psi1_rec; a tiny D is left to the caller.
+    `i_x` is the intensity at the points `x`.  `lookup` reads the
+    intensity at the offset points y = x + zeta: it maps plane points to
+    (intensity, inside), as built by `hologram.intensity_lookup`.  Only the
+    normal and the in-plane basis of `frame` are read, so the points may lie
+    on different parallel planes.  Returns (zeta, D, f11, psi1_rec,
+    mismatch), with mismatch = |kappa theta_par - k_par|.  Points without
+    an offset, or whose offset point is outside the data, are NaN in zeta,
+    f11 and psi1_rec; a tiny D is left to the caller.
     """
     r = np.linalg.norm(x, axis=1)
-    theta = x / r[:, None]
-    theta_par, m, mn = _mismatch(theta, params, frame)
-    zeta, valid = _offsets(strategy, theta_par, m, mn, r, params, frame)
+    zeta, valid, mn = _offsets(strategy, x, r, params, frame)
     y = x + zeta
     ry = np.linalg.norm(y, axis=1)
     D = _determinant(zeta, r, ry, params)
 
-    i_x, inside_x = lookup(x)
     i_y, inside_y = lookup(y)
-    valid &= inside_x & inside_y
+    valid &= inside_y
     half = (frame.dim - 1) / 2.0
     rh = r ** half
     a_x = rh * (i_x - 1.0)
@@ -327,22 +335,29 @@ def reconstruct_grid(
 ):
     """Run `reconstruct_points` at every grid node.
 
-    The intensity is read bilinearly from `hologram` when one is given and
-    from the forward model (`field`, `params`) otherwise, see
-    `hologram.intensity_lookup`.  Per-point failures (exceptional
+    The true field psi1 of (`field`, `params`) is evaluated at the nodes
+    once; the run is scored against it.  The intensity at a node is
+    `hologram`'s own sample when a hologram sampled on `spec` is given, and
+    |psi0 + psi1|^2 otherwise; at the offset points it is read as
+    `hologram.intensity_lookup` says.  Per-point failures (exceptional
     direction, offset leaving the patch, tiny determinant) are recorded in
     flags / NaN results; the grid run never aborts.
     """
-    lookup = intensity_lookup(field, params, hologram)
     pts = grid_points(spec)
+    psi1 = eval_radiation(field, params.kappa, pts)
+    if hologram is None:
+        i_x = np.abs(plane_wave(pts, params) + psi1) ** 2
+    else:
+        i_x = hologram.values
     zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
-        pts, lookup, params, spec.frame, strategy, refine2d)
-    return ReconGridResult(spec, pts, zeta, D, f11_vals, psi1_rec,
+        pts, i_x, intensity_lookup(field, params, hologram), params, spec.frame,
+        strategy, refine2d)
+    return ReconGridResult(spec, pts, psi1, zeta, D, f11_vals, psi1_rec,
                            flag_exceptional=mn < flag_eps,
                            flag_small_d=np.abs(D) <= DET_FLOOR)
 
 
-def recon_to_csv(result, psi1_exact, path):
+def recon_to_csv(result, path):
     """Write per-point results as CSV.
 
     d=3 header: i,j,x2,x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec,
@@ -351,7 +366,7 @@ def recon_to_csv(result, psi1_exact, path):
     """
     write_csv(path, {
         **grid_columns(result.spec),
-        "re_psi1": psi1_exact.real, "im_psi1": psi1_exact.imag,
+        "re_psi1": result.psi1.real, "im_psi1": result.psi1.imag,
         "re_psi1rec": result.psi1_rec.real, "im_psi1rec": result.psi1_rec.imag,
         "re_f11": result.f11.real, "im_f11": result.f11.imag,
         "abs_D": np.abs(result.D),

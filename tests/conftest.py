@@ -6,8 +6,6 @@ settings.register_profile("no-deadline", deadline=None)
 settings.load_profile("no-deadline")
 
 from holoplane.config import ExperimentConfig
-from holoplane.fields import eval_radiation
-from holoplane.geometry import grid_points
 from holoplane.recon import reconstruct_grid
 
 
@@ -23,9 +21,7 @@ def preset_run(preset_config):
     """Full-grid reconstruction for the default experiment, shared across
     tests because it is by far the most expensive fixture."""
     cfg = preset_config
-    spec = cfg.grid_spec()
     result = reconstruct_grid(
-        cfg.radiation_field(), cfg.wave_params(), spec, cfg.zeta_strategy()
+        cfg.radiation_field(), cfg.wave_params(), cfg.grid_spec(), cfg.zeta_strategy()
     )
-    psi1 = eval_radiation(cfg.radiation_field(), cfg.kappa, grid_points(spec))
-    return cfg, result, psi1
+    return cfg, result

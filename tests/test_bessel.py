@@ -132,13 +132,3 @@ def test_matches_term_by_term_reference():
     ref = np.array([_series_reference(v) if v <= Z_SWITCH else _asymptotic_reference(v)
                     for v in z])
     np.testing.assert_allclose(hankel0_first_kind(z), ref, rtol=_ROUNDING, atol=0)
-
-
-def test_asymptotic_truncation_is_per_element():
-    # below the switch the smallest asymptotic term comes early and at a
-    # different index for each argument
-    from holoplane.bessel import _asymptotic
-
-    z = np.array([0.3, 1.0, 2.5, 4.0, 7.0, 11.0, 17.0, 30.0])
-    ref = np.array([_asymptotic_reference(v) for v in z])
-    np.testing.assert_allclose(_asymptotic(z), ref, rtol=_ROUNDING, atol=0)

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from holoplane import cli, csvrows
+from holoplane import cli, csvrows, fields
 from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe_errors
 from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
@@ -102,12 +104,12 @@ class TestProfileBytes:
     def check(self, tmp_path, config, coords, header):
         rc, out = run(tmp_path, ["reconstruct"], config=config)
         assert rc == 0
-        result, psi1 = _reconstruct(parse_config(config))
+        result = _reconstruct(parse_config(config))
         rows = coords(result)
         assert len(rows) > csvrows.ROW_CHUNK and len(rows) % csvrows.ROW_CHUNK
         expected = header
         for c, idx in rows:
-            ex, rec = psi1[idx], result.psi1_rec[idx]
+            ex, rec = result.psi1[idx], result.psi1_rec[idx]
             expected += (f"{c:.10g},{ex.real:.10g},{ex.imag:.10g},"
                          f"{rec.real:.10g},{rec.imag:.10g}\n")
         assert "nan" in expected
@@ -128,7 +130,7 @@ class TestProfileBytes:
     def test_2d(self, tmp_path):
         def line(result):
             uv = grid_coords(result.spec)
-            return [(uv[idx, 0], idx) for idx in range(len(result))]
+            return [(u, idx) for idx, u in enumerate(uv[:, 0])]
 
         self.check(tmp_path, self.BILINEAR + "dim = 2\nn = 301\n", line,
                    "x2,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
@@ -179,6 +181,40 @@ class TestSourceOnPoint:
             "error: evaluation point at (100.0, 0.0, 0.0) coincides with a source\n")
 
 
+class TestForwardModelPasses:
+    """An analytic reconstruct evaluates the forward model on each node
+    once, for psi1 and the node intensity, and on each offset point once."""
+
+    @staticmethod
+    def count_points(monkeypatch):
+        # patch every holoplane binding of eval_radiation, as the perfbench
+        # layer counter does
+        counts = []
+        original = fields.eval_radiation
+
+        def counted(field, kappa, x):
+            counts.append(1 if np.ndim(x) == 1 else np.shape(x)[0])
+            return original(field, kappa, x)
+
+        for name, module in list(sys.modules.items()):
+            if name == "holoplane" or name.startswith("holoplane."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return counts
+
+    @pytest.mark.parametrize("config", ["n = 16\n", "dim = 2\nn = 41\n"])
+    def test_two_points_per_node(self, monkeypatch, config):
+        cfg = parse_config(config)
+        counts = self.count_points(monkeypatch)
+        result = _reconstruct(cfg)
+        assert sum(counts) == 2 * cfg.grid_spec().size
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            result.psi1,
+            fields.eval_radiation(cfg.radiation_field(), cfg.kappa, result.points))
+
+
 class TestEmptyRegion:
     @pytest.mark.parametrize("config, region", [
         ("n = 2\n", "D"),  # both nodes per axis at |u| = 20
@@ -188,7 +224,8 @@ class TestEmptyRegion:
         rc, out = run(tmp_path, ["reconstruct"], config=config)
         assert rc == 2
         assert capsys.readouterr().err == f"error: region {region} holds no grid node\n"
-        assert not (out / "metrics.csv").exists()
+        for name in ("recon.csv", "profile.csv", "metrics.csv"):
+            assert not (out / name).exists()
 
 
 class TestReproduce:
@@ -316,10 +353,8 @@ class TestProbe:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: |kappa*theta_par - k_par| = 0.554563628672334 < eps = 1.0\n"
-        lines = (out / "rates.csv").read_text().splitlines()
-        assert lines[0] == "strategy,s,error"
-        assert [line.split(",")[:2] for line in lines[1:]] == [
-            ["sqrt", f"{s:g}"] for s in RATE_S_LADDER]
+        # the bounded study fails, and rates.csv is opened only after all ran
+        assert not (out / "rates.csv").exists()
 
     def test_small_determinant_raises(self, monkeypatch):
         monkeypatch.setattr(cli, "DET_FLOOR", 2.0)  # |D| <= 2 always

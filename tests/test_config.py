@@ -221,13 +221,14 @@ class TestReferenceBox:
         return np.sum(np.abs(psi1[mask]) ** 2) / np.sum(np.abs(psi1) ** 2)
 
     def test_default_box_holds_forced_share(self, preset_run):
-        _, result, psi1 = preset_run
+        _, result = preset_run
         d = region_masks(result.spec, ExperimentConfig().region_halfwidth)["D"]
         lo, hi = self._forced_interval()  # about [0.039, 0.045]
-        assert lo <= self._field_share(psi1, d) <= hi
+        assert lo <= self._field_share(result.psi1, d) <= hi
 
     def test_split_identity(self, preset_run):
-        cfg, result, psi1 = preset_run
+        cfg, result = preset_run
+        psi1 = result.psi1
         masks = region_masks(result.spec, cfg.region_halfwidth)
         w = self._field_share(psi1, masks["D"])
         e = {k: rel_l2(result.psi1_rec, psi1, m) for k, m in masks.items()}

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from holoplane.errors import OutOfHalfspaceError
 from holoplane.geometry import (
     GridSpec,
-    expansion_oracles,
     grid_coords,
     grid_points,
     make_frame,
@@ -127,38 +126,3 @@ class TestGrid:
         spec = GridSpec(frame=fr, half_width=5.0, n=9)
         pts = grid_points(spec)
         np.testing.assert_allclose(pts @ omega, 37.5, atol=1e-9)
-
-
-class TestExpansionOracles:
-    def test_zero_offset_exact(self):
-        x = np.array([100.0, 0.0, 0.0])
-        yhat, ynorm = expansion_oracles(x, np.zeros(3))
-        np.testing.assert_allclose(yhat, [1, 0, 0])
-        assert ynorm == pytest.approx(100.0)
-
-    def test_transverse_offset(self):
-        x = np.array([100.0, 0.0, 0.0])
-        zeta = np.array([0.0, 1.0, 0.0])
-        yhat, ynorm = expansion_oracles(x, zeta)
-        assert ynorm == pytest.approx(100.005)
-        np.testing.assert_allclose(yhat, [1.0, 0.01, 0.0])
-        # exact values the expansions approximate
-        assert abs(ynorm - np.sqrt(10001.0)) < 1e-6
-
-    @given(
-        st.floats(50, 500),
-        st.floats(-1, 1),
-        st.floats(-1, 1),
-        st.floats(-5, 5),
-        st.floats(-5, 5),
-    )
-    @settings(max_examples=300)
-    def test_norm_accuracy(self, r, t1, t2, z1, z2):
-        x = r * unit([1.0, t1, t2])
-        zeta = np.array([0.0, z1, z2])
-        zn = np.linalg.norm(zeta)
-        if zn > 0.01 * r:
-            return
-        _, ynorm = expansion_oracles(x, zeta)
-        exact = np.linalg.norm(x + zeta)
-        assert abs(ynorm - exact) <= max(zn**3 / r**2, 1e-12)

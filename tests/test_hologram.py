@@ -109,7 +109,7 @@ class TestIntensityAt:
 
     def test_bilinear_on_constant_data(self):
         spec = spec3(n=10)
-        holo = Hologram(spec=spec, params=params3(), values=np.full(100, 1.7))
+        holo = Hologram(spec=spec, values=np.full(100, 1.7))
         y = grid_points(spec)[0] + np.array([0.0, 1.3, 2.9])
         assert intensity_at(holo, y) == pytest.approx(1.7)
 
@@ -117,7 +117,7 @@ class TestIntensityAt:
         spec = spec3(n=10)
         uv = grid_coords(spec)
         vals = 2.0 + 0.02 * uv[:, 0] - 0.0125 * uv[:, 1]
-        holo = Hologram(spec=spec, params=params3(), values=vals)
+        holo = Hologram(spec=spec, values=vals)
         y = np.array([100.0, 3.7, -11.2])
         assert intensity_at(holo, y) == pytest.approx(
             2.0 + 0.02 * 3.7 - 0.0125 * (-11.2)
@@ -125,7 +125,7 @@ class TestIntensityAt:
 
     def test_outside_patch_rejected(self):
         spec = spec3(n=10)
-        holo = Hologram(spec=spec, params=params3(), values=np.ones(100))
+        holo = Hologram(spec=spec, values=np.ones(100))
         with pytest.raises(OutOfPatchError):
             intensity_at(holo, np.array([100.0, 25.0, 0.0]))
 
@@ -138,7 +138,7 @@ class TestIntensityAt:
     def test_hologram_is_read_when_given(self):
         # the sample, not the forward model, decides the value
         spec = spec3(n=10)
-        holo = Hologram(spec=spec, params=params3(), values=np.full(100, 1.7))
+        holo = Hologram(spec=spec, values=np.full(100, 1.7))
         y = grid_points(spec)[3]
         assert intensity_at(holo, y, field=field3(), params=params3()) == 1.7
 

@@ -127,11 +127,11 @@ class TestSlopeEstimate:
 
 
 def test_compute_metrics_discrepancy_matches_per_mask_calls(preset_run):
-    cfg, result, psi1 = preset_run
-    metrics = compute_metrics(cfg, result, psi1)
+    cfg, result = preset_run
+    metrics = compute_metrics(cfg, result)
     masks = region_masks(result.spec, cfg.region_halfwidth)
     for name, mask in masks.items():
-        assert metrics[("E", name)] == rel_l2(result.psi1_rec, psi1, mask)
+        assert metrics[("E", name)] == rel_l2(result.psi1_rec, result.psi1, mask)
         assert metrics[("E_dis", name)] == discrepancy(
             cfg.radiation_field(), cfg.wave_params(), result.points,
             result.psi1_rec, mask)

@@ -384,26 +384,26 @@ class TestReconstructGrid:
         np.testing.assert_allclose(res.psi1_rec, 0.0, atol=1e-12)
 
     def test_preset_error_level(self, preset_run):
-        cfg, result, psi1 = preset_run
-        assert rel_l2(result.psi1_rec, psi1) == pytest.approx(0.116273, abs=1e-4)
+        _, result = preset_run
+        assert rel_l2(result.psi1_rec, result.psi1) == pytest.approx(0.116273, abs=1e-4)
 
     def test_preset_max_offset(self, preset_run):
-        _, result, _ = preset_run
+        _, result = preset_run
         assert result.max_zeta == pytest.approx(4.722484, abs=1e-4)
         assert result.max_zeta < 15.0
 
     def test_preset_flags(self, preset_run):
-        _, result, _ = preset_run
+        _, result = preset_run
         assert int(result.flag_exceptional.sum()) == 120
         assert int(result.flag_small_d.sum()) == 0
 
     def test_offsets_stay_in_plane(self, preset_run):
-        cfg, result, _ = preset_run
+        cfg, result = preset_run
         omega = np.array(cfg.omega, dtype=float)
         assert np.max(np.abs(result.zeta @ omega)) <= 1e-9
 
     def test_field_relation_exact(self, preset_run):
-        _, result, _ = preset_run
+        _, result = preset_run
         r = np.linalg.norm(result.points, axis=1)
         expected = np.exp(1j * 4.0 * r) / r * result.f11
         np.testing.assert_allclose(result.psi1_rec, expected, rtol=1e-12)
@@ -441,9 +441,9 @@ class TestReconstructGrid:
         assert np.all(np.isfinite(hyb.f11))
 
     def test_csv_export(self, preset_run, tmp_path):
-        _, result, psi1 = preset_run
+        _, result = preset_run
         path = tmp_path / "recon.csv"
-        recon_to_csv(result, psi1, str(path))
+        recon_to_csv(result, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "i,j,x2,x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
@@ -452,14 +452,14 @@ class TestReconstructGrid:
         assert len(lines) == 1 + 10000
 
 
-def recon_csv_reference(result, psi1):
+def recon_csv_reference(result):
     """recon.csv body written one f-string row at a time."""
     spec = result.spec
     uv = grid_coords(spec)
     zn = np.linalg.norm(result.zeta, axis=1)
     rows = []
-    for idx in range(len(result)):
-        ex, rec, f = psi1[idx], result.psi1_rec[idx], result.f11[idx]
+    for idx in range(result.points.shape[0]):
+        ex, rec, f = result.psi1[idx], result.psi1_rec[idx], result.f11[idx]
         tail = (
             f"{ex.real:.10g},{ex.imag:.10g},{rec.real:.10g},{rec.imag:.10g},"
             f"{f.real:.10g},{f.imag:.10g},{abs(result.D[idx]):.10g},"
@@ -486,19 +486,19 @@ class TestCsvBytes:
         holo = sample_hologram(field, p, spec)
         res = reconstruct_grid(field, p, spec, BoundedOffset(alpha=-0.5, eps=0.1),
                                hologram=holo)
-        psi1 = eval_radiation(field, p.kappa, res.points)
         # rows past a chunk boundary, a partial last chunk, NaN rows both
         # out of the patch and in the exceptional set, and both flags
-        assert len(res) > ROW_CHUNK and len(res) % ROW_CHUNK
+        nodes = res.points.shape[0]
+        assert nodes > ROW_CHUNK and nodes % ROW_CHUNK
         nan_rows = np.isnan(res.f11)
         assert (nan_rows & ~res.flag_exceptional).any()
         assert res.flag_exceptional.any() and res.flag_small_d.any()
         path = tmp_path / "recon.csv"
-        recon_to_csv(res, psi1, str(path))
+        recon_to_csv(res, str(path))
         assert path.read_text() == (
             header + "re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
             "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD\n"
-            + recon_csv_reference(res, psi1)
+            + recon_csv_reference(res)
         )
 
 
@@ -506,9 +506,9 @@ class TestGridMatchesPointHelpers:
     """The grid and the public point helpers share each formula."""
 
     def test_sampled_preset_nodes(self, preset_run):
-        cfg, result, _ = preset_run
+        cfg, result = preset_run
         field, p, frame = cfg.radiation_field(), cfg.wave_params(), cfg.frame()
-        nodes = list(range(0, len(result), 997))
+        nodes = list(range(0, result.points.shape[0], 997))
         nodes += list(np.flatnonzero(result.flag_exceptional)[::17])
         assert result.flag_exceptional[nodes].any()
         for i in nodes:

@@ -49,6 +49,9 @@ CONFIGS = {
     "tilted-omega-bilinear-n41": "omega = 0.8, 0.6, 0\nmode = bilinear\nn = 41\n",
     "tilted-omega-noise-n41": ("omega = 0.8, 0.6, 0\nmode = bilinear\nn = 41\n"
                                "noise_level = 0.01\n"),
+    "2d-noise-n301": "dim = 2\nnoise_level = 0.01\nn = 301\n",
+    "2d-tilted-bilinear-hybrid-n501": ("dim = 2\nomega = 0.6, 0.8\nmode = bilinear\n"
+                                       "strategy = hybrid\nn = 501\n"),
     # Failing runs: an empty error region, and a source on a grid node.
     "empty-D-n2": "n = 2\n",
     "empty-D-box0.1": "region_halfwidth = 0.1\n",
