@@ -44,6 +44,12 @@ from .hologram import intensity_lookup
 
 DET_FLOOR = 1e-6
 
+# Grid nodes per kernel call. Whole-grid temporaries fragment the heap: at
+# 1.6e5 nodes the peak memory moved by 5 MB with the allocation history.
+# Small blocks reuse the same heap memory, so the peak is the grid's inputs
+# and outputs.
+NODE_BLOCK = 4096
+
 # Below this relative size kappa*theta_par - k_par is treated as exactly
 # singular and the sqrt-scaled offset uses the fallback axis.
 _SINGULAR_TOL = 1e-12
@@ -333,7 +339,8 @@ def reconstruct_grid(
     hologram=None,
     flag_eps=0.1,
 ):
-    """Run `reconstruct_points` at every grid node.
+    """Run `reconstruct_points` at every grid node, NODE_BLOCK nodes at a
+    time.
 
     The true field psi1 of (`field`, `params`) is evaluated at the nodes
     once; the run is scored against it.  The intensity at a node is
@@ -349,9 +356,14 @@ def reconstruct_grid(
         i_x = np.abs(plane_wave(pts, params) + psi1) ** 2
     else:
         i_x = hologram.values
-    zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
-        pts, i_x, intensity_lookup(field, params, hologram), params, spec.frame,
-        strategy, refine2d)
+    lookup = intensity_lookup(field, params, hologram)
+    n = len(pts)
+    zeta, mn = np.empty_like(pts), np.empty(n)
+    D, f11_vals, psi1_rec = (np.empty(n, dtype=complex) for _ in range(3))
+    for start in range(0, n, NODE_BLOCK):
+        b = slice(start, start + NODE_BLOCK)
+        zeta[b], D[b], f11_vals[b], psi1_rec[b], mn[b] = reconstruct_points(
+            pts[b], i_x[b], lookup, params, spec.frame, strategy, refine2d)
     return ReconGridResult(spec, pts, psi1, zeta, D, f11_vals, psi1_rec,
                            flag_exceptional=mn < flag_eps,
                            flag_small_d=np.abs(D) <= DET_FLOOR)

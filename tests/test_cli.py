@@ -127,7 +127,9 @@ class TestProfileBytes:
         self.check(tmp_path, self.BILINEAR + "n = 21\n", column,
                    "x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
 
-    def test_2d(self, tmp_path):
+    def test_2d(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csvrows, "ROW_CHUNK", 64)
+
         def line(result):
             uv = grid_coords(result.spec)
             return [(u, idx) for idx, u in enumerate(uv[:, 0])]

@@ -1,0 +1,104 @@
+"""`write_csv` writes the bytes of a per-row `%` writer.
+
+The values are picked to break an array formatter: rounding ties, carries
+into the next power of ten, the fixed/exponent notation switches, extreme
+exponents, non-finite values and integer extremes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from holoplane import csvrows
+from holoplane.csvrows import write_csv
+
+INT64 = np.iinfo(np.int64)
+
+
+def reference(columns):
+    """The CSV text of `columns`, written one `%` row at a time."""
+    arrays = list(columns.values())
+    template = ",".join("%d" if a.dtype.kind in "biu" else "%.10g" for a in arrays) + "\n"
+    rows = zip(*(a.tolist() for a in arrays))
+    return ",".join(columns) + "\n" + "".join(template % row for row in rows)
+
+
+def check(path, columns):
+    write_csv(path, columns)
+    assert path.read_bytes().decode().split("\n") == reference(columns).split("\n")
+
+
+def check_floats(path, values):
+    """Each value alone, with both signs and with its two neighbours."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        v = np.concatenate([np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)])
+    check(path, {"x": np.concatenate([v, -v])})
+
+
+@pytest.fixture(scope="module")
+def out(tmp_path_factory):
+    return tmp_path_factory.mktemp("csvrows") / "out.csv"
+
+
+def test_rounding_ties(out):
+    # exact ties of the 10th digit, and decimal ties a double can only
+    # approach from one side
+    check_floats(out, [1234567890.5, 12345678905.0, 0.5, 2.5, 1.0000000005,
+                       1.2345678905, 2.0000000015e-3, 7.0000000025e15])
+
+
+def test_carry_into_next_power_of_ten(out):
+    check_floats(out, [float(f"9.9999999995e{k}") for k in range(-30, 31)])
+
+
+def test_notation_switches(out):
+    check_floats(out, [1e-5, 1e-4, 1e9, 1e10, 9.999999999e-5, 9.999999999e9,
+                       1.2345e-5, 1.2345e-4, 123456789.0, 1234567891.0])
+
+
+def test_extreme_exponents_and_specials(out):
+    check_floats(out, [1e100, 1.234567891e-100, 1e-290, 1e-291, 9.99999999995e-291,
+                       1e300, 9.99999999995e300, 1e301, 1.7976931348623157e308,
+                       2.2250738585072014e-308, 1e-310, 5e-324, 1e16, 0.0,
+                       np.nan, np.inf])
+
+
+def test_integer_extremes(out):
+    ints = np.array([INT64.min, INT64.max, -10**10, 10**10, -(10**10 - 1), 10**10 - 1,
+                     -1, 0, 1, 1000, 10**9, 2**53 + 1])
+    check(out, {"i": ints, "flag": ints % 2 == 0,
+                "u": np.full(ints.size, 2**64 - 1, dtype=np.uint64)})
+
+
+def test_mixed_columns_across_chunks(out, monkeypatch):
+    monkeypatch.setattr(csvrows, "ROW_CHUNK", 8)
+    rng = np.random.default_rng(1)
+    rows = 21
+    assert rows % csvrows.ROW_CHUNK
+    check(out, {
+        "a": rng.standard_normal(rows),
+        "i": np.arange(rows) - 7,
+        "b": rng.standard_normal(rows) * 1e-7,
+        "flag": np.arange(rows) % 3 == 0,
+        "c": np.round(rng.standard_normal(rows), 3) * 1e4,
+    })
+
+
+def test_random_doubles(out):
+    rng = np.random.default_rng(2)
+    n = 50_000
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+    short = np.round(rng.standard_normal(n) * 1e6) * 10.0 ** rng.integers(-15, 5, n)
+    check(out, {"bits": bits.view(np.float64), "short": short})
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_any_finite_double(out, values):
+    check(out, {"x": np.array(values)})
+
+
+@given(st.lists(st.integers(INT64.min, INT64.max), min_size=1, max_size=40))
+def test_any_int64(out, values):
+    check(out, {"i": np.array(values, dtype=np.int64)})

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoplane.csvrows import ROW_CHUNK
+from holoplane import csvrows
 from holoplane.errors import OutOfPatchError
 from holoplane.fields import PointSource, RadiationField, WaveParams
 from holoplane.geometry import GridSpec, grid_coords, grid_points, make_frame
@@ -245,7 +245,8 @@ class TestExport:
         assert float(first[2]) == -20.0
 
     @pytest.mark.parametrize("dim, n", [(3, 23), (2, 301)])
-    def test_csv_bytes_match_per_row_writer(self, tmp_path, dim, n):
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, monkeypatch, dim, n):
+        monkeypatch.setattr(csvrows, "ROW_CHUNK", 64)
         x0 = np.zeros(dim)
         x0[1] = 2.5
         field = RadiationField(dim, (PointSource(c=1.0 + 0j, x0=x0),))
@@ -253,7 +254,7 @@ class TestExport:
         k[0] = 4.0
         spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=n)
         holo = add_noise(sample_hologram(field, WaveParams(4.0, k), spec), 0.01, 2)
-        assert holo.values.size > ROW_CHUNK and holo.values.size % ROW_CHUNK
+        assert holo.values.size > csvrows.ROW_CHUNK and holo.values.size % csvrows.ROW_CHUNK
         uv = grid_coords(spec)
         if dim == 3:
             expected = "i,j,x2,x3,I\n" + "".join(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holoplane import csvrows, recon
 from holoplane.errors import (
     DegenerateDeterminantError,
     ExceptionalDirectionError,
@@ -16,7 +17,6 @@ from holoplane.fields import (
     far_field,
     plane_wave,
 )
-from holoplane.csvrows import ROW_CHUNK
 from holoplane.geometry import GridSpec, grid_coords, make_frame, point_on_plane
 from holoplane.hologram import sample_hologram, scattered_signal
 from holoplane.metrics import rel_l2, slope_estimate
@@ -481,7 +481,8 @@ class TestCsvBytes:
         (3, 21, "i,j,x2,x3,"),
         (2, 301, "i,x2,"),
     ])
-    def test_bilinear_bounded_run(self, tmp_path, dim, n, header):
+    def test_bilinear_bounded_run(self, tmp_path, monkeypatch, dim, n, header):
+        monkeypatch.setattr(csvrows, "ROW_CHUNK", 64)
         field, p, spec = preset_field(dim), params_d(dim), small_spec(n, dim)
         holo = sample_hologram(field, p, spec)
         res = reconstruct_grid(field, p, spec, BoundedOffset(alpha=-0.5, eps=0.1),
@@ -489,7 +490,7 @@ class TestCsvBytes:
         # rows past a chunk boundary, a partial last chunk, NaN rows both
         # out of the patch and in the exceptional set, and both flags
         nodes = res.points.shape[0]
-        assert nodes > ROW_CHUNK and nodes % ROW_CHUNK
+        assert nodes > csvrows.ROW_CHUNK and nodes % csvrows.ROW_CHUNK
         nan_rows = np.isnan(res.f11)
         assert (nan_rows & ~res.flag_exceptional).any()
         assert res.flag_exceptional.any() and res.flag_small_d.any()
@@ -521,6 +522,19 @@ class TestGridMatchesPointHelpers:
             y = x + zeta
             est = f11(scattered_signal(field, p, x), scattered_signal(field, p, y), x, y, p)
             assert est == pytest.approx(result.f11[i], rel=1e-9, abs=1e-12)
+
+    def test_node_blocks_leave_the_grid_unchanged(self, monkeypatch):
+        # a bilinear hybrid run, NaN rows included, in one block and in 37-node blocks
+        field, p, spec = preset_field(), params_d(3), small_spec(21)
+        strategy = HybridStrategy(BoundedOffset(alpha=-0.5, eps=0.1), SqrtScaled(alpha=-0.5))
+        holo = sample_hologram(field, p, spec)
+        assert spec.size <= recon.NODE_BLOCK
+        whole = reconstruct_grid(field, p, spec, strategy, hologram=holo)
+        assert np.isnan(whole.f11).any()
+        monkeypatch.setattr(recon, "NODE_BLOCK", 37)
+        blocks = reconstruct_grid(field, p, spec, strategy, hologram=holo)
+        for name in ("zeta", "D", "f11", "psi1_rec", "flag_exceptional", "flag_small_d"):
+            np.testing.assert_array_equal(getattr(blocks, name), getattr(whole, name))
 
     def test_singular_center_node_of_odd_grid(self):
         p = params_d(3)
