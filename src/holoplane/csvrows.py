@@ -5,6 +5,14 @@ and integer and boolean columns as `'%d' % v` would, byte for byte, but it
 formats a chunk of rows with numpy array operations instead of one Python
 format call per value.
 
+A column that holds few distinct values is given as a pair
+(values, index), meaning values[index]. Its values are formatted once,
+into a table of slots, and each chunk copies the slots of its indices. A
+boolean column is the pair ([0, 1], column). `grid_columns` gives the d=3
+node columns i, j, x2 and x3 as pairs over the n axis values, so each grid
+coordinate is formatted once per axis value rather than once per node, and
+no per-node coordinate array is built.
+
 An integer below 10**10 in magnitude is exactly a float64 whose `%.10g`
 text is its `%d` text, so every column goes through one float formatter.
 Each value gets a 24-byte slot, built as three little-endian 64-bit words.
@@ -38,10 +46,13 @@ instead:
   misplaced e still gives %.10g's digits;
 - integers with |v| >= 10**10.
 
-A chunk is ROW_CHUNK rows of all columns. At 512 rows by 14 columns its
-slot array and the bytes made from it are 172 kB each, and the formatter's
-temporaries 57 kB each. The tables, about 120 kB, are built on the first
-write, so `import holoplane` does not pay for them.
+A chunk is ROW_CHUNK rows of all columns. Each run of adjacent array
+columns is formatted by one `_format` call straight into the chunk's slot
+array. At 1024 rows by 14 columns the slot array and the bytes made from
+it are 344 kB each, and for the 8 array columns of recon.csv the
+formatter's temporaries are 66 kB each. The
+lookup tables, about 120 kB, are built on the first write, so
+`import holoplane` does not pay for them.
 """
 
 import functools
@@ -49,11 +60,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import grid_coords
-
 # Rows per chunk: large enough to amortise the per-chunk numpy calls, small
-# enough that the chunk's temporaries do not raise the peak memory.
-ROW_CHUNK = 512
+# enough that the chunk's temporaries do not raise the peak memory. Pair
+# columns leave fewer columns to `_format`: a recon.csv chunk formats
+# 1024 x 8 values, about the 512 x 14 of a chunk that formats every column.
+ROW_CHUNK = 1024
 
 E_MIN, E_MAX = -290, 300  # exponents of the floats the array path formats
 ROW0 = 1 - E_MIN  # table row of exponent e is e + ROW0; row 0 writes zero
@@ -135,10 +146,11 @@ def _tables():
     return t
 
 
-def _format(block, cap, t):
-    """The (rows, cols, 3) slot words of float64 `block`, without the
-    delimiters, and the mask of the values the words do not hold. Column c
-    is formatted only up to exponent row cap[c]."""
+def _format(block, cap, t, words):
+    """Write the slot words of float64 `block` into `words`, shaped
+    (rows, cols, 3), without the delimiters, and return the mask of the
+    values the words do not hold. Column c is formatted only up to exponent
+    row cap[c]."""
     a = np.abs(block)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0, inf and nan
         row = np.log10(a)
@@ -175,7 +187,6 @@ def _format(block, cap, t):
     digits0 &= t.stay[0].take(at)
     digits1 &= t.stay[1].take(at)
 
-    words = np.empty(block.shape + (3,), U8)
     w = block.view(np.uint64) >> 63  # the sign bit, set also for -0.0
     w *= MINUS
     w |= t.head.take(row)
@@ -189,39 +200,74 @@ def _format(block, cap, t):
     moved1 >>= 56
     moved1 |= t.tail.take(row)
     words[..., 2] = moved1
-    return words, ok
+    return ok
 
 
 def grid_columns(spec):
     """Node index and in-plane coordinate columns of a per-node CSV, by
-    name, in row-major grid order (d=3: i,j,x2,x3; d=2: i,x2)."""
-    uv = grid_coords(spec)
-    idx = np.arange(spec.size)
+    name, in row-major grid order (d=3: i,j,x2,x3; d=2: i,x2).
+
+    For d=3 each column takes one of the n axis values per node, so it is
+    the pair (axis values, the node's row or column number) that
+    `write_csv` formats once per axis value."""
+    n = spec.n
     if spec.frame.dim == 3:
-        i, j = np.divmod(idx, spec.n)
-        return {"i": i, "j": j, "x2": uv[:, 0], "x3": uv[:, 1]}
-    return {"i": idx, "x2": uv[:, 0]}
+        row, col = np.divmod(np.arange(spec.size), n)
+        idx, coords = np.arange(n), spec.coords
+        return {"i": (idx, row), "j": (idx, col), "x2": (coords, row), "x3": (coords, col)}
+    return {"i": np.arange(n), "x2": spec.coords}
 
 
-def write_csv(path, columns):
-    """Write `columns`, a dict from header name to equal-length 1-d array,
-    as CSV with a header line."""
-    arrays = list(columns.values())
+def _slots(arrays, t, words):
+    """Write the slot words of the equal-length 1-d `arrays` into `words`,
+    shaped (rows, len(arrays), 3), without the delimiters: `_format`'s
+    words, and `%`'s text for the values they do not hold."""
     templates = ["%d" if a.dtype.kind in "biu" else "%.10g" for a in arrays]
     # integers from 10**10 on (exponent row past 9 + ROW0) are left to '%d'
     cap = np.array([9 + ROW0 if tpl == "%d" else E_MAX + ROW0 for tpl in templates])
-    delims = np.array([ord(",")] * (len(arrays) - 1) + [ord("\n")], U8) << np.uint64(56)
+    ok = _format(np.stack(arrays, axis=1, dtype=np.float64), cap, t, words)
+    rows, cols = np.nonzero(~ok)
+    if rows.size:
+        text = np.array([templates[c] % arrays[c][r]
+                         for r, c in zip(rows.tolist(), cols.tolist())], FALLBACK)
+        words.view(np.uint8)[rows, cols, :text.itemsize] = (
+            text.view(np.uint8).reshape(rows.size, -1))
+
+
+def write_csv(path, columns):
+    """Write `columns`, a dict from header name to column, as CSV with a
+    header line.
+
+    A column is a 1-d array, or a pair (values, index) that stands for
+    values[index]. A pair's values are formatted once, and each row copies
+    the slot of its index. A boolean column is written as the pair
+    ([0, 1], column). Every column has the same number of rows."""
     t = _tables()
+    arrays = list(columns.values())
+    tables = {}  # column number -> slot words of its values
+    runs = []  # [first, last + 1] of each run of adjacent array columns
+    for c, column in enumerate(arrays):
+        if isinstance(column, np.ndarray) and column.dtype == bool:
+            column = (np.array([0, 1]), column)
+        if isinstance(column, tuple):
+            values, arrays[c] = np.asarray(column[0]), column[1]
+            slots = np.empty((len(values), 1, 3), U8)
+            _slots([values], t, slots)
+            tables[c] = slots[:, 0]
+        elif runs and runs[-1][1] == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([c, c + 1])
+    delims = np.array([ord(",")] * (len(arrays) - 1) + [ord("\n")], U8) << np.uint64(56)
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for start in range(0, len(arrays[0]), ROW_CHUNK):
             chunk = [a[start:start + ROW_CHUNK] for a in arrays]
-            words, ok = _format(np.stack(chunk, axis=1, dtype=np.float64), cap, t)
+            words = np.empty((len(chunk[0]), len(chunk), 3), U8)
+            for lo, hi in runs:
+                _slots(chunk[lo:hi], t, words[:, lo:hi])
+            for c, table in tables.items():
+                # take, not [], reads a boolean index as 0 and 1
+                words[:, c] = table.take(chunk[c], axis=0)
             words[..., 2] |= delims
-            rows, cols = np.nonzero(~ok)
-            if rows.size:
-                text = np.array([templates[c] % chunk[c][r]
-                                 for r, c in zip(rows.tolist(), cols.tolist())], FALLBACK)
-                words.view(np.uint8)[rows, cols, :text.itemsize] = (
-                    text.view(np.uint8).reshape(rows.size, -1))
             fh.write(words.tobytes().translate(None, b"\0"))

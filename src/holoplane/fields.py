@@ -13,6 +13,7 @@ import numpy as np
 
 from .bessel import hankel0_first_kind
 from .errors import SingularEvaluationError
+from .geometry import row_norm
 
 _SOURCE_TOL = 1e-12
 
@@ -86,9 +87,10 @@ def eval_radiation(field, kappa, x):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    dist = [np.linalg.norm(pts - src.x0, axis=-1) for src in field.sources]
-    hit = np.flatnonzero(np.any([r < _SOURCE_TOL for r in dist], axis=0))
-    if hit.size:
+    dist = [row_norm(pts, src.x0) for src in field.sources]
+    # fmin skips NaN points; the index is built only when a point hits.
+    if any(np.fmin.reduce(r, initial=np.inf) < _SOURCE_TOL for r in dist):
+        hit = np.flatnonzero(np.any([r < _SOURCE_TOL for r in dist], axis=0))
         p = tuple(float(v) for v in pts[hit[0]])
         raise SingularEvaluationError(
             f"evaluation point at {p} coincides with a source")

@@ -5,20 +5,22 @@ import numpy as np
 
 from .errors import UndefinedDenominatorError
 from .fields import eval_radiation, plane_wave
-from .geometry import grid_coords
 
 
 def region_masks(spec, box_half_width):
     """Boolean masks over the grid nodes, row-major order.
 
     Returns {"G": all nodes, "D": central box |u_i| < b, "G\\D": complement}.
+    A node is in the box when each of its in-plane coordinates is, so the
+    box is built from the one mask over the axis values.
     """
-    uv = grid_coords(spec)
     b = float(box_half_width)
     if b <= 0:
         raise ValueError("box half-width must be positive")
-    center = np.all(np.abs(uv) < b, axis=1)
-    full = np.ones(len(uv), dtype=bool)
+    center = np.abs(spec.coords) < b
+    if spec.frame.dim == 3:
+        center = np.logical_and.outer(center, center).ravel()
+    full = np.ones(spec.size, dtype=bool)
     return {"G": full, "D": center, "G\\D": ~center}
 
 
@@ -38,16 +40,15 @@ def rel_l2(u2, u1, mask=None):
 def discrepancy(field, params, points, psi1_rec, mask=None):
     """Relative L2 mismatch of reconstructed vs measured intensity, both
     shifted by -1: rel_l2(|psi0 + psi1_rec|^2 - 1, I - 1)."""
+    psi0 = plane_wave(points, params)
     psi1 = eval_radiation(field, params.kappa, points)
-    return intensity_discrepancy(plane_wave(points, params), psi1, psi1_rec, mask)
+    return rel_l2(shifted_intensity(psi0, psi1_rec), shifted_intensity(psi0, psi1), mask)
 
 
-def intensity_discrepancy(psi0, psi1, psi1_rec, mask=None):
-    """`discrepancy` from the reference wave psi0 and the true scattered
-    field psi1 at the points, which give I = |psi0 + psi1|^2."""
-    i_true = np.abs(psi0 + psi1) ** 2
-    i_rec = np.abs(psi0 + psi1_rec) ** 2
-    return rel_l2(i_rec - 1.0, i_true - 1.0, mask)
+def shifted_intensity(psi0, psi1):
+    """I - 1 with I = |psi0 + psi1|^2, the reference wave psi0 plus the
+    scattered field psi1 at the same points."""
+    return np.abs(psi0 + psi1) ** 2 - 1.0
 
 
 def slope_estimate(samples):

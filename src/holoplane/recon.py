@@ -39,15 +39,16 @@ from .errors import (
 )
 from .csvrows import grid_columns, write_csv
 from .fields import eval_radiation, plane_wave
-from .geometry import grid_points
+from .geometry import grid_points, row_norm
 from .hologram import intensity_lookup
 
 DET_FLOOR = 1e-6
 
 # Grid nodes per kernel call. Whole-grid temporaries fragment the heap: at
 # 1.6e5 nodes the peak memory moved by 5 MB with the allocation history.
-# Small blocks reuse the same heap memory, so the peak is the grid's inputs
-# and outputs.
+# Small blocks reuse the same heap memory, so the kernel stays below the
+# grid's inputs and outputs plus the metrics' whole-grid arrays, and a
+# `reconstruct` run peaks in `cli.compute_metrics`.
 NODE_BLOCK = 4096
 
 # Below this relative size kappa*theta_par - k_par is treated as exactly
@@ -95,7 +96,7 @@ def _mismatch(theta, params, frame):
     theta_par = theta - (theta @ frame.omega)[..., None] * frame.omega
     k_par = params.k - (params.k @ frame.omega) * frame.omega
     m = params.kappa * theta_par - k_par
-    return theta_par, m, np.linalg.norm(m, axis=-1)
+    return theta_par, m, row_norm(m)
 
 
 def _bounded_offset(m, mn, alpha, eps):
@@ -171,8 +172,8 @@ def _pair(x, y, params):
     """|x|, D and the phase factors e_x, e_y of the point pair (x, y)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
-    ry = np.linalg.norm(y, axis=-1)
+    r = row_norm(x)
+    ry = row_norm(y)
     D = _determinant(y - x, r, ry, params)
     return r, D, _phase_factor(x, r, params), _phase_factor(y, ry, params)
 
@@ -235,8 +236,7 @@ def determinant(x, zeta, params):
     |D| <= 2."""
     x = np.asarray(x, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
-    return _determinant(zeta, r, np.linalg.norm(x + zeta, axis=-1), params)
+    return _determinant(zeta, row_norm(x), row_norm(x + zeta), params)
 
 
 def determinant_phase_expansion(x, zeta, params):
@@ -289,7 +289,7 @@ class ReconGridResult:
     @property
     def max_zeta(self):
         # fmax skips the NaN rows of nodes that have no offset.
-        return float(np.fmax.reduce(np.linalg.norm(self.zeta, axis=1)))
+        return float(np.fmax.reduce(row_norm(self.zeta)))
 
 
 def reconstruct_points(x, i_x, lookup, params, frame, strategy, refine2d=False):
@@ -304,10 +304,10 @@ def reconstruct_points(x, i_x, lookup, params, frame, strategy, refine2d=False):
     an offset, or whose offset point is outside the data, are NaN in zeta,
     f11 and psi1_rec; a tiny D is left to the caller.
     """
-    r = np.linalg.norm(x, axis=1)
+    r = row_norm(x)
     zeta, valid, mn = _offsets(strategy, x, r, params, frame)
     y = x + zeta
-    ry = np.linalg.norm(y, axis=1)
+    ry = row_norm(y)
     D = _determinant(zeta, r, ry, params)
 
     i_y, inside_y = lookup(y)
@@ -382,7 +382,7 @@ def recon_to_csv(result, path):
         "re_psi1rec": result.psi1_rec.real, "im_psi1rec": result.psi1_rec.imag,
         "re_f11": result.f11.real, "im_f11": result.f11.imag,
         "abs_D": np.abs(result.D),
-        "zeta_norm": np.linalg.norm(result.zeta, axis=1),
+        "zeta_norm": row_norm(result.zeta),
         "flag_exceptional": result.flag_exceptional,
         "flag_smallD": result.flag_small_d,
     })

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import hankel1
 
+from holoplane import bessel
 from holoplane.bessel import hankel0_first_kind
 
 
@@ -132,3 +133,14 @@ def test_matches_term_by_term_reference():
     ref = np.array([_series_reference(v) if v <= Z_SWITCH else _asymptotic_reference(v)
                     for v in z])
     np.testing.assert_allclose(hankel0_first_kind(z), ref, rtol=_ROUNDING, atol=0)
+
+
+def test_truncated_asymptotic_sum_has_the_bits_of_the_full_sum():
+    # every one of the 24 terms, summed in order, for arguments in sorted
+    # and in shuffled order (a block's smallest z is not its first)
+    z = np.logspace(np.log10(18.0001), 4, 3001)
+    z = np.concatenate([z, np.random.default_rng(0).permutation(z)])
+    terms = bessel._COEF / z ** bessel._POWERS
+    full = np.add.accumulate(terms, axis=0)[-1]
+    expected = np.sqrt(2.0 / (np.pi * z)) * np.exp(1j * (z - 0.25 * np.pi)) * full
+    assert bessel._asymptotic(z).tobytes() == expected.tobytes()

@@ -2,7 +2,8 @@
 
 The values are picked to break an array formatter: rounding ties, carries
 into the next power of ten, the fixed/exponent notation switches, extreme
-exponents, non-finite values and integer extremes.
+exponents, non-finite values and integer extremes. Pair columns
+(values, index) are checked against the column values[index].
 """
 
 import numpy as np
@@ -17,8 +18,10 @@ INT64 = np.iinfo(np.int64)
 
 
 def reference(columns):
-    """The CSV text of `columns`, written one `%` row at a time."""
-    arrays = list(columns.values())
+    """The CSV text of `columns`, written one `%` row at a time; a pair
+    (values, index) is the column values[index]."""
+    arrays = [np.asarray(c[0])[c[1]] if isinstance(c, tuple) else c
+              for c in columns.values()]
     template = ",".join("%d" if a.dtype.kind in "biu" else "%.10g" for a in arrays) + "\n"
     rows = zip(*(a.tolist() for a in arrays))
     return ",".join(columns) + "\n" + "".join(template % row for row in rows)
@@ -83,6 +86,29 @@ def test_mixed_columns_across_chunks(out, monkeypatch):
         "b": rng.standard_normal(rows) * 1e-7,
         "flag": np.arange(rows) % 3 == 0,
         "c": np.round(rng.standard_normal(rows), 3) * 1e4,
+    })
+
+
+def test_pair_and_bool_columns_across_chunks(out, monkeypatch):
+    # pair values that the array path formats and values it leaves to `%`,
+    # indices in random order across chunk boundaries, and pairs between
+    # array columns, so that the array columns form several runs
+    monkeypatch.setattr(csvrows, "ROW_CHUNK", 8)
+    rng = np.random.default_rng(3)
+    rows = 45
+    assert rows % csvrows.ROW_CHUNK
+    floats = np.array([np.nan, np.inf, -np.inf, 1234567890.5, 0.5, 1.0000000005,
+                       -0.0, 1e-300, 9.9999999995e5, -19.89974937, 1e16])
+    ints = np.array([10**10, -(10**12), INT64.max, INT64.min, 0, -3, 10**10 - 1])
+    check(out, {
+        "f": (floats, rng.integers(0, floats.size, rows)),
+        "a": rng.standard_normal(rows),
+        "k": (ints, rng.integers(0, ints.size, rows)),
+        "flag": rng.random(rows) < 0.5,
+        "b": rng.standard_normal(rows) * 1e12,
+        "c": np.arange(rows) - 20,
+        "n": (np.arange(rows) * 7, np.arange(rows)[::-1]),
+        "last": rng.random(rows) < 0.3,
     })
 
 

@@ -94,6 +94,15 @@ class TestEvalRadiation:
                 r"^evaluation point at \(0\.0, -1\.0, 0\.5\) coincides with a source$")):
             eval_radiation(f, 4.0, pts)
 
+    def test_singular_message_skips_nan_points(self):
+        # a point without coordinates does not hide a later one within the
+        # tolerance of a source
+        f = source_field(3, 1.0 + 0j, (0.0, 2.5, 0.0))
+        pts = np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.5, 1e-13]])
+        with pytest.raises(SingularEvaluationError, match=(
+                r"^evaluation point at \(0\.0, 2\.5, 1e-13\) coincides with a source$")):
+            eval_radiation(f, 4.0, pts)
+
     def test_array_matches_pointwise(self):
         f = source_field(3, 2.0 - 1j, (0.0, 2.5, 0.0))
         pts = np.array([[100.0, 1.0, 2.0], [80.0, -3.0, 5.0]])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoplane.errors import OutOfHalfspaceError
@@ -10,6 +10,7 @@ from holoplane.geometry import (
     grid_points,
     make_frame,
     point_on_plane,
+    row_norm,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -57,6 +58,8 @@ class TestMakeFrame:
             make_frame(np.zeros(3), 1.0)
 
     @given(half_sphere_directions())
+    # near the first axis one Gram-Schmidt pass leaves (omega, b2) = 1.6e-8
+    @example(np.array([0.999999998, 6.10351561e-05, 9.99999998e-10]))
     def test_frame_is_orthonormal(self, omega):
         fr = make_frame(omega, 1.0)
         rows = np.vstack([fr.omega, fr.basis])
@@ -126,3 +129,26 @@ class TestGrid:
         spec = GridSpec(frame=fr, half_width=5.0, n=9)
         pts = grid_points(spec)
         np.testing.assert_allclose(pts @ omega, 37.5, atol=1e-9)
+
+
+class TestRowNorm:
+    """`row_norm` has the bits of `np.linalg.norm(x, axis=-1)`."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_linalg_norm(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((3000, d)) * 10.0 ** rng.integers(-150, 151, (3000, d))
+        x[::11, d - 1] = np.nan
+        x[1::13, 0] = -np.inf
+        x[:4] = [[1e150] * d, [-1e-150] * d, [0.0] * d, [1e155] * d]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            expected = np.linalg.norm(x, axis=-1)
+            got = row_norm(x)
+            shifted = np.linalg.norm(x - x[7], axis=-1)
+            got_shifted = row_norm(x, x[7])
+        assert got.tobytes() == expected.tobytes()
+        assert got_shifted.tobytes() == shifted.tobytes()
+
+    def test_one_point(self):
+        v = np.array([3.0, -4.0, 12.0])
+        assert row_norm(v) == np.linalg.norm(v, axis=-1) == 13.0
