@@ -96,7 +96,7 @@ def _asymptotic(z):
     so a one-point call costs a few numpy calls rather than one per term.
 
     A block of arguments sums only the terms that are at least _NEGLIGIBLE
-    at its smallest z; the rest add nothing. For z > Z_SWITCH each term is
+    at its smallest non-NaN z; the rest add nothing. For z > Z_SWITCH each term is
     at most 0.64 times the one before, so every later term is smaller
     still. The even terms add to the real part, which is about 1, and the
     odd ones to the imaginary part, which is about -1/(8z). For z <= 1e4
@@ -107,7 +107,8 @@ def _asymptotic(z):
     s = np.empty(z.shape, dtype=complex)
     for start in range(0, z.size, _BLOCK):
         block = z[start:start + _BLOCK]
-        size = np.abs(_COEF[:, 0]) / block.min() ** _POWERS[:, 0]
+        # fmin skips NaN arguments, so they do not cut the finite ones' sum
+        size = np.abs(_COEF[:, 0]) / np.fmin.reduce(block) ** _POWERS[:, 0]
         used = np.count_nonzero(size >= _NEGLIGIBLE)
         terms = _COEF[:used] / block ** _POWERS[:used]
         s[start:start + _BLOCK] = np.add.accumulate(terms, axis=0)[-1]

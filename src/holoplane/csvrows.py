@@ -48,10 +48,9 @@ instead:
 
 A chunk is ROW_CHUNK rows of all columns. Each run of adjacent array
 columns is formatted by one `_format` call straight into the chunk's slot
-array. At 1024 rows by 14 columns the slot array and the bytes made from
-it are 344 kB each, and for the 8 array columns of recon.csv the
-formatter's temporaries are 66 kB each. The
-lookup tables, about 120 kB, are built on the first write, so
+array. At 512 rows by 14 columns the slot array and the bytes made from
+it are 172 kB each, and the formatter's temporaries at most 57 kB each.
+The lookup tables, about 120 kB, are built on the first write, so
 `import holoplane` does not pay for them.
 """
 
@@ -61,10 +60,8 @@ from types import SimpleNamespace
 import numpy as np
 
 # Rows per chunk: large enough to amortise the per-chunk numpy calls, small
-# enough that the chunk's temporaries do not raise the peak memory. Pair
-# columns leave fewer columns to `_format`: a recon.csv chunk formats
-# 1024 x 8 values, about the 512 x 14 of a chunk that formats every column.
-ROW_CHUNK = 1024
+# enough that the chunk's temporaries do not raise the peak memory.
+ROW_CHUNK = 512
 
 E_MIN, E_MAX = -290, 300  # exponents of the floats the array path formats
 ROW0 = 1 - E_MIN  # table row of exponent e is e + ROW0; row 0 writes zero
