@@ -28,11 +28,19 @@ from .hologram import (
     intensity_lookup,
     sample_hologram,
 )
-from .metrics import region_masks, rel_l2, shifted_intensity, slope_estimate
+from .metrics import (
+    l2_ratio,
+    l2_sums,
+    region_masks,
+    rel_l2,
+    shifted_intensity,
+    slope_estimate,
+)
 from .recon import (
     DET_FLOOR,
     BoundedOffset,
     SqrtScaled,
+    node_blocks,
     recon_to_csv,
     reconstruct_grid,
     reconstruct_points,
@@ -87,20 +95,28 @@ def _reconstruct(cfg):
 
 
 def compute_metrics(cfg, result):
-    """Reconstruction error and intensity discrepancy on G, D, G\\D."""
+    """Reconstruction error and intensity discrepancy on G, D, G\\D.
+
+    One pass over the node blocks forms both intensities of a block, the
+    true one from the exact field the result carries, and adds its
+    `l2_sums` to every region's totals, in the block order of `rel_l2`."""
     masks = region_masks(result.spec, cfg.region_halfwidth)
-    # Both intensities are computed once over the grid, the true one from
-    # the exact field the result carries, and each region masks them.
-    psi0 = plane_wave(result.points, cfg.wave_params())
-    i_true = shifted_intensity(psi0, result.psi1)
-    i_rec = shifted_intensity(psi0, result.psi1_rec)
-    del psi0
+    params = cfg.wave_params()
+    sums = {(metric, name): np.zeros(2) for name in masks for metric in ("E", "E_dis")}
+    for b in node_blocks(result.spec.size):
+        psi1, psi1_rec = result.psi1[b], result.psi1_rec[b]
+        psi0 = plane_wave(result.points[b], params)
+        i_true = shifted_intensity(psi0, psi1)
+        i_rec = shifted_intensity(psi0, psi1_rec)
+        for name, mask in masks.items():
+            sums["E", name] += l2_sums(psi1_rec, psi1, mask[b])
+            sums["E_dis", name] += l2_sums(i_rec, i_true, mask[b])
     out = {}
     for name, mask in masks.items():
         if not mask.any():
             raise UndefinedDenominatorError(f"region {name} holds no grid node")
-        out[("E", name)] = rel_l2(result.psi1_rec, result.psi1, mask)
-        out[("E_dis", name)] = rel_l2(i_rec, i_true, mask)
+        out[("E", name)] = l2_ratio(sums["E", name])
+        out[("E_dis", name)] = l2_ratio(sums["E_dis", name])
     return out
 
 

@@ -8,10 +8,13 @@ format call per value.
 A column that holds few distinct values is given as a pair
 (values, index), meaning values[index]. Its values are formatted once,
 into a table of slots, and each chunk copies the slots of its indices. A
-boolean column is the pair ([0, 1], column). `grid_columns` gives the d=3
-node columns i, j, x2 and x3 as pairs over the n axis values, so each grid
-coordinate is formatted once per axis value rather than once per node, and
-no per-node coordinate array is built.
+boolean column is the pair ([0, 1], column). A column, or a pair's index,
+can also be a function of a row slice, called once per chunk with that
+chunk's rows: a derived column such as |D| is then built a chunk at a
+time, never for the whole table. `grid_columns` gives the d=3 node columns
+i, j, x2 and x3 as pairs over the n axis values whose index is such a
+function, so each grid coordinate is formatted once per axis value rather
+than once per node, and no per-node index or coordinate array is built.
 
 An integer below 10**10 in magnitude is exactly a float64 whose `%.10g`
 text is its `%d` text, so every column goes through one float formatter.
@@ -34,10 +37,11 @@ correctly rounded double. The product is then within 2.2e-6 of the exact
 |x| * 10**(9 - e), so rint gives the correct rounding of the exact value
 unless that lies within this distance of a tie. m is split into groups of
 2, 4 and 4 digits, read from a table of the 10**4 four-digit ASCII groups.
+The non-finite values are written from constant slots: `nan` (which
+`%.10g` writes without a sign, whatever the sign bit), `inf` and `-inf`.
 Every value this argument does not cover is written by `%` into its slot
 instead:
 
-- non-finite values;
 - e outside -290..300, a margin inside the double range, where
   10**(9 - e) would overflow for the smallest values;
 - a scaled value within 1e-5 of a rounding tie (about 1 value in 10**5);
@@ -134,6 +138,9 @@ def _tables():
     t.head, t.tail = np.array(head, U8), np.array(tail, U8)
     t.before, t.least = np.array(before, np.uint8), 11 * np.array(least, np.uint8)
 
+    # The slots of nan (whatever its sign bit), inf and -inf.
+    t.special = np.array([[_pack(text, 0), 0, 0] for text in ("nan", "inf", "-inf")], U8)
+
     # Dot insertion, indexed by 11 x kept digits + digits before the dot:
     # the digit bytes that stay, those that move up one byte, and the dot.
     combos = [(kept, b) for kept in range(11) for b in range(11)]
@@ -197,6 +204,13 @@ def _format(block, cap, t, words):
     moved1 >>= 56
     moved1 |= t.tail.take(row)
     words[..., 2] = moved1
+
+    special = ~np.isfinite(block)
+    if special.any():
+        at = np.nonzero(special)
+        v = block[at]
+        words[at] = t.special.take(np.where(np.isnan(v), 0, 1 + (v < 0)), axis=0)
+        ok[at] = True
     return ok
 
 
@@ -206,10 +220,16 @@ def grid_columns(spec):
 
     For d=3 each column takes one of the n axis values per node, so it is
     the pair (axis values, the node's row or column number) that
-    `write_csv` formats once per axis value."""
+    `write_csv` formats once per axis value; the row and column numbers
+    are computed per chunk of rows."""
     n = spec.n
     if spec.frame.dim == 3:
-        row, col = np.divmod(np.arange(spec.size), n)
+        def row(rows):
+            return np.arange(rows.start, rows.stop) // n
+
+        def col(rows):
+            return np.arange(rows.start, rows.stop) % n
+
         idx, coords = np.arange(n), spec.coords
         return {"i": (idx, row), "j": (idx, col), "x2": (coords, row), "x3": (coords, col)}
     return {"i": np.arange(n), "x2": spec.coords}
@@ -238,7 +258,11 @@ def write_csv(path, columns):
     A column is a 1-d array, or a pair (values, index) that stands for
     values[index]. A pair's values are formatted once, and each row copies
     the slot of its index. A boolean column is written as the pair
-    ([0, 1], column). Every column has the same number of rows."""
+    ([0, 1], column). A column or a pair's index may also be a function of
+    a slice of rows that returns the column's values at those rows; it is
+    called once per chunk. Every column has the same number of rows, the
+    length of the array columns and indices, of which there is at least
+    one."""
     t = _tables()
     arrays = list(columns.values())
     tables = {}  # column number -> slot words of its values
@@ -256,10 +280,12 @@ def write_csv(path, columns):
         else:
             runs.append([c, c + 1])
     delims = np.array([ord(",")] * (len(arrays) - 1) + [ord("\n")], U8) << np.uint64(56)
+    nrows = next(len(a) for a in arrays if not callable(a))
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
-        for start in range(0, len(arrays[0]), ROW_CHUNK):
-            chunk = [a[start:start + ROW_CHUNK] for a in arrays]
+        for start in range(0, nrows, ROW_CHUNK):
+            rows = slice(start, min(start + ROW_CHUNK, nrows))
+            chunk = [a(rows) if callable(a) else a[rows] for a in arrays]
             words = np.empty((len(chunk[0]), len(chunk), 3), U8)
             for lo, hi in runs:
                 _slots(chunk[lo:hi], t, words[:, lo:hi])

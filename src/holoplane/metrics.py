@@ -1,10 +1,18 @@
 """Error measures: relative discrete L2 distance, intensity discrepancy,
-rectangular region masks, and log-log slope fits."""
+rectangular region masks, and log-log slope fits.
+
+The L2 distance is summed over the grid NODE_BLOCK nodes at a time
+(`recon.node_blocks`): `l2_sums` gives the two squared norms of one block,
+and `l2_ratio` turns their running totals into the relative distance. Any
+caller that adds up the same blocks in the same order, as `rel_l2` and
+`cli.compute_metrics` do, gets the same bits.
+"""
 
 import numpy as np
 
 from .errors import UndefinedDenominatorError
 from .fields import eval_radiation, plane_wave
+from .recon import node_blocks
 
 
 def region_masks(spec, box_half_width):
@@ -24,17 +32,34 @@ def region_masks(spec, box_half_width):
     return {"G": full, "D": center, "G\\D": ~center}
 
 
-def rel_l2(u2, u1, mask=None):
-    """|| u2 - u1 ||_2 / || u1 ||_2 over the masked nodes (uniform weights)."""
-    u2 = np.asarray(u2)
-    u1 = np.asarray(u1)
+def l2_sums(u2, u1, mask):
+    """[sum |u2 - u1|^2, sum |u1|^2] over the nodes of one block that `mask`
+    selects (all of them for None)."""
     if mask is not None:
         u2 = u2[mask]
         u1 = u1[mask]
-    denom = np.sqrt(np.sum(np.abs(u1) ** 2))
+    return np.array([np.sum(np.abs(u2 - u1) ** 2), np.sum(np.abs(u1) ** 2)])
+
+
+def l2_ratio(sums):
+    """|| u2 - u1 ||_2 / || u1 ||_2 from the totals of `l2_sums` over the
+    blocks of a region."""
+    num, den = sums
+    denom = np.sqrt(den)
     if denom == 0:
         raise UndefinedDenominatorError("reference function vanishes on the region")
-    return float(np.sqrt(np.sum(np.abs(u2 - u1) ** 2)) / denom)
+    return float(np.sqrt(num) / denom)
+
+
+def rel_l2(u2, u1, mask=None):
+    """|| u2 - u1 ||_2 / || u1 ||_2 over the masked nodes (uniform weights),
+    summed a block of nodes at a time."""
+    u2 = np.asarray(u2)
+    u1 = np.asarray(u1)
+    sums = np.zeros(2)
+    for b in node_blocks(len(u1)):
+        sums += l2_sums(u2[b], u1[b], None if mask is None else mask[b])
+    return l2_ratio(sums)
 
 
 def discrepancy(field, params, points, psi1_rec, mask=None):

@@ -44,11 +44,12 @@ from .hologram import intensity_lookup
 
 DET_FLOOR = 1e-6
 
-# Grid nodes per kernel call. Whole-grid temporaries fragment the heap: at
-# 1.6e5 nodes the peak memory moved by 5 MB with the allocation history.
-# Small blocks reuse the same heap memory, so the kernel stays below the
-# grid's inputs and outputs plus the metrics' whole-grid arrays, and a
-# `reconstruct` run peaks in `cli.compute_metrics`.
+# Grid nodes per block. The kernel, `max_zeta` and the metrics walk the
+# grid NODE_BLOCK nodes at a time (`node_blocks`), so the `ReconGridResult`
+# record is the only grid-sized memory a `reconstruct` run keeps. Whole-grid
+# temporaries also fragment the heap: at 1.6e5 nodes the peak memory moved
+# by 5 MB with the allocation history, while small blocks reuse the same
+# heap memory.
 NODE_BLOCK = 4096
 
 # Below this relative size kappa*theta_par - k_par is treated as exactly
@@ -289,7 +290,13 @@ class ReconGridResult:
     @property
     def max_zeta(self):
         # fmax skips the NaN rows of nodes that have no offset.
-        return float(np.fmax.reduce(row_norm(self.zeta)))
+        return float(np.fmax.reduce([np.fmax.reduce(row_norm(self.zeta[b]))
+                                     for b in node_blocks(len(self.zeta))]))
+
+
+def node_blocks(n):
+    """Slices of NODE_BLOCK consecutive nodes, in order, covering n nodes."""
+    return [slice(start, min(start + NODE_BLOCK, n)) for start in range(0, n, NODE_BLOCK)]
 
 
 def reconstruct_points(x, i_x, lookup, params, frame, strategy, refine2d=False):
@@ -352,21 +359,22 @@ def reconstruct_grid(
     """
     pts = grid_points(spec)
     psi1 = eval_radiation(field, params.kappa, pts)
-    if hologram is None:
-        i_x = np.abs(plane_wave(pts, params) + psi1) ** 2
-    else:
-        i_x = hologram.values
     lookup = intensity_lookup(field, params, hologram)
     n = len(pts)
-    zeta, mn = np.empty_like(pts), np.empty(n)
+    zeta = np.empty_like(pts)
     D, f11_vals, psi1_rec = (np.empty(n, dtype=complex) for _ in range(3))
-    for start in range(0, n, NODE_BLOCK):
-        b = slice(start, start + NODE_BLOCK)
-        zeta[b], D[b], f11_vals[b], psi1_rec[b], mn[b] = reconstruct_points(
-            pts[b], i_x[b], lookup, params, spec.frame, strategy, refine2d)
+    exceptional, small_d = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    for b in node_blocks(n):
+        if hologram is None:
+            i_x = np.abs(plane_wave(pts[b], params) + psi1[b]) ** 2
+        else:
+            i_x = hologram.values[b]
+        zeta[b], D[b], f11_vals[b], psi1_rec[b], mn = reconstruct_points(
+            pts[b], i_x, lookup, params, spec.frame, strategy, refine2d)
+        exceptional[b] = mn < flag_eps
+        small_d[b] = np.abs(D[b]) <= DET_FLOOR
     return ReconGridResult(spec, pts, psi1, zeta, D, f11_vals, psi1_rec,
-                           flag_exceptional=mn < flag_eps,
-                           flag_small_d=np.abs(D) <= DET_FLOOR)
+                           flag_exceptional=exceptional, flag_small_d=small_d)
 
 
 def recon_to_csv(result, path):
@@ -381,8 +389,8 @@ def recon_to_csv(result, path):
         "re_psi1": result.psi1.real, "im_psi1": result.psi1.imag,
         "re_psi1rec": result.psi1_rec.real, "im_psi1rec": result.psi1_rec.imag,
         "re_f11": result.f11.real, "im_f11": result.f11.imag,
-        "abs_D": np.abs(result.D),
-        "zeta_norm": row_norm(result.zeta),
+        "abs_D": lambda rows: np.abs(result.D[rows]),
+        "zeta_norm": lambda rows: row_norm(result.zeta[rows]),
         "flag_exceptional": result.flag_exceptional,
         "flag_smallD": result.flag_small_d,
     })

@@ -112,6 +112,47 @@ def test_pair_and_bool_columns_across_chunks(out, monkeypatch):
     })
 
 
+def test_function_columns_across_chunks(out, monkeypatch):
+    # a column and a pair index given as functions of the chunk's rows give
+    # the bytes of the arrays they stand for, across chunk boundaries and
+    # into a partial last chunk
+    monkeypatch.setattr(csvrows, "ROW_CHUNK", 8)
+    rng = np.random.default_rng(4)
+    rows = 29
+    assert rows % csvrows.ROW_CHUNK
+    z = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+    values = np.array([0.25, -1.5, np.nan, 1e-7])
+    index = rng.integers(0, values.size, rows)
+    seen = []
+
+    def index_at(r):
+        seen.append((r.start, r.stop))
+        return index[r]
+
+    a = rng.standard_normal(rows)
+    write_csv(out, {"abs": lambda r: np.abs(z[r]), "a": a, "v": (values, index_at),
+                    "k": lambda r: np.arange(r.start, r.stop) * 3})
+    assert seen == [(s, min(s + 8, rows)) for s in range(0, rows, 8)]
+    assert out.read_text() == reference(
+        {"abs": np.abs(z), "a": a, "v": (values, index), "k": np.arange(rows) * 3})
+
+
+def test_non_finite_values_in_ordinary_columns(out, monkeypatch):
+    # '%.10g' writes a NaN as nan whatever its sign bit; x86 NaNs from 0/0
+    # carry a set sign bit
+    monkeypatch.setattr(csvrows, "ROW_CHUNK", 4)
+    special = np.array([np.copysign(np.nan, -1), np.nan, np.inf, -np.inf, -0.0])
+    assert np.signbit(special[0])
+    rng = np.random.default_rng(5)
+    rows = 11
+    a = rng.standard_normal(rows)
+    b = rng.standard_normal(rows) * 1e-5
+    a[[0, 3, 4, 9]] = special[[0, 1, 2, 3]]
+    b[[1, 4, 8, 10]] = special[[3, 0, 4, 2]]
+    check(out, {"i": np.arange(rows), "a": a, "b": b, "flag": np.isnan(a)})
+    assert out.read_text().count("nan") == 3 and "-nan" not in out.read_text()
+
+
 def test_random_doubles(out):
     rng = np.random.default_rng(2)
     n = 50_000

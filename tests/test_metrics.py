@@ -8,6 +8,7 @@ from holoplane.errors import UndefinedDenominatorError
 from holoplane.fields import PointSource, RadiationField, WaveParams, eval_radiation
 from holoplane.geometry import GridSpec, grid_points, make_frame
 from holoplane.metrics import discrepancy, region_masks, rel_l2, slope_estimate
+from holoplane.recon import NODE_BLOCK
 
 
 def spec3(n=10, h=20.0):
@@ -75,6 +76,21 @@ class TestRelL2:
         assert split == pytest.approx(total, rel=1e-12)
 
 
+    def test_sums_every_node_block(self):
+        # two full blocks and a partial one that alone holds the error
+        n = 2 * NODE_BLOCK + 5
+        rng = np.random.default_rng(1)
+        u1 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        u2 = u1.copy()
+        u2[-3:] += 1.0
+        mask = rng.random(n) < 0.5
+        mask[-3:] = True
+        assert rel_l2(u2, u1) == pytest.approx(
+            np.sqrt(3) / np.linalg.norm(u1), rel=1e-12)
+        assert rel_l2(u2, u1, mask) == pytest.approx(
+            np.sqrt(3) / np.linalg.norm(u1[mask]), rel=1e-12)
+
+
 class TestDiscrepancy:
     def _setup(self):
         params = WaveParams(kappa=4.0, k=np.array([4.0, 0.0, 0.0]))
@@ -135,3 +151,18 @@ def test_compute_metrics_discrepancy_matches_per_mask_calls(preset_run):
         assert metrics[("E_dis", name)] == discrepancy(
             cfg.radiation_field(), cfg.wave_params(), result.points,
             result.psi1_rec, mask)
+
+
+def test_compute_metrics_matches_whole_grid_formula(preset_run):
+    # the preset grid ends in a partial node block
+    cfg, result = preset_run
+    assert result.spec.size % NODE_BLOCK
+    metrics = compute_metrics(cfg, result)
+    psi0 = np.exp(1j * (result.points @ cfg.wave_params().k))
+    i_true = np.abs(psi0 + result.psi1) ** 2 - 1
+    i_rec = np.abs(psi0 + result.psi1_rec) ** 2 - 1
+    for name, mask in region_masks(result.spec, cfg.region_halfwidth).items():
+        for metric, u2, u1 in (("E", result.psi1_rec, result.psi1),
+                               ("E_dis", i_rec, i_true)):
+            expected = np.linalg.norm((u2 - u1)[mask]) / np.linalg.norm(u1[mask])
+            assert metrics[(metric, name)] == pytest.approx(expected, rel=1e-12)
