@@ -31,6 +31,7 @@ from .hologram import (
 from .metrics import (
     l2_ratio,
     l2_sums,
+    l2_terms,
     region_masks,
     rel_l2,
     shifted_intensity,
@@ -98,19 +99,21 @@ def compute_metrics(cfg, result):
     """Reconstruction error and intensity discrepancy on G, D, G\\D.
 
     One pass over the node blocks forms both intensities of a block, the
-    true one from the exact field the result carries, and adds its
-    `l2_sums` to every region's totals, in the block order of `rel_l2`."""
+    true one from the exact field the result carries, and the `l2_terms`
+    of both measures, and adds their `l2_sums` to every region's totals,
+    in the block order of `rel_l2`."""
     masks = region_masks(result.spec, cfg.region_halfwidth)
     params = cfg.wave_params()
     sums = {(metric, name): np.zeros(2) for name in masks for metric in ("E", "E_dis")}
     for b in node_blocks(result.spec.size):
         psi1, psi1_rec = result.psi1[b], result.psi1_rec[b]
         psi0 = plane_wave(result.points[b], params)
-        i_true = shifted_intensity(psi0, psi1)
-        i_rec = shifted_intensity(psi0, psi1_rec)
+        terms = {"E": l2_terms(psi1_rec, psi1),
+                 "E_dis": l2_terms(shifted_intensity(psi0, psi1_rec),
+                                   shifted_intensity(psi0, psi1))}
         for name, mask in masks.items():
-            sums["E", name] += l2_sums(psi1_rec, psi1, mask[b])
-            sums["E_dis", name] += l2_sums(i_rec, i_true, mask[b])
+            for metric, t in terms.items():
+                sums[metric, name] += l2_sums(t, mask[b])
     out = {}
     for name, mask in masks.items():
         if not mask.any():

@@ -204,13 +204,6 @@ def _format(block, cap, t, words):
     moved1 >>= 56
     moved1 |= t.tail.take(row)
     words[..., 2] = moved1
-
-    special = ~np.isfinite(block)
-    if special.any():
-        at = np.nonzero(special)
-        v = block[at]
-        words[at] = t.special.take(np.where(np.isnan(v), 0, 1 + (v < 0)), axis=0)
-        ok[at] = True
     return ok
 
 
@@ -220,15 +213,21 @@ def grid_columns(spec):
 
     For d=3 each column takes one of the n axis values per node, so it is
     the pair (axis values, the node's row or column number) that
-    `write_csv` formats once per axis value; the row and column numbers
-    are computed per chunk of rows."""
+    `write_csv` formats once per axis value. The index of a chunk of rows
+    is a window of one short table: nodes k..k+m-1 have the column numbers
+    of nodes k%n..k%n+m-1 and their row numbers plus k//n, for any chunk of
+    up to ROW_CHUNK rows."""
     n = spec.n
     if spec.frame.dim == 3:
+        window_row, window_col = np.divmod(np.arange(n + ROW_CHUNK), n)
+
         def row(rows):
-            return np.arange(rows.start, rows.stop) // n
+            k = rows.start % n
+            return window_row[k:k + rows.stop - rows.start] + rows.start // n
 
         def col(rows):
-            return np.arange(rows.start, rows.stop) % n
+            k = rows.start % n
+            return window_col[k:k + rows.stop - rows.start]
 
         idx, coords = np.arange(n), spec.coords
         return {"i": (idx, row), "j": (idx, col), "x2": (coords, row), "x3": (coords, col)}
@@ -238,12 +237,22 @@ def grid_columns(spec):
 def _slots(arrays, t, words):
     """Write the slot words of the equal-length 1-d `arrays` into `words`,
     shaped (rows, len(arrays), 3), without the delimiters: `_format`'s
-    words, and `%`'s text for the values they do not hold."""
+    words, the constant slots of the non-finite values, and `%`'s text for
+    the other values the words do not hold."""
     templates = ["%d" if a.dtype.kind in "biu" else "%.10g" for a in arrays]
     # integers from 10**10 on (exponent row past 9 + ROW0) are left to '%d'
     cap = np.array([9 + ROW0 if tpl == "%d" else E_MAX + ROW0 for tpl in templates])
-    ok = _format(np.stack(arrays, axis=1, dtype=np.float64), cap, t, words)
-    rows, cols = np.nonzero(~ok)
+    block = np.stack(arrays, axis=1, dtype=np.float64)
+    rows, cols = np.nonzero(~_format(block, cap, t, words))
+    if not rows.size:
+        return
+    v = block[rows, cols]
+    special = ~np.isfinite(v)
+    if special.any():
+        v = v[special]
+        words[rows[special], cols[special]] = t.special.take(
+            np.where(np.isnan(v), 0, 1 + (v < 0)), axis=0)
+        rows, cols = rows[~special], cols[~special]
     if rows.size:
         text = np.array([templates[c] % arrays[c][r]
                          for r, c in zip(rows.tolist(), cols.tolist())], FALLBACK)
@@ -281,11 +290,14 @@ def write_csv(path, columns):
             runs.append([c, c + 1])
     delims = np.array([ord(",")] * (len(arrays) - 1) + [ord("\n")], U8) << np.uint64(56)
     nrows = next(len(a) for a in arrays if not callable(a))
+    functions = list(dict.fromkeys(a for a in arrays if callable(a)))
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
         for start in range(0, nrows, ROW_CHUNK):
             rows = slice(start, min(start + ROW_CHUNK, nrows))
-            chunk = [a(rows) if callable(a) else a[rows] for a in arrays]
+            # a function that several columns share is called once per chunk
+            values = {f: f(rows) for f in functions}
+            chunk = [values[a] if callable(a) else a[rows] for a in arrays]
             words = np.empty((len(chunk[0]), len(chunk), 3), U8)
             for lo, hi in runs:
                 _slots(chunk[lo:hi], t, words[:, lo:hi])

@@ -2,10 +2,11 @@
 rectangular region masks, and log-log slope fits.
 
 The L2 distance is summed over the grid NODE_BLOCK nodes at a time
-(`recon.node_blocks`): `l2_sums` gives the two squared norms of one block,
-and `l2_ratio` turns their running totals into the relative distance. Any
-caller that adds up the same blocks in the same order, as `rel_l2` and
-`cli.compute_metrics` do, gets the same bits.
+(`recon.node_blocks`): `l2_terms` gives the squared terms of one block,
+`l2_sums` their two sums over a region's nodes of the block, and `l2_ratio`
+turns the running totals into the relative distance. Any caller that adds
+up the same blocks in the same order, as `rel_l2` and `cli.compute_metrics`
+do, gets the same bits.
 """
 
 import numpy as np
@@ -32,13 +33,15 @@ def region_masks(spec, box_half_width):
     return {"G": full, "D": center, "G\\D": ~center}
 
 
-def l2_sums(u2, u1, mask):
-    """[sum |u2 - u1|^2, sum |u1|^2] over the nodes of one block that `mask`
-    selects (all of them for None)."""
-    if mask is not None:
-        u2 = u2[mask]
-        u1 = u1[mask]
-    return np.array([np.sum(np.abs(u2 - u1) ** 2), np.sum(np.abs(u1) ** 2)])
+def l2_terms(u2, u1):
+    """|u2 - u1|^2 and |u1|^2 at each node of a block."""
+    return np.abs(u2 - u1) ** 2, np.abs(u1) ** 2
+
+
+def l2_sums(terms, mask):
+    """[sum |u2 - u1|^2, sum |u1|^2] of the `l2_terms` of a block over the
+    nodes `mask` selects (all of them for None)."""
+    return np.array([np.sum(t if mask is None else t[mask]) for t in terms])
 
 
 def l2_ratio(sums):
@@ -58,7 +61,7 @@ def rel_l2(u2, u1, mask=None):
     u1 = np.asarray(u1)
     sums = np.zeros(2)
     for b in node_blocks(len(u1)):
-        sums += l2_sums(u2[b], u1[b], None if mask is None else mask[b])
+        sums += l2_sums(l2_terms(u2[b], u1[b]), None if mask is None else mask[b])
     return l2_ratio(sums)
 
 
