@@ -523,23 +523,23 @@ class TestGridMatchesPointHelpers:
             est = f11(scattered_signal(field, p, x), scattered_signal(field, p, y), x, y, p)
             assert est == pytest.approx(result.f11[i], rel=1e-9, abs=1e-12)
 
-    @pytest.mark.parametrize("sampled", [True, False])
-    def test_node_blocks_leave_the_grid_unchanged(self, monkeypatch, sampled):
+    def test_node_blocks_leave_the_grid_unchanged(self, monkeypatch):
         # a hybrid run in one block and in 37-node blocks, read bilinearly
         # from the hologram (NaN rows included) or from the forward model,
         # where the kernel forms each block's node intensity from psi1
         field, p, spec = preset_field(), params_d(3), small_spec(21)
         strategy = HybridStrategy(BoundedOffset(alpha=-0.5, eps=0.1), SqrtScaled(alpha=-0.5))
-        holo = sample_hologram(field, p, spec) if sampled else None
         assert spec.size <= recon.NODE_BLOCK and spec.size % 37
-        whole = reconstruct_grid(field, p, spec, strategy, hologram=holo)
-        assert np.isnan(whole.f11).any() == sampled
-        monkeypatch.setattr(recon, "NODE_BLOCK", 37)
-        blocks = reconstruct_grid(field, p, spec, strategy, hologram=holo)
-        assert blocks.max_zeta == whole.max_zeta
-        for name in ("psi1", "zeta", "D", "f11", "psi1_rec", "flag_exceptional",
-                     "flag_small_d"):
-            np.testing.assert_array_equal(getattr(blocks, name), getattr(whole, name))
+        for holo in (sample_hologram(field, p, spec), None):
+            monkeypatch.undo()
+            whole = reconstruct_grid(field, p, spec, strategy, hologram=holo)
+            assert np.isnan(whole.f11).any() == (holo is not None)
+            monkeypatch.setattr(recon, "NODE_BLOCK", 37)
+            blocks = reconstruct_grid(field, p, spec, strategy, hologram=holo)
+            assert blocks.max_zeta == whole.max_zeta
+            for name in ("psi1", "zeta", "D", "f11", "psi1_rec", "flag_exceptional",
+                         "flag_small_d"):
+                np.testing.assert_array_equal(getattr(blocks, name), getattr(whole, name))
 
     def test_singular_center_node_of_odd_grid(self):
         p = params_d(3)
