@@ -39,7 +39,6 @@ from .hologram import (
     intensity,
     intensity_at,
     sample_hologram,
-    scattered_signal,
 )
 from .metrics import discrepancy, region_masks, rel_l2, slope_estimate
 from .recon import (
@@ -50,8 +49,6 @@ from .recon import (
     beta_solve,
     determinant,
     determinant_phase_expansion,
-    f11,
-    f11_refined_2d,
     reconstruct_grid,
     zeta_bounded,
     zeta_sqrt,

@@ -1,7 +1,6 @@
 """Intensity synthesis on the measurement plane.
 
-The hologram is I = |psi0 + psi1|^2 sampled on the grid patch; the
-normalized scattered signal is a(x, k) = |x|^{(d-1)/2} (I(x) - 1).
+The hologram is I = |psi0 + psi1|^2 sampled on the grid patch.
 """
 
 import itertools
@@ -34,16 +33,6 @@ def intensity(field, params, x):
     """I(x) = |psi0(x) + psi1(x)|^2 at a point or an (m, d) array."""
     total = plane_wave(x, params) + eval_radiation(field, params.kappa, x)
     return np.abs(total) ** 2
-
-
-def scattered_signal(field, params, x):
-    """a(x, k) = |x|^{(d-1)/2} (I(x) - 1)."""
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
-    if np.any(r <= 0):
-        raise ValueError("|x| must be positive")
-    d = params.dim
-    return r ** ((d - 1) / 2.0) * (intensity(field, params, x) - 1.0)
 
 
 def sample_hologram(field, params, spec):

@@ -2,8 +2,8 @@
 
 For each plane point x with direction theta = x/|x| a second point
 y = x + zeta is chosen with zeta parallel to the plane.  The pair of
-normalized signals (a(x), a(y)) determines the far-field value f11(theta)
-through a 2x2 linear system whose determinant is
+normalized signals a = |x|^{(d-1)/2} (I - 1) at x and y determines the
+far-field value f11(theta) through a 2x2 linear system whose determinant is
 D = 2i sin((k, zeta) + kappa |x| - kappa |y|).
 
 Two offset choices are implemented:
@@ -23,7 +23,7 @@ reads only the offset points y through a lookup.  The grid evaluates the
 true field psi1 at its nodes once: the result carries it for scoring, and
 without a hologram the node intensity |psi0 + psi1|^2 comes from it.
 The public point helpers (`zeta_bounded`, `zeta_sqrt`, `beta_solve`,
-`determinant`, `f11`, `f11_refined_2d`) wrap the formulas and raise on the
+`determinant`) wrap the offset and determinant formulas and raise on the
 failures a batch only records.
 """
 
@@ -32,11 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDeterminantError,
-    ExceptionalDirectionError,
-    InfeasibleParametersError,
-)
+from .errors import ExceptionalDirectionError, InfeasibleParametersError
 from .csvrows import grid_columns, write_csv
 from .fields import eval_radiation, plane_wave
 from .geometry import grid_points, row_norm
@@ -169,16 +165,6 @@ def _estimate(a_x, a_y, e_x, e_y, D):
     return (e_y * a_x - e_x * a_y) / D
 
 
-def _pair(x, y, params):
-    """|x|, D and the phase factors e_x, e_y of the point pair (x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r = row_norm(x)
-    ry = row_norm(y)
-    D = _determinant(y - x, r, ry, params)
-    return r, D, _phase_factor(x, r, params), _phase_factor(y, ry, params)
-
-
 def zeta_bounded(theta, params, frame, alpha, eps):
     """Offset zeta = -alpha (kappa theta_par - k_par)/|...|^2.
 
@@ -251,26 +237,6 @@ def determinant_phase_expansion(x, zeta, params):
     tz = float(np.dot(theta, zeta))
     lead = float(np.dot(params.k - params.kappa * theta, zeta))
     return lead + (params.kappa / (2.0 * r)) * (tz * tz - float(zeta @ zeta))
-
-
-def f11(a_x, a_y, x, y, params):
-    """Two-point far-field estimator
-    f11 = (e^{i((k,y) - kappa|y|)} a(x) - e^{i((k,x) - kappa|x|)} a(y)) / D."""
-    _, D, e_x, e_y = _pair(x, y, params)
-    if abs(D) <= DET_FLOOR:
-        raise DegenerateDeterminantError(f"|D| = {float(abs(D))!r} <= {DET_FLOOR!r}")
-    return _estimate(a_x, a_y, e_x, e_y, D)
-
-
-def f11_refined_2d(f11_value, x, y, params):
-    """Second-order d=2 correction removing the leading self-interference
-    term |f11|^2 / sqrt(|x|) from the estimator."""
-    if params.dim != 2:
-        raise ValueError("refinement applies to d=2 only")
-    r, D, e_x, e_y = _pair(x, y, params)
-    if D == 0:
-        raise DegenerateDeterminantError("D = 0")
-    return _refine(f11_value, e_x, e_y, D, math.sqrt(r))
 
 
 @dataclass

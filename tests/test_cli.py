@@ -9,15 +9,9 @@ from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
 from holoplane.fields import far_field
 from holoplane.geometry import grid_coords, point_on_plane
-from holoplane.hologram import scattered_signal
-from holoplane.recon import (
-    BoundedOffset,
-    SqrtScaled,
-    f11,
-    f11_refined_2d,
-    zeta_bounded,
-    zeta_sqrt,
-)
+from holoplane.recon import BoundedOffset, SqrtScaled, zeta_bounded, zeta_sqrt
+
+from closed_form import two_point_f11
 
 SMALL = "n = 16\n"
 
@@ -286,8 +280,8 @@ class TestRates:
 
 
 def scalar_probe(cfg, strategy_name, refine2d=False):
-    """The rates probe one s at a time through the point helpers; the
-    reference for the batched `probe_errors`."""
+    """The rates probe one s at a time through the offset helpers and the
+    closed-form estimator; the reference for the batched `probe_errors`."""
     theta = _probe_theta(cfg)
     field, params = cfg.radiation_field(), cfg.wave_params()
     f1 = far_field(field, params.kappa, theta)
@@ -300,12 +294,7 @@ def scalar_probe(cfg, strategy_name, refine2d=False):
         else:
             zeta = zeta_sqrt(theta, params, frame, -abs(cfg.alpha),
                              float(np.linalg.norm(x)), cfg.fallback_axis)
-        y = x + zeta
-        a_x = float(scattered_signal(field, params, x))
-        a_y = float(scattered_signal(field, params, y))
-        est = f11(a_x, a_y, x, y, params)
-        if refine2d:
-            est = f11_refined_2d(est, x, y, params)
+        est = two_point_f11(field, params, x, x + zeta, refine2d)
         rows.append((s, abs(est - f1)))
     return rows
 

@@ -71,7 +71,8 @@ class TestValidation:
         assert "not finite" in str(exc.value)
 
 
-# One config per rule that a domain object owns, with the text of its error.
+# One config per rule that a domain object owns, with the text of its error
+# (the last row is the parser's boolean rule).
 DOMAIN_RULES = [
     ("kappa = -1", "kappa must be positive"),
     ("kappa = 4\nk = 3, 0, 0", r"\|k\| must equal kappa"),
@@ -86,6 +87,14 @@ DOMAIN_RULES = [
     ("omega = 0, 0, 0", "omega must be nonzero"),
     ("source = 1, 0, 0, 2.5, 0\nsource = 1, 0, 0, 2.5, 0", "distinct"),
     ("noise_level = 0.01\nnoise_seed = -1", "noise_seed must be nonnegative"),
+    ("dim = 4", "dim must be 2 or 3"),
+    ("k = 4, 0, 0, 0", "k and omega must have `dim` components"),
+    ("strategy = foo", "unknown strategy 'foo'"),
+    ("fallback_axis = 2", "fallback_axis out of range"),
+    ("mode = cubic", "unknown lookup mode 'cubic'"),
+    ("noise_level = -0.1", "noise_level must be nonnegative"),
+    ("region_halfwidth = 0", "region_halfwidth must be positive"),
+    ("refine2d = maybe", "^line 1: refine2d must be a boolean$"),
 ]
 
 

@@ -16,7 +16,6 @@ from holoplane.hologram import (
     intensity,
     intensity_at,
     sample_hologram,
-    scattered_signal,
 )
 
 
@@ -30,6 +29,17 @@ def field3(c=1.0 + 0j, x0=(0.0, 2.5, 0.0)):
 
 def spec3(s=100.0, h=20.0, n=100):
     return GridSpec(frame=make_frame(np.array([1.0, 0.0, 0.0]), s), half_width=h, n=n)
+
+
+def sampled_d(dim, n):
+    """The reference hologram in `dim` dimensions, n nodes per patch side."""
+    x0 = np.zeros(dim)
+    x0[1] = 2.5
+    k = np.zeros(dim)
+    k[0] = 4.0
+    field = RadiationField(dim, (PointSource(c=1.0 + 0j, x0=x0),))
+    spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=n)
+    return sample_hologram(field, WaveParams(4.0, k), spec)
 
 
 class TestIntensity:
@@ -53,29 +63,6 @@ class TestIntensity:
         assert intensity(f, params3(), x) >= 0.0
 
 
-class TestScatteredSignal:
-    def test_forward_axis_value(self):
-        f = field3(c=1.0 + 0j, x0=(0.0, 0.0, 0.0))
-        a = scattered_signal(f, params3(), np.array([100.0, 0.0, 0.0]))
-        assert a == pytest.approx(2.01)
-
-    @given(st.floats(-18, 18), st.floats(-18, 18))
-    @settings(max_examples=100)
-    def test_definition_identity(self, u, v):
-        f = field3()
-        x = np.array([100.0, u, v])
-        a = scattered_signal(f, params3(), x)
-        r = np.linalg.norm(x)
-        assert a == pytest.approx(r * (intensity(f, params3(), x) - 1.0), abs=1e-12)
-
-    def test_bounded_on_preset_patch(self):
-        f = field3()
-        pts = grid_points(spec3())
-        a = scattered_signal(f, params3(), pts)
-        assert np.all(np.isfinite(a))
-        assert np.max(np.abs(a)) < 10.0
-
-
 class TestSampleHologram:
     def test_no_scatterer_all_ones(self):
         holo = sample_hologram(field3(c=0.0 + 0j), params3(), spec3(n=2))
@@ -95,6 +82,10 @@ class TestSampleHologram:
         holo = sample_hologram(field3(), params3(), spec3(n=4))
         with pytest.raises(ValueError):
             holo.values[0] = 2.0
+        with pytest.raises(ValueError, match="values length must match grid size"):
+            Hologram(holo.spec, holo.values[:-1])
+        with pytest.raises(ValueError, match="intensity values must be nonnegative"):
+            Hologram(holo.spec, holo.values - 2.0)
 
 
 class TestIntensityAt:
@@ -230,6 +221,8 @@ class TestAddNoise:
         noisy = add_noise(holo, 0.01, seed=0)
         rel = np.abs(noisy.values - holo.values) / holo.values
         assert np.max(rel) <= 0.01 + 1e-12
+        with pytest.raises(ValueError, match="relative_level must be nonnegative"):
+            add_noise(holo, -0.01, seed=0)
 
 
 class TestExport:
@@ -247,13 +240,8 @@ class TestExport:
     @pytest.mark.parametrize("dim, n", [(3, 23), (2, 301)])
     def test_csv_bytes_match_per_row_writer(self, tmp_path, monkeypatch, dim, n):
         monkeypatch.setattr(csvrows, "ROW_CHUNK", 64)
-        x0 = np.zeros(dim)
-        x0[1] = 2.5
-        field = RadiationField(dim, (PointSource(c=1.0 + 0j, x0=x0),))
-        k = np.zeros(dim)
-        k[0] = 4.0
-        spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=n)
-        holo = add_noise(sample_hologram(field, WaveParams(4.0, k), spec), 0.01, 2)
+        holo = add_noise(sampled_d(dim, n), 0.01, 2)
+        spec = holo.spec
         assert holo.values.size > csvrows.ROW_CHUNK and holo.values.size % csvrows.ROW_CHUNK
         uv = grid_coords(spec)
         if dim == 3:
@@ -271,14 +259,18 @@ class TestExport:
         hologram_to_csv(holo, str(path))
         assert path.read_text() == expected
 
-    def test_pgm_layout(self, tmp_path):
-        holo = sample_hologram(field3(), params3(), spec3(n=3))
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_pgm_layout(self, tmp_path, dim):
+        n = 3
+        holo = sampled_d(dim, n)
         path = tmp_path / "holo.pgm"
         hologram_to_pgm(holo, str(path))
         blob = path.read_bytes()
-        assert blob.startswith(b"P5")
-        # last 9 bytes are the pixel payload
-        pixels = blob[-9:]
+        # a d=2 line of n nodes is an n x 1 image
+        header = f"P5\n{n} {n if dim == 3 else 1}\n255\n".encode("ascii")
+        assert blob.startswith(header)
+        pixels = blob[len(header):]
+        assert len(pixels) == n ** (dim - 1)
         assert min(pixels) == 0 and max(pixels) == 255
 
     def test_export_deterministic(self, tmp_path):

@@ -32,6 +32,8 @@ class TestRegionMasks:
         uv = grid_coords(spec)
         inside = np.all(np.abs(uv) < 2.0, axis=1)
         np.testing.assert_array_equal(masks["D"], inside)
+        with pytest.raises(ValueError, match="box half-width must be positive"):
+            region_masks(spec, 0)
 
 
 class TestRelL2:

@@ -4,21 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from holoplane import csvrows, recon
-from holoplane.errors import (
-    DegenerateDeterminantError,
-    ExceptionalDirectionError,
-    InfeasibleParametersError,
-)
+from holoplane.errors import ExceptionalDirectionError, InfeasibleParametersError
 from holoplane.fields import (
     PointSource,
     RadiationField,
     WaveParams,
-    eval_radiation,
     far_field,
     plane_wave,
 )
 from holoplane.geometry import GridSpec, grid_coords, make_frame, point_on_plane
-from holoplane.hologram import sample_hologram, scattered_signal
+from holoplane.hologram import intensity_lookup, sample_hologram
 from holoplane.metrics import rel_l2, slope_estimate
 from holoplane.recon import (
     BoundedOffset,
@@ -27,13 +22,14 @@ from holoplane.recon import (
     beta_solve,
     determinant,
     determinant_phase_expansion,
-    f11,
-    f11_refined_2d,
     recon_to_csv,
     reconstruct_grid,
+    reconstruct_points,
     zeta_bounded,
     zeta_sqrt,
 )
+
+from closed_form import two_point_f11
 
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -261,31 +257,31 @@ class TestPhaseExpansion:
             assert abs(exact - model) <= bound + 1e-12
 
 
-def constant_farfield_signal(pt, f1c, p):
-    """Scattered signal of the algebra fixture psi = e^{i k r} r^{-(d-1)/2} f1c
-    (a constant "far field" with no remainder terms)."""
-    r = np.linalg.norm(pt)
+def constant_farfield_lookup(f1c, p):
+    """Intensity lookup of the algebra fixture psi = e^{i k r} r^{-(d-1)/2} f1c
+    (a constant "far field" with no remainder terms): (m, d) points to
+    (intensity, inside)."""
     half = (p.dim - 1) / 2.0
-    psi = np.exp(1j * p.kappa * r) * r ** (-half) * f1c
-    i_val = abs(plane_wave(pt, p) + psi) ** 2
-    return r**half * (i_val - 1.0)
+
+    def lookup(pts):
+        r = np.linalg.norm(pts, axis=-1)
+        psi = np.exp(1j * p.kappa * r) * r ** (-half) * f1c
+        return np.abs(plane_wave(pts, p) + psi) ** 2, np.ones(len(pts), dtype=bool)
+
+    return lookup
+
+
+def bounded_point_run(x, lookup, p, frame, refine2d=False):
+    """`reconstruct_points` at the one plane point x with the bounded
+    offset (alpha = -0.5, eps = 0.1), reading the intensity at x and y
+    through `lookup`.  Returns y = x + zeta, D and f11."""
+    x = x[None]
+    zeta, D, est, _, _ = reconstruct_points(
+        x, lookup(x)[0], lookup, p, frame, BoundedOffset(alpha=-0.5, eps=0.1), refine2d)
+    return x[0] + zeta[0], D[0], est[0]
 
 
 class TestF11:
-    def test_zero_signal(self):
-        p = params_d(3)
-        frame = make_frame(E1, 100.0)
-        theta = unit([1.0, 0.2, 0.0])
-        x = point_on_plane(theta, frame)
-        zeta = zeta_bounded(theta, p, frame, -0.5, 0.1)
-        assert f11(0.0, 0.0, x, x + zeta, p) == 0.0
-
-    def test_degenerate_determinant_rejected(self):
-        p = params_d(3)
-        x = 100.0 * E1
-        with pytest.raises(DegenerateDeterminantError):
-            f11(1.0, 1.0, x, x, p)
-
     @pytest.mark.parametrize("dim", [2, 3])
     def test_constant_farfield_residual(self, dim):
         p = params_d(dim)
@@ -296,16 +292,9 @@ class TestF11:
         for s in (50.0, 100.0, 200.0, 400.0, 800.0):
             frame = make_frame(np.eye(dim)[0], s)
             x = point_on_plane(theta, frame)
-            zeta = zeta_bounded(theta, p, frame, -0.5, 0.1)
-            y = x + zeta
-            est = f11(
-                constant_farfield_signal(x, f1c, p),
-                constant_farfield_signal(y, f1c, p),
-                x,
-                y,
-                p,
-            )
-            D = determinant(x, zeta, p)
+            y, D, est = bounded_point_run(x, constant_farfield_lookup(f1c, p), p, frame)
+            np.testing.assert_allclose(y - x, zeta_bounded(theta, p, frame, -0.5, 0.1),
+                                       rtol=1e-12, atol=1e-12)
             resid = abs(est - f1c)
             bound = (2.0 / abs(D)) * abs(f1c) ** 2 * max(
                 np.linalg.norm(x), np.linalg.norm(y)
@@ -321,38 +310,21 @@ class TestF11:
         frame = make_frame(E1, 100.0)
         theta = unit([100.0, 10.0, 10.0])
         x = point_on_plane(theta, frame)
-        zeta = zeta_bounded(theta, p, frame, -0.5, 0.1)
-        y = x + zeta
-
-        def sig(pt):
-            r = np.linalg.norm(pt)
-            i_val = abs(plane_wave(pt, p) + eval_radiation(field, p.kappa, pt)) ** 2
-            return r * (i_val - 1.0)
-
-        est = f11(sig(x), sig(y), x, y, p)
+        _, _, est = bounded_point_run(x, intensity_lookup(field, p), p, frame)
         exact = far_field(field, p.kappa, theta)
         assert abs(est - exact) < 0.1 * abs(exact)
 
 
 class TestF11Refined:
-    def test_zero_input(self):
-        p = params_d(2)
-        x = np.array([100.0, 0.0])
-        y = np.array([100.0, 1.0])
-        assert f11_refined_2d(0.0, x, y, p) == 0.0
-
     def test_correction_magnitude_bound(self):
         p = params_d(2)
         frame = make_frame(np.array([1.0, 0.0]), 100.0)
-        theta = unit([1.0, 0.3])
-        x = point_on_plane(theta, frame)
-        zeta = zeta_bounded(theta, p, frame, -0.5, 0.1)
-        y = x + zeta
-        val = 0.7 - 0.4j
-        refined = f11_refined_2d(val, x, y, p)
-        D = determinant(x, zeta, p)
-        bound = 2 * abs(val) ** 2 / (abs(D) * np.sqrt(np.linalg.norm(x)))
-        assert abs(refined - val) <= bound + 1e-12
+        x = point_on_plane(unit([1.0, 0.3]), frame)
+        lookup = constant_farfield_lookup(0.7 - 0.4j, p)
+        _, D, base = bounded_point_run(x, lookup, p, frame)
+        _, _, refined = bounded_point_run(x, lookup, p, frame, refine2d=True)
+        bound = 2 * abs(base) ** 2 / (abs(D) * np.sqrt(np.linalg.norm(x)))
+        assert 0 < abs(refined - base) <= bound + 1e-12
 
     def test_improves_2d_point_source(self):
         p = params_d(2)
@@ -361,16 +333,9 @@ class TestF11Refined:
         exact = far_field(field, p.kappa, theta)
         frame = make_frame(np.array([1.0, 0.0]), 800.0)
         x = point_on_plane(theta, frame)
-        zeta = zeta_bounded(theta, p, frame, -0.5, 0.1)
-        y = x + zeta
-
-        def sig(pt):
-            r = np.linalg.norm(pt)
-            i_val = abs(plane_wave(pt, p) + eval_radiation(field, p.kappa, pt)) ** 2
-            return np.sqrt(r) * (i_val - 1.0)
-
-        base = f11(sig(x), sig(y), x, y, p)
-        refined = f11_refined_2d(base, x, y, p)
+        lookup = intensity_lookup(field, p)
+        _, _, base = bounded_point_run(x, lookup, p, frame)
+        _, _, refined = bounded_point_run(x, lookup, p, frame, refine2d=True)
         assert abs(refined - exact) < abs(base - exact)
 
 
@@ -503,8 +468,10 @@ class TestCsvBytes:
         )
 
 
-class TestGridMatchesPointHelpers:
-    """The grid and the public point helpers share each formula."""
+class TestGridMatchesClosedForm:
+    """The grid agrees with the public offset helpers and with the estimator
+    written out in closed form (`closed_form.two_point_f11`), which shares
+    no formula with the kernel."""
 
     def test_sampled_preset_nodes(self, preset_run):
         cfg, result = preset_run
@@ -519,9 +486,9 @@ class TestGridMatchesPointHelpers:
             np.testing.assert_allclose(zeta, result.zeta[i], rtol=1e-12, atol=1e-12)
             D = determinant(x, zeta, p)
             assert D == pytest.approx(result.D[i], rel=1e-12)
-            y = x + zeta
-            est = f11(scattered_signal(field, p, x), scattered_signal(field, p, y), x, y, p)
-            assert est == pytest.approx(result.f11[i], rel=1e-9, abs=1e-12)
+        # the estimator at every node, on the grid's own offsets
+        est = two_point_f11(field, p, result.points, result.points + result.zeta)
+        np.testing.assert_allclose(est, result.f11, rtol=1e-9, atol=1e-12)
 
     def test_node_blocks_leave_the_grid_unchanged(self, monkeypatch):
         # a hybrid run in one block and in 37-node blocks, read bilinearly
@@ -555,9 +522,7 @@ class TestGridMatchesPointHelpers:
         field, p, spec = preset_field(2), params_d(2), small_spec(41, dim=2)
         strategy = BoundedOffset(alpha=-0.5, eps=0.1)
         res = reconstruct_grid(field, p, spec, strategy, refine2d=True)
-        for i in np.flatnonzero(~res.flag_exceptional)[::5]:
-            x = res.points[i]
-            y = x + res.zeta[i]
-            est = f11(scattered_signal(field, p, x), scattered_signal(field, p, y), x, y, p)
-            refined = f11_refined_2d(est, x, y, p)
-            assert refined == pytest.approx(res.f11[i], rel=1e-9, abs=1e-12)
+        ok = ~res.flag_exceptional
+        x = res.points[ok]
+        refined = two_point_f11(field, p, x, x + res.zeta[ok], refine2d=True)
+        np.testing.assert_allclose(refined, res.f11[ok], rtol=1e-9, atol=1e-12)
