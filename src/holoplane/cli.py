@@ -101,7 +101,8 @@ def compute_metrics(cfg, result):
     One pass over the node blocks forms both intensities of a block, the
     true one from the exact field the result carries, and the `l2_terms`
     of both measures, and adds their `l2_sums` to every region's totals,
-    in the block order of `rel_l2`."""
+    in the block order of `rel_l2`. G holds every node, so its sums take
+    the whole block (mask None) instead of copying it through G's mask."""
     masks = region_masks(result.spec, cfg.region_halfwidth)
     params = cfg.wave_params()
     sums = {(metric, name): np.zeros(2) for name in masks for metric in ("E", "E_dis")}
@@ -112,8 +113,9 @@ def compute_metrics(cfg, result):
                  "E_dis": l2_terms(shifted_intensity(psi0, psi1_rec),
                                    shifted_intensity(psi0, psi1))}
         for name, mask in masks.items():
+            selected = None if name == "G" else mask[b]
             for metric, t in terms.items():
-                sums[metric, name] += l2_sums(t, mask[b])
+                sums[metric, name] += l2_sums(t, selected)
     out = {}
     for name, mask in masks.items():
         if not mask.any():

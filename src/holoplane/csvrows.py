@@ -18,9 +18,13 @@ than once per node, and no per-node index or coordinate array is built.
 
 An integer below 10**10 in magnitude is exactly a float64 whose `%.10g`
 text is its `%d` text, so every column goes through one float formatter.
-Each value gets a 24-byte slot, built as three little-endian 64-bit words.
-Bytes the value does not use are NUL, the slot's last byte holds its `,`
-or `\\n`, and one `bytes.translate` per chunk deletes the NULs. A slot
+A chunk is one array of little-endian 64-bit words, a row of slots per
+CSV row. Bytes a text does not use are NUL, the last byte of each slot
+holds its column's `,` or `\\n`, and one `bytes.translate` per chunk
+deletes the NULs. A pair column's slot is the fewest words that hold the
+longest text of its table plus the delimiter, with each text left-aligned;
+in the default d=3 run the grid columns and the flags take 8 or 16 bytes.
+Each value of an array column gets a 24-byte slot of three words, which
 holds, at fixed offsets:
 
 - byte 0: `-` when the sign bit is set (so -0.0 is written `-0`);
@@ -50,10 +54,13 @@ instead:
   misplaced e still gives %.10g's digits;
 - integers with |v| >= 10**10.
 
-A chunk is ROW_CHUNK rows of all columns. Each run of adjacent array
-columns is formatted by one `_format` call straight into the chunk's slot
-array. At 512 rows by 14 columns the slot array and the bytes made from
-it are 172 kB each, and the formatter's temporaries at most 57 kB each.
+A chunk holds as many rows as fit in CHUNK_BYTES of slots, so a file with
+narrow rows gets more rows per chunk at the same slot memory: 672 rows of
+the 256-byte slot row of a d=3 `recon.csv`, 2389 of the 72-byte row of a
+d=3 `hologram.csv`. Each run of adjacent array columns is formatted by one
+`_format` call straight into its words of the chunk. The slot array and the
+bytes made from it take at most 172 kB each, and the formatter's
+temporaries at most 57 kB each.
 The lookup tables, about 120 kB, are built on the first write, so
 `import holoplane` does not pay for them.
 """
@@ -63,9 +70,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-# Rows per chunk: large enough to amortise the per-chunk numpy calls, small
-# enough that the chunk's temporaries do not raise the peak memory.
-ROW_CHUNK = 512
+# Slot bytes per chunk, 168 KiB: large enough to amortise the per-chunk
+# numpy calls, small enough that the chunk's temporaries do not raise the
+# peak memory.
+CHUNK_BYTES = 512 * 14 * 24
 
 E_MIN, E_MAX = -290, 300  # exponents of the floats the array path formats
 ROW0 = 1 - E_MIN  # table row of exponent e is e + ROW0; row 0 writes zero
@@ -74,6 +82,7 @@ LOW, HIGH = 1e9 - 0.01, 1e10 + 1  # scaled values the array path takes
 FALLBACK = "S23"  # a `%`-written slot: text and NUL padding, no delimiter
 U8 = np.dtype("<u8")
 MINUS = np.uint64(ord("-"))
+LAST = np.uint64(56)  # shift to the last byte of a slot word
 
 
 def _pack(text, byte):
@@ -207,6 +216,12 @@ def _format(block, cap, t, words):
     return ok
 
 
+def _chunk_rows(words):
+    """Rows per chunk of a file whose rows take `words` slot words: as many
+    as fit in CHUNK_BYTES, and at least one."""
+    return max(1, CHUNK_BYTES // (8 * words))
+
+
 def grid_columns(spec):
     """Node index and in-plane coordinate columns of a per-node CSV, by
     name, in row-major grid order (d=3: i,j,x2,x3; d=2: i,x2).
@@ -215,11 +230,12 @@ def grid_columns(spec):
     the pair (axis values, the node's row or column number) that
     `write_csv` formats once per axis value. The index of a chunk of rows
     is a window of one short table: nodes k..k+m-1 have the column numbers
-    of nodes k%n..k%n+m-1 and their row numbers plus k//n, for any chunk of
-    up to ROW_CHUNK rows."""
+    of nodes k%n..k%n+m-1 and their row numbers plus k//n. A row that holds
+    these four columns takes at least four slot words, so the table covers
+    a chunk of `_chunk_rows(4)` rows, the largest."""
     n = spec.n
     if spec.frame.dim == 3:
-        window_row, window_col = np.divmod(np.arange(n + ROW_CHUNK), n)
+        window_row, window_col = np.divmod(np.arange(n + _chunk_rows(4)), n)
 
         def row(rows):
             k = rows.start % n
@@ -260,6 +276,21 @@ def _slots(arrays, t, words):
             text.view(np.uint8).reshape(rows.size, -1))
 
 
+def _pair_slots(values, end, t):
+    """Slot words of a pair's `values`, shaped (len(values), words): each
+    value's text left-aligned in the fewest words that hold the longest
+    text and its delimiter, and `end`, the delimiter shifted to the top
+    byte, in the last word."""
+    slots = np.empty((len(values), 1, 3), U8)
+    _slots([values], t, slots)
+    slots[..., 2] |= np.uint64(ord("\n")) << LAST  # ends each text
+    texts = slots.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    words = (max(map(len, texts), default=0) + 8) // 8
+    table = np.array(texts, f"S{8 * words}").view(U8).reshape(len(texts), words)
+    table[:, -1] |= end
+    return table
+
+
 def write_csv(path, columns):
     """Write `columns`, a dict from header name to column, as CSV with a
     header line.
@@ -274,35 +305,41 @@ def write_csv(path, columns):
     one."""
     t = _tables()
     arrays = list(columns.values())
-    tables = {}  # column number -> slot words of its values
-    runs = []  # [first, last + 1] of each run of adjacent array columns
+    ends = np.array([ord(",")] * (len(arrays) - 1) + [ord("\n")], U8) << LAST
+    pairs = []  # (first word, column number, slot table) of each pair
+    runs = []  # [first word, first, last + 1] of each run of adjacent array columns
+    width = 0  # slot words per row
     for c, column in enumerate(arrays):
         if isinstance(column, np.ndarray) and column.dtype == bool:
             column = (np.array([0, 1]), column)
         if isinstance(column, tuple):
             values, arrays[c] = np.asarray(column[0]), column[1]
-            slots = np.empty((len(values), 1, 3), U8)
-            _slots([values], t, slots)
-            tables[c] = slots[:, 0]
-        elif runs and runs[-1][1] == c:
-            runs[-1][1] += 1
+            table = _pair_slots(values, ends[c], t)
+            pairs.append((width, c, table))
+            width += table.shape[1]
+            continue
+        if runs and runs[-1][2] == c:
+            runs[-1][2] += 1
         else:
-            runs.append([c, c + 1])
-    delims = np.array([ord(",")] * (len(arrays) - 1) + [ord("\n")], U8) << np.uint64(56)
+            runs.append([width, c, c + 1])
+        width += 3
+    step = _chunk_rows(width)
     nrows = next(len(a) for a in arrays if not callable(a))
     functions = list(dict.fromkeys(a for a in arrays if callable(a)))
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
-        for start in range(0, nrows, ROW_CHUNK):
-            rows = slice(start, min(start + ROW_CHUNK, nrows))
+        for start in range(0, nrows, step):
+            rows = slice(start, min(start + step, nrows))
             # a function that several columns share is called once per chunk
             values = {f: f(rows) for f in functions}
             chunk = [values[a] if callable(a) else a[rows] for a in arrays]
-            words = np.empty((len(chunk[0]), len(chunk), 3), U8)
-            for lo, hi in runs:
-                _slots(chunk[lo:hi], t, words[:, lo:hi])
-            for c, table in tables.items():
+            words = np.empty((rows.stop - start, width), U8)
+            for first, lo, hi in runs:
+                # a view: the run's words are contiguous within each row
+                slots = words[:, first:first + 3 * (hi - lo)].reshape(-1, hi - lo, 3)
+                _slots(chunk[lo:hi], t, slots)
+                slots[..., 2] |= ends[lo:hi]
+            for first, c, table in pairs:
                 # take, not [], reads a boolean index as 0 and 1
-                words[:, c] = table.take(chunk[c], axis=0)
-            words[..., 2] |= delims
+                words[:, first:first + table.shape[1]] = table.take(chunk[c], axis=0)
             fh.write(words.tobytes().translate(None, b"\0"))

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from holoplane import cli, csvrows, fields
+from holoplane import cli, fields
 from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe_errors
 from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
@@ -95,12 +95,14 @@ class TestProfileBytes:
 
     BILINEAR = "mode = bilinear\nstrategy = bounded\n"
 
-    def check(self, tmp_path, config, coords, header):
+    def check(self, tmp_path, config, coords, header, steps):
         rc, out = run(tmp_path, ["reconstruct"], config=config)
         assert rc == 0
         result = _reconstruct(parse_config(config))
         rows = coords(result)
-        assert len(rows) > csvrows.ROW_CHUNK and len(rows) % csvrows.ROW_CHUNK
+        # profile.csv is the last file written: more than one chunk, and a
+        # partial last one
+        assert len(rows) > steps[-1] and len(rows) % steps[-1]
         expected = header
         for c, idx in rows:
             ex, rec = result.psi1[idx], result.psi1_rec[idx]
@@ -109,9 +111,10 @@ class TestProfileBytes:
         assert "nan" in expected
         assert (out / "profile.csv").read_text() == expected
 
-    def test_3d(self, tmp_path, monkeypatch):
+    def test_3d(self, tmp_path, chunk_budget):
         # a 3-d profile has only n rows: shrink the chunk to cross boundaries
-        monkeypatch.setattr(csvrows, "ROW_CHUNK", 8)
+        # (8 rows of 5 three-word slots)
+        steps = chunk_budget(8 * 5 * 24)
 
         def column(result):
             spec = result.spec
@@ -119,17 +122,17 @@ class TestProfileBytes:
             return [(spec.coords[j], i0 * spec.n + j) for j in range(spec.n)]
 
         self.check(tmp_path, self.BILINEAR + "n = 21\n", column,
-                   "x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
+                   "x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n", steps)
 
-    def test_2d(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(csvrows, "ROW_CHUNK", 64)
+    def test_2d(self, tmp_path, chunk_budget):
+        steps = chunk_budget(64 * 5 * 24)
 
         def line(result):
             uv = grid_coords(result.spec)
             return [(u, idx) for idx, u in enumerate(uv[:, 0])]
 
         self.check(tmp_path, self.BILINEAR + "dim = 2\nn = 301\n", line,
-                   "x2,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n")
+                   "x2,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n", steps)
 
 
 class TestSweep:
@@ -145,6 +148,13 @@ class TestSweep:
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run(tmp_path, ["sweep", "--param", "bogus", "--values", "1"])
+
+    def test_unknown_param_in_library_call(self, tmp_path):
+        # the CLI's --param choices stop this before run_sweep
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"^unknown sweep parameter 'foo'$"):
+            cli.run_sweep(parse_config(SMALL), "foo", [1], str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("param, values, message", [
         ("s", "50,abc", "malformed number 'abc'"),

@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from holoplane import csvrows
-from holoplane.csvrows import write_csv
+from holoplane.csvrows import grid_columns, write_csv
+from holoplane.geometry import GridSpec, make_frame
 
 INT64 = np.iinfo(np.int64)
 
@@ -75,11 +76,11 @@ def test_integer_extremes(out):
                 "u": np.full(ints.size, 2**64 - 1, dtype=np.uint64)})
 
 
-def test_mixed_columns_across_chunks(out, monkeypatch):
-    monkeypatch.setattr(csvrows, "ROW_CHUNK", 8)
+def test_mixed_columns_across_chunks(out, chunk_budget):
+    # 8 rows of four three-word slots and the one-word flag
+    steps = chunk_budget(8 * 13 * 8)
     rng = np.random.default_rng(1)
     rows = 21
-    assert rows % csvrows.ROW_CHUNK
     check(out, {
         "a": rng.standard_normal(rows),
         "i": np.arange(rows) - 7,
@@ -87,16 +88,16 @@ def test_mixed_columns_across_chunks(out, monkeypatch):
         "flag": np.arange(rows) % 3 == 0,
         "c": np.round(rng.standard_normal(rows), 3) * 1e4,
     })
+    assert steps == [8]
 
 
-def test_pair_and_bool_columns_across_chunks(out, monkeypatch):
+def test_pair_and_bool_columns_across_chunks(out, chunk_budget):
     # pair values that the array path formats and values it leaves to `%`,
     # indices in random order across chunk boundaries, and pairs between
     # array columns, so that the array columns form several runs
-    monkeypatch.setattr(csvrows, "ROW_CHUNK", 8)
+    steps = chunk_budget(8 * 17 * 8)
     rng = np.random.default_rng(3)
     rows = 45
-    assert rows % csvrows.ROW_CHUNK
     floats = np.array([np.nan, np.inf, -np.inf, 1234567890.5, 0.5, 1.0000000005,
                        -0.0, 1e-300, 9.9999999995e5, -19.89974937, 1e16])
     ints = np.array([10**10, -(10**12), INT64.max, INT64.min, 0, -3, 10**10 - 1])
@@ -110,16 +111,93 @@ def test_pair_and_bool_columns_across_chunks(out, monkeypatch):
         "n": (np.arange(rows) * 7, np.arange(rows)[::-1]),
         "last": rng.random(rows) < 0.3,
     })
+    # 8 rows: the pairs f, k and n take 2, 3 and 1 words, the flags one each
+    assert steps == [8]
 
 
-def test_function_columns_across_chunks(out, monkeypatch):
+@pytest.mark.parametrize("values, nbytes, words", [
+    ([1.5, -12.345], 8, 1),
+    ([-123.456, 2.0], 9, 2),
+    ([-0.001234567891, 3.0], 16, 2),
+    ([-1.234567891e-05, 7.0], 17, 3),
+    # the longest text, 20 bytes: no pair slot needs all 24
+    ([INT64.min, 5], 21, 3),
+])
+def test_pair_slot_width(out, values, nbytes, words):
+    # a pair slot is the fewest words that hold its longest text plus the
+    # delimiter, here `nbytes`; the pair is checked both before an array
+    # column and as the last column
+    values = np.asarray(values)
+    assert max(map(len, reference({"p": values}).splitlines()[1:])) + 1 == nbytes
+    assert csvrows._pair_slots(values, np.uint64(0), csvrows._tables()).shape == (2, words)
+    index = np.array([0, 1, 1, 0, 1])
+    check(out, {"p": (values, index), "a": np.linspace(-1, 1, 5), "q": (values, index[::-1])})
+
+
+def test_one_entry_and_boolean_pairs(out):
+    rows = 7
+    check(out, {"one": (np.array([-2.5]), np.zeros(rows, int)),
+                "bools": (np.array([True, False]), np.arange(rows) % 2),
+                "one_int": (np.array([10**12]), np.zeros(rows, int))})
+
+
+def test_pair_texts_of_different_lengths(out):
+    # "0" and a 17-byte `%`-written text share one three-word slot width
+    values = np.array([0.0, -1.234567891e-300])
+    index = np.array([0, 1, 0, 0, 1, 1])
+    check(out, {"x": (values, index), "i": np.arange(6), "y": (values, index[::-1])})
+
+
+@st.composite
+def mixed_columns(draw):
+    """Up to six columns of `rows` rows: float, integer and boolean arrays,
+    and pairs of float or integer values."""
+    rows = draw(st.integers(1, 30))
+    floats, ints = st.floats(), st.integers(INT64.min, INT64.max)
+    columns = {}
+    for c, kind in enumerate(draw(st.lists(st.sampled_from("fibp"), min_size=1, max_size=6))):
+        if kind == "p":
+            values = np.array(draw(st.lists(draw(st.sampled_from([floats, ints])),
+                                            min_size=1, max_size=5)))
+            column = (values, np.array(draw(st.lists(st.integers(0, len(values) - 1),
+                                                     min_size=rows, max_size=rows))))
+        else:
+            element = {"f": floats, "i": ints, "b": st.booleans()}[kind]
+            column = np.array(draw(st.lists(element, min_size=rows, max_size=rows)))
+        columns[f"c{c}"] = column
+    return columns
+
+
+@given(mixed_columns(), st.integers(8, 600))
+def test_mixed_columns_any_budget(out, columns, budget):
+    # budgets from one row per chunk up, so chunks of every size and
+    # partial last chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvrows, "CHUNK_BYTES", budget)
+        check(out, columns)
+
+
+def test_grid_columns_in_a_long_chunk(out, chunk_budget):
+    # texts of at most 7 bytes give the d=3 grid columns one word each and
+    # a flag makes the fifth, so a chunk takes 4300 rows: far more than 512,
+    # and within the index window of grid_columns
+    steps = chunk_budget(csvrows.CHUNK_BYTES)
+    spec = GridSpec(frame=make_frame(np.eye(3)[0], 100.0), half_width=40.0, n=81)
+    flag = np.arange(spec.size) % 3 == 0
+    write_csv(out, {**grid_columns(spec), "flag": flag})
+    assert steps[-1] == csvrows.CHUNK_BYTES // 40 and spec.size % steps[-1]
+    i, j = np.divmod(np.arange(spec.size), spec.n)
+    assert out.read_text() == reference(
+        {"i": i, "j": j, "x2": spec.coords[i], "x3": spec.coords[j], "flag": flag})
+
+
+def test_function_columns_across_chunks(out, chunk_budget):
     # a column and a pair index given as functions of the chunk's rows give
     # the bytes of the arrays they stand for, across chunk boundaries and
     # into a partial last chunk
-    monkeypatch.setattr(csvrows, "ROW_CHUNK", 8)
+    steps = chunk_budget(8 * 10 * 8)
     rng = np.random.default_rng(4)
     rows = 29
-    assert rows % csvrows.ROW_CHUNK
     z = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
     values = np.array([0.25, -1.5, np.nan, 1e-7])
     index = rng.integers(0, values.size, rows)
@@ -132,15 +210,16 @@ def test_function_columns_across_chunks(out, monkeypatch):
     a = rng.standard_normal(rows)
     write_csv(out, {"abs": lambda r: np.abs(z[r]), "a": a, "v": (values, index_at),
                     "k": lambda r: np.arange(r.start, r.stop) * 3})
+    assert steps == [8]
     assert seen == [(s, min(s + 8, rows)) for s in range(0, rows, 8)]
     assert out.read_text() == reference(
         {"abs": np.abs(z), "a": a, "v": (values, index), "k": np.arange(rows) * 3})
 
 
-def test_non_finite_values_in_ordinary_columns(out, monkeypatch):
+def test_non_finite_values_in_ordinary_columns(out, chunk_budget):
     # '%.10g' writes a NaN as nan whatever its sign bit; x86 NaNs from 0/0
     # carry a set sign bit
-    monkeypatch.setattr(csvrows, "ROW_CHUNK", 4)
+    steps = chunk_budget(4 * 10 * 8)
     special = np.array([np.copysign(np.nan, -1), np.nan, np.inf, -np.inf, -0.0])
     assert np.signbit(special[0])
     rng = np.random.default_rng(5)
@@ -150,6 +229,7 @@ def test_non_finite_values_in_ordinary_columns(out, monkeypatch):
     a[[0, 3, 4, 9]] = special[[0, 1, 2, 3]]
     b[[1, 4, 8, 10]] = special[[3, 0, 4, 2]]
     check(out, {"i": np.arange(rows), "a": a, "b": b, "flag": np.isnan(a)})
+    assert steps == [4]
     assert out.read_text().count("nan") == 3 and "-nan" not in out.read_text()
 
 

@@ -110,6 +110,15 @@ class TestEvalRadiation:
         for row, p in zip(batch, pts):
             assert row == pytest.approx(eval_radiation(f, 4.0, p))
 
+    @pytest.mark.parametrize("dim, sources, message", [
+        (4, (PointSource(1.0 + 0j, np.zeros(4)),), "only d=2 and d=3 are supported"),
+        (1, (PointSource(1.0 + 0j, np.zeros(1)),), "only d=2 and d=3 are supported"),
+        (3, (), "at least one source is required"),
+    ])
+    def test_dimension_and_sources_checked(self, dim, sources, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RadiationField(dim, sources)
+
     def test_duplicate_sources_rejected(self):
         with pytest.raises(ValueError):
             RadiationField(

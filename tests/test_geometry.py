@@ -57,6 +57,10 @@ class TestMakeFrame:
         with pytest.raises(ValueError):
             make_frame(np.zeros(3), 1.0)
 
+    def test_one_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"^dimension must be at least 2$"):
+            make_frame(np.array([1.0]), 1.0)
+
     @given(half_sphere_directions())
     # near the first axis one Gram-Schmidt pass leaves (omega, b2) = 1.6e-8
     @example(np.array([0.999999998, 6.10351561e-05, 9.99999998e-10]))

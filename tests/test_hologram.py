@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoplane import csvrows
 from holoplane.errors import OutOfPatchError
 from holoplane.fields import PointSource, RadiationField, WaveParams
 from holoplane.geometry import GridSpec, grid_coords, grid_points, make_frame
@@ -238,11 +237,10 @@ class TestExport:
         assert float(first[2]) == -20.0
 
     @pytest.mark.parametrize("dim, n", [(3, 23), (2, 301)])
-    def test_csv_bytes_match_per_row_writer(self, tmp_path, monkeypatch, dim, n):
-        monkeypatch.setattr(csvrows, "ROW_CHUNK", 64)
+    def test_csv_bytes_match_per_row_writer(self, tmp_path, chunk_budget, dim, n):
+        steps = chunk_budget(64 * 5 * 24)
         holo = add_noise(sampled_d(dim, n), 0.01, 2)
         spec = holo.spec
-        assert holo.values.size > csvrows.ROW_CHUNK and holo.values.size % csvrows.ROW_CHUNK
         uv = grid_coords(spec)
         if dim == 3:
             expected = "i,j,x2,x3,I\n" + "".join(
@@ -257,6 +255,7 @@ class TestExport:
             )
         path = tmp_path / "holo.csv"
         hologram_to_csv(holo, str(path))
+        assert holo.values.size > steps[-1] and holo.values.size % steps[-1]
         assert path.read_text() == expected
 
     @pytest.mark.parametrize("dim", [3, 2])

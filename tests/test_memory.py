@@ -2,8 +2,9 @@
 
 Once `reconstruct_grid` has returned, its record is the only grid-sized
 memory of a `reconstruct` run: the metrics, the CSV writer and `max_zeta`
-work on NODE_BLOCK nodes or ROW_CHUNK rows at a time. tracemalloc sees
-numpy's buffers, so the traced peak of each stage is what it allocates.
+work on NODE_BLOCK nodes or on CHUNK_BYTES of CSV slots at a time.
+tracemalloc sees numpy's buffers, so the traced peak of each stage is what
+it allocates.
 Any one whole-grid float or index array would take more than 12 % of the
 record at this size.
 """

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holoplane import csvrows, recon
+from holoplane import recon
 from holoplane.errors import ExceptionalDirectionError, InfeasibleParametersError
 from holoplane.fields import (
     PointSource,
@@ -176,6 +176,46 @@ class TestZetaSqrt:
                 continue
             zeta = zeta_sqrt(v, p, frame, -0.5, rng.uniform(20, 500))
             assert abs(np.dot(zeta, omega)) <= 1e-9
+
+
+class TestInputChecks:
+    """The offset and step-size routines reject bad parameters with a text
+    that names the parameter."""
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_bounded_offset_eps(self, eps):
+        with pytest.raises(ValueError, match=r"^eps must be positive$"):
+            BoundedOffset(alpha=-0.5, eps=eps)
+
+    def test_unknown_strategy(self):
+        x = np.array([[100.0, 1.0, 2.0]])
+        frame = make_frame(E1, 100.0)
+        with pytest.raises(TypeError, match=r"^unknown strategy 'sqrt'$"):
+            reconstruct_points(x, np.ones(1), None, params_d(3), frame, "sqrt")
+
+    def test_zeta_bounded_alpha(self):
+        theta = unit([1.0, 0.3, 0.0])
+        with pytest.raises(ValueError, match=r"^alpha must be nonzero$"):
+            zeta_bounded(theta, params_d(3), make_frame(E1, 100.0), 0.0, 0.1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_beta_solve_alpha(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be negative$"):
+            beta_solve(alpha, 4.0, 100.0, np.zeros(3), np.zeros(3),
+                       np.array([0.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_zeta_sqrt_alpha(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be negative$"):
+            zeta_sqrt(E1, params_d(3), make_frame(E1, 100.0), alpha, 100.0)
+
+    def test_zeta_sqrt_no_real_root(self):
+        # theta_par = (0, 2, 0) is not on the unit sphere, so t2 = 4 and the
+        # discriminant 64 + (8 / r) * 3 * alpha is negative for r = 0.1
+        theta = np.array([1.0, 2.0, 0.0])
+        with pytest.raises(InfeasibleParametersError,
+                           match=r"^negative discriminant in the step-size quadratic$"):
+            zeta_sqrt(theta, params_d(3), make_frame(E1, 100.0), -0.5, 0.1)
 
 
 @st.composite
@@ -446,8 +486,8 @@ class TestCsvBytes:
         (3, 21, "i,j,x2,x3,"),
         (2, 301, "i,x2,"),
     ])
-    def test_bilinear_bounded_run(self, tmp_path, monkeypatch, dim, n, header):
-        monkeypatch.setattr(csvrows, "ROW_CHUNK", 64)
+    def test_bilinear_bounded_run(self, tmp_path, chunk_budget, dim, n, header):
+        steps = chunk_budget(64 * 14 * 24)
         field, p, spec = preset_field(dim), params_d(dim), small_spec(n, dim)
         holo = sample_hologram(field, p, spec)
         res = reconstruct_grid(field, p, spec, BoundedOffset(alpha=-0.5, eps=0.1),
@@ -455,12 +495,12 @@ class TestCsvBytes:
         # rows past a chunk boundary, a partial last chunk, NaN rows both
         # out of the patch and in the exceptional set, and both flags
         nodes = res.points.shape[0]
-        assert nodes > csvrows.ROW_CHUNK and nodes % csvrows.ROW_CHUNK
         nan_rows = np.isnan(res.f11)
         assert (nan_rows & ~res.flag_exceptional).any()
         assert res.flag_exceptional.any() and res.flag_small_d.any()
         path = tmp_path / "recon.csv"
         recon_to_csv(res, str(path))
+        assert nodes > steps[-1] and nodes % steps[-1]
         assert path.read_text() == (
             header + "re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
             "re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD\n"

@@ -52,6 +52,9 @@ CONFIGS = {
     "2d-noise-n301": "dim = 2\nnoise_level = 0.01\nn = 301\n",
     "2d-tilted-bilinear-hybrid-n501": ("dim = 2\nomega = 0.6, 0.8\nmode = bilinear\n"
                                        "strategy = hybrid\nn = 501\n"),
+    # Coordinates whose texts fill three slot words, e.g. -0.0009327846365.
+    "fine-h-n37-3d": "h = 0.000987654321\nn = 37\nregion_halfwidth = 0.0005\n",
+    "fine-h-n37-2d": "dim = 2\nh = 0.000987654321\nn = 37\nregion_halfwidth = 0.0005\n",
     # Failing runs: an empty error region, and a source on a grid node.
     "empty-D-n2": "n = 2\n",
     "empty-D-box0.1": "region_halfwidth = 0.1\n",
