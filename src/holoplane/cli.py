@@ -20,7 +20,7 @@ from .errors import (
     UndefinedDenominatorError,
 )
 from .fields import far_field, plane_wave
-from .geometry import grid_coords, grid_points, point_on_plane
+from .geometry import point_on_plane
 from .hologram import (
     add_noise,
     hologram_to_csv,
@@ -29,10 +29,11 @@ from .hologram import (
     sample_hologram,
 )
 from .metrics import (
+    box_axis,
+    in_box,
     l2_ratio,
     l2_sums,
     l2_terms,
-    region_masks,
     rel_l2,
     shifted_intensity,
     slope_estimate,
@@ -102,23 +103,25 @@ def compute_metrics(cfg, result):
     true one from the exact field the result carries, and the `l2_terms`
     of both measures, and adds their `l2_sums` to every region's totals,
     in the block order of `rel_l2`. G holds every node, so its sums take
-    the whole block (mask None) instead of copying it through G's mask."""
-    masks = region_masks(result.spec, cfg.region_halfwidth)
+    the whole block (mask None), and D's block mask comes from `in_box`."""
+    spec = result.spec
+    axis = box_axis(spec, cfg.region_halfwidth)
+    regions = {"G": True, "D": axis.any(), "G\\D": not axis.all()}
     params = cfg.wave_params()
-    sums = {(metric, name): np.zeros(2) for name in masks for metric in ("E", "E_dis")}
-    for b in node_blocks(result.spec.size):
+    sums = {(metric, name): np.zeros(2) for name in regions for metric in ("E", "E_dis")}
+    for b in node_blocks(spec.size):
         psi1, psi1_rec = result.psi1[b], result.psi1_rec[b]
         psi0 = plane_wave(result.points[b], params)
         terms = {"E": l2_terms(psi1_rec, psi1),
                  "E_dis": l2_terms(shifted_intensity(psi0, psi1_rec),
                                    shifted_intensity(psi0, psi1))}
-        for name, mask in masks.items():
-            selected = None if name == "G" else mask[b]
+        inside = in_box(spec, axis, b)
+        for name, selected in (("G", None), ("D", inside), ("G\\D", ~inside)):
             for metric, t in terms.items():
                 sums[metric, name] += l2_sums(t, selected)
     out = {}
-    for name, mask in masks.items():
-        if not mask.any():
+    for name, occupied in regions.items():
+        if not occupied:
             raise UndefinedDenominatorError(f"region {name} holds no grid node")
         out[("E", name)] = l2_ratio(sums["E", name])
         out[("E_dis", name)] = l2_ratio(sums["E_dis", name])
@@ -144,18 +147,13 @@ def run_reconstruct(cfg, outdir):
 
 
 def _write_profile(result, path):
-    """Central vertical profile: the column with smallest |first in-plane
-    coordinate| (ties -> smaller index), second coordinate varying."""
+    """Central vertical profile: the row of `GridSpec.shape` with smallest
+    |first in-plane coordinate| (ties -> smaller index), second coordinate
+    varying; in d=2 the whole line."""
     spec = result.spec
-    if spec.frame.dim == 3:
-        name = "x3"
-        i0 = int(np.argmin(np.abs(spec.coords)))
-        rows = slice(i0 * spec.n, (i0 + 1) * spec.n)
-    else:
-        name = "x2"
-        rows = slice(None)
-    ex, rec = result.psi1[rows], result.psi1_rec[rows]
-    write_csv(path, {name: spec.coords, "re_psi1": ex.real, "im_psi1": ex.imag,
+    row = (int(np.argmin(np.abs(spec.coords))),) * (spec.frame.dim - 2)
+    ex, rec = (a.reshape(spec.shape)[row] for a in (result.psi1, result.psi1_rec))
+    write_csv(path, {f"x{spec.frame.dim}": spec.coords, "re_psi1": ex.real, "im_psi1": ex.imag,
                      "re_psi1rec": rec.real, "im_psi1rec": rec.imag})
 
 
@@ -196,12 +194,11 @@ def run_sweep(cfg, param, values, outdir):
 
 def _probe_theta(cfg):
     """Direction of the grid node nearest in-plane coordinates (10, 10)
-    (d=3) or 10 (d=2) on the base-config grid."""
+    (d=3) or 10 (d=2) on the base-config grid: the nearest axis value on
+    each axis (ties: the smaller), as the squared distance sums the axes."""
     spec = cfg.grid_spec()
-    uv = grid_coords(spec)
-    target = np.full(spec.frame.dim - 1, 10.0)
-    idx = int(np.argmin(np.linalg.norm(uv - target, axis=1)))
-    x = grid_points(spec)[idx]
+    uv = spec.coords[[np.argmin(np.abs(spec.coords - 10.0))] * len(spec.shape)]
+    x = spec.frame.s * spec.frame.omega + uv @ spec.frame.basis
     return x / np.linalg.norm(x)
 
 

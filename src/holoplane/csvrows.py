@@ -13,16 +13,16 @@ can also be a function of a row slice, called once per chunk with that
 chunk's rows: a derived column such as |D| is then built a chunk at a
 time, never for the whole table. `grid_columns` gives the d=3 node columns
 i, j, x2 and x3 as pairs over the n axis values whose index is such a
-function, so each grid coordinate is formatted once per axis value rather
-than once per node, and no per-node index or coordinate array is built.
+function (`GridSpec.node_axes`), so each grid coordinate is formatted once
+per axis value, and no per-node index or coordinate array is built.
 
 An integer below 10**10 in magnitude is exactly a float64 whose `%.10g`
 text is its `%d` text, so every column goes through one float formatter.
 A chunk is one array of little-endian 64-bit words, a row of slots per
 CSV row. Bytes a text does not use are NUL, the last byte of each slot
 holds its column's `,` or `\\n`, and one `bytes.translate` per chunk
-deletes the NULs. A pair column's slot is the fewest words that hold the
-longest text of its table plus the delimiter, with each text left-aligned;
+deletes the NULs. A pair's slot holds its `%` text left-aligned in the
+fewest words that hold the longest text of its table plus the delimiter;
 in the default d=3 run the grid columns and the flags take 8 or 16 bytes.
 Each value of an array column gets a 24-byte slot of three words, which
 holds, at fixed offsets:
@@ -224,30 +224,27 @@ def _chunk_rows(words):
 
 def grid_columns(spec):
     """Node index and in-plane coordinate columns of a per-node CSV, by
-    name, in row-major grid order (d=3: i,j,x2,x3; d=2: i,x2).
+    name, in node order (d=3: i,j,x2,x3; d=2: i,x2).
 
     For d=3 each column takes one of the n axis values per node, so it is
     the pair (axis values, the node's row or column number) that
     `write_csv` formats once per axis value. The index of a chunk of rows
-    is a window of one short table: nodes k..k+m-1 have the column numbers
-    of nodes k%n..k%n+m-1 and their row numbers plus k//n. A row that holds
-    these four columns takes at least four slot words, so the table covers
-    a chunk of `_chunk_rows(4)` rows, the largest."""
-    n = spec.n
+    is that chunk's axis indices, `GridSpec.node_axes`."""
     if spec.frame.dim == 3:
-        window_row, window_col = np.divmod(np.arange(n + _chunk_rows(4)), n)
-
         def row(rows):
-            k = rows.start % n
-            return window_row[k:k + rows.stop - rows.start] + rows.start // n
+            return spec.node_axes(rows)[0]
 
         def col(rows):
-            k = rows.start % n
-            return window_col[k:k + rows.stop - rows.start]
+            return spec.node_axes(rows)[1]
 
-        idx, coords = np.arange(n), spec.coords
+        idx, coords = np.arange(spec.n), spec.coords
         return {"i": (idx, row), "j": (idx, col), "x2": (coords, row), "x3": (coords, col)}
-    return {"i": np.arange(n), "x2": spec.coords}
+    return {"i": np.arange(spec.n), "x2": spec.coords}
+
+
+def _template(column):
+    """'%d' for an integer or boolean column, '%.10g' for a float one."""
+    return "%d" if column.dtype.kind in "biu" else "%.10g"
 
 
 def _slots(arrays, t, words):
@@ -255,7 +252,7 @@ def _slots(arrays, t, words):
     shaped (rows, len(arrays), 3), without the delimiters: `_format`'s
     words, the constant slots of the non-finite values, and `%`'s text for
     the other values the words do not hold."""
-    templates = ["%d" if a.dtype.kind in "biu" else "%.10g" for a in arrays]
+    templates = [_template(a) for a in arrays]
     # integers from 10**10 on (exponent row past 9 + ROW0) are left to '%d'
     cap = np.array([9 + ROW0 if tpl == "%d" else E_MAX + ROW0 for tpl in templates])
     block = np.stack(arrays, axis=1, dtype=np.float64)
@@ -276,15 +273,13 @@ def _slots(arrays, t, words):
             text.view(np.uint8).reshape(rows.size, -1))
 
 
-def _pair_slots(values, end, t):
+def _pair_slots(values, end):
     """Slot words of a pair's `values`, shaped (len(values), words): each
-    value's text left-aligned in the fewest words that hold the longest
+    value's `%` text left-aligned in the fewest words that hold the longest
     text and its delimiter, and `end`, the delimiter shifted to the top
     byte, in the last word."""
-    slots = np.empty((len(values), 1, 3), U8)
-    _slots([values], t, slots)
-    slots[..., 2] |= np.uint64(ord("\n")) << LAST  # ends each text
-    texts = slots.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    template = _template(values)
+    texts = [(template % v).encode() for v in values.tolist()]
     words = (max(map(len, texts), default=0) + 8) // 8
     table = np.array(texts, f"S{8 * words}").view(U8).reshape(len(texts), words)
     table[:, -1] |= end
@@ -314,7 +309,7 @@ def write_csv(path, columns):
             column = (np.array([0, 1]), column)
         if isinstance(column, tuple):
             values, arrays[c] = np.asarray(column[0]), column[1]
-            table = _pair_slots(values, ends[c], t)
+            table = _pair_slots(values, ends[c])
             pairs.append((width, c, table))
             width += table.shape[1]
             continue
@@ -324,7 +319,10 @@ def write_csv(path, columns):
             runs.append([width, c, c + 1])
         width += 3
     step = _chunk_rows(width)
-    nrows = next(len(a) for a in arrays if not callable(a))
+    nrows = next((len(a) for a in arrays if not callable(a)), None)
+    if nrows is None:
+        raise ValueError("write_csv needs an array column, or a pair whose "
+                         "index is an array, to fix the row count")
     functions = list(dict.fromkeys(a for a in arrays if callable(a)))
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())

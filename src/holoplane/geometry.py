@@ -135,26 +135,29 @@ class GridSpec:
         return np.linspace(-self.half_width, self.half_width, self.n)
 
     @property
+    def shape(self):
+        """Nodes per in-plane axis, (n,) or (n, n). Every per-node array
+        numbers the nodes in C order over it: in d=3 rows vary slowest."""
+        return (self.n,) * (self.frame.dim - 1)
+
+    @property
     def size(self):
-        return self.n ** (self.frame.dim - 1)
+        return int(np.prod(self.shape))
+
+    def node_axes(self, rows=slice(None)):
+        """Per-axis indices into `coords` of the contiguous node range
+        `rows`, one index array per axis of `shape`."""
+        return np.unravel_index(np.arange(*rows.indices(self.size)), self.shape)
 
 
 def grid_coords(spec):
-    """In-plane coordinates of the grid nodes, shape (size, d-1), row-major.
-
-    For d=3 the first axis varies slowest (rows), matching np.meshgrid with
-    indexing='ij'.
-    """
-    c = spec.coords
-    d = spec.frame.dim
-    if d == 2:
-        return c[:, None]
-    mesh = np.meshgrid(*([c] * (d - 1)), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    """In-plane coordinates of the grid nodes, shape (size, d-1), in node
+    order."""
+    return spec.coords[np.stack(spec.node_axes(), axis=-1)]
 
 
 def grid_points(spec):
-    """Ambient coordinates of the grid nodes, shape (size, d), row-major."""
+    """Ambient coordinates of the grid nodes, shape (size, d), in node order."""
     uv = grid_coords(spec)
     frame = spec.frame
     return frame.s * frame.omega + uv @ frame.basis

@@ -60,7 +60,7 @@ def bilinear_lookup(holo, y):
     step = 2 * h / (spec.n - 1)
     i = np.clip(np.floor((uv + h) / step).astype(int), 0, spec.n - 2)
     t = (uv - coords[i]) / (coords[i + 1] - coords[i])
-    grid = holo.values.reshape((spec.n,) * uv.shape[-1])
+    grid = holo.values.reshape(spec.shape)
     value = 0.0
     for corner in itertools.product((0, 1), repeat=uv.shape[-1]):
         corner = corner[::-1]  # first in-plane axis varies fastest
@@ -124,10 +124,7 @@ def hologram_to_pgm(holo, path):
     lo, hi = float(vals.min()), float(vals.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     pixels = np.round((vals - lo) * scale).astype(np.uint8)
-    if spec.frame.dim == 3:
-        w = h = spec.n
-    else:
-        w, h = spec.n, 1
+    h, w = ((1,) + spec.shape)[-2:]  # an image row per first-axis value
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

@@ -1,12 +1,13 @@
 """Error measures: relative discrete L2 distance, intensity discrepancy,
-rectangular region masks, and log-log slope fits.
+rectangular regions, and log-log slope fits.
 
 The L2 distance is summed over the grid NODE_BLOCK nodes at a time
 (`recon.node_blocks`): `l2_terms` gives the squared terms of one block,
 `l2_sums` their two sums over a region's nodes of the block, and `l2_ratio`
 turns the running totals into the relative distance. Any caller that adds
 up the same blocks in the same order, as `rel_l2` and `cli.compute_metrics`
-do, gets the same bits.
+do, gets the same bits. D is kept as its per-axis box (`box_axis`), and
+`in_box` gives its membership of a block of nodes.
 """
 
 import numpy as np
@@ -16,21 +17,25 @@ from .fields import eval_radiation, plane_wave
 from .recon import node_blocks
 
 
-def region_masks(spec, box_half_width):
-    """Boolean masks over the grid nodes, row-major order.
-
-    Returns {"G": all nodes, "D": central box |u_i| < b, "G\\D": complement}.
-    A node is in the box when each of its in-plane coordinates is, so the
-    box is built from the one mask over the axis values.
-    """
+def box_axis(spec, box_half_width):
+    """Which axis values of `spec.coords` lie in the central box |u| < b:
+    D is empty when none does, and G\\D when all do."""
     b = float(box_half_width)
     if b <= 0:
         raise ValueError("box half-width must be positive")
-    center = np.abs(spec.coords) < b
-    if spec.frame.dim == 3:
-        center = np.logical_and.outer(center, center).ravel()
-    full = np.ones(spec.size, dtype=bool)
-    return {"G": full, "D": center, "G\\D": ~center}
+    return np.abs(spec.coords) < b
+
+
+def in_box(spec, axis, rows=slice(None)):
+    """Which nodes of the range `rows` have every coordinate in the box `axis`."""
+    return np.logical_and.reduce([axis[a] for a in spec.node_axes(rows)])
+
+
+def region_masks(spec, box_half_width):
+    """Boolean masks over the grid nodes, in node order: {"G": all nodes,
+    "D": central box |u_i| < b, "G\\D": complement}."""
+    center = in_box(spec, box_axis(spec, box_half_width))
+    return {"G": np.ones(spec.size, dtype=bool), "D": center, "G\\D": ~center}
 
 
 def l2_terms(u2, u1):

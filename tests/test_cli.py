@@ -8,7 +8,7 @@ from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe
 from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
 from holoplane.fields import far_field
-from holoplane.geometry import grid_coords, point_on_plane
+from holoplane.geometry import grid_coords, grid_points, point_on_plane
 from holoplane.recon import BoundedOffset, SqrtScaled, zeta_bounded, zeta_sqrt
 
 from closed_form import two_point_f11
@@ -333,6 +333,15 @@ class TestProbe:
         np.testing.assert_allclose([e for _, e in got], [e for _, e in want],
                                    rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("config", [
+        "n = 37\n", "n = 40\n", "omega = 0.8, 0.6, 0\nn = 41\n", "dim = 2\nn = 40\n"])
+    def test_probe_is_the_nearest_node(self, config):
+        # the reference searches the whole grid for the node nearest (10, 10)
+        cfg = parse_config(config)
+        spec = cfg.grid_spec()
+        x = grid_points(spec)[np.argmin(np.linalg.norm(grid_coords(spec) - 10.0, axis=1))]
+        np.testing.assert_array_equal(_probe_theta(cfg), x / np.linalg.norm(x))
+
     def test_rates_table_matches_scalar_chain(self, tmp_path):
         config = "dim = 2\nstrategy = bounded\nalpha = 0.7\n"
         rc, out = run(tmp_path, ["rates"], config=config)
@@ -356,6 +365,18 @@ class TestProbe:
         assert err == "error: |kappa*theta_par - k_par| = 0.554563628672334 < eps = 1.0\n"
         # the bounded study fails, and rates.csv is opened only after all ran
         assert not (out / "rates.csv").exists()
+
+    def test_determinant_at_the_floor_raises(self, monkeypatch):
+        # |D| = DET_FLOOR exactly counts as degenerate
+        kernel = cli.reconstruct_points
+
+        def at_floor(*args):
+            zeta, D, *rest = kernel(*args)
+            return (zeta, np.full_like(D, 1j * cli.DET_FLOOR), *rest)
+
+        monkeypatch.setattr(cli, "reconstruct_points", at_floor)
+        with pytest.raises(DegenerateDeterminantError, match=r"^\|D\| = 1e-06 <= 1e-06$"):
+            probe_errors(parse_config(""), SqrtScaled(-0.5))
 
     def test_small_determinant_raises(self, monkeypatch):
         monkeypatch.setattr(cli, "DET_FLOOR", 2.0)  # |D| <= 2 always

@@ -48,9 +48,11 @@ def out(tmp_path_factory):
 
 def test_rounding_ties(out):
     # exact ties of the 10th digit, and decimal ties a double can only
-    # approach from one side
+    # approach from one side; the last two scale to a product that rounds
+    # across the tie, so only the tie margin sends them to `%`
     check_floats(out, [1234567890.5, 12345678905.0, 0.5, 2.5, 1.0000000005,
-                       1.2345678905, 2.0000000015e-3, 7.0000000025e15])
+                       1.2345678905, 2.0000000015e-3, 7.0000000025e15,
+                       3.4664354975e-14, 8.5372427965e14])
 
 
 def test_carry_into_next_power_of_ten(out):
@@ -129,7 +131,7 @@ def test_pair_slot_width(out, values, nbytes, words):
     # column and as the last column
     values = np.asarray(values)
     assert max(map(len, reference({"p": values}).splitlines()[1:])) + 1 == nbytes
-    assert csvrows._pair_slots(values, np.uint64(0), csvrows._tables()).shape == (2, words)
+    assert csvrows._pair_slots(values, np.uint64(0)).shape == (2, words)
     index = np.array([0, 1, 1, 0, 1])
     check(out, {"p": (values, index), "a": np.linspace(-1, 1, 5), "q": (values, index[::-1])})
 
@@ -179,8 +181,8 @@ def test_mixed_columns_any_budget(out, columns, budget):
 
 def test_grid_columns_in_a_long_chunk(out, chunk_budget):
     # texts of at most 7 bytes give the d=3 grid columns one word each and
-    # a flag makes the fifth, so a chunk takes 4300 rows: far more than 512,
-    # and within the index window of grid_columns
+    # a flag makes the fifth, so a chunk takes 4300 rows, which start and
+    # stop in the middle of a grid row
     steps = chunk_budget(csvrows.CHUNK_BYTES)
     spec = GridSpec(frame=make_frame(np.eye(3)[0], 100.0), half_width=40.0, n=81)
     flag = np.arange(spec.size) % 3 == 0
@@ -189,6 +191,15 @@ def test_grid_columns_in_a_long_chunk(out, chunk_budget):
     i, j = np.divmod(np.arange(spec.size), spec.n)
     assert out.read_text() == reference(
         {"i": i, "j": j, "x2": spec.coords[i], "x3": spec.coords[j], "flag": flag})
+
+
+def test_row_count_needs_an_array(out):
+    # the d=3 grid columns are pairs indexed by functions of the rows
+    spec = GridSpec(frame=make_frame(np.eye(3)[0], 100.0), half_width=1.0, n=3)
+    with pytest.raises(ValueError) as info:
+        write_csv(out, grid_columns(spec))
+    assert str(info.value) == ("write_csv needs an array column, or a pair whose index "
+                               "is an array, to fix the row count")
 
 
 def test_function_columns_across_chunks(out, chunk_budget):

@@ -122,6 +122,28 @@ class TestGrid:
         spec = GridSpec(frame=fr, half_width=1.0, n=3)
         np.testing.assert_allclose(grid_coords(spec)[:, 0], [-1, 0, 1])
 
+    @pytest.mark.parametrize("dim, rows", [
+        (3, slice(3, 17)),  # starts in row 0, stops in row 2
+        (3, slice(12, 13)),
+        (3, slice(None)),
+        (2, slice(2, 5)),
+    ])
+    def test_node_axes_match_divmod(self, dim, rows):
+        spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=7)
+        row, col = np.divmod(np.arange(spec.size)[rows], spec.n)
+        want = (row, col) if dim == 3 else (col,)
+        got = spec.node_axes(rows)
+        assert spec.shape == (7,) * (dim - 1) and len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grid_coords_match_meshgrid(self, dim):
+        spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=6)
+        mesh = np.meshgrid(*[spec.coords] * (dim - 1), indexing="ij")
+        np.testing.assert_array_equal(grid_coords(spec),
+                                      np.stack([m.ravel() for m in mesh], axis=-1))
+
     def test_deterministic(self):
         fr = make_frame(np.array([1.0, 0.0, 0.0]), 100.0)
         spec = GridSpec(frame=fr, half_width=20.0, n=17)

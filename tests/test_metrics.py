@@ -25,13 +25,13 @@ class TestRegionMasks:
         assert not np.any(masks["D"] & masks["G\\D"])
 
     def test_central_box_membership(self):
-        spec = spec3(n=100)
-        masks = region_masks(spec, 2.0)
         from holoplane.geometry import grid_coords
 
-        uv = grid_coords(spec)
-        inside = np.all(np.abs(uv) < 2.0, axis=1)
-        np.testing.assert_array_equal(masks["D"], inside)
+        # the n = 5 grid has nodes on the box's edge |u_i| = b, outside D
+        for spec, b in ((spec3(n=100), 2.0), (spec3(n=5, h=2.0), 1.0)):
+            inside = np.all(np.abs(grid_coords(spec)) < b, axis=1)
+            np.testing.assert_array_equal(region_masks(spec, b)["D"], inside)
+        assert inside.sum() == 1
         with pytest.raises(ValueError, match="box half-width must be positive"):
             region_masks(spec, 0)
 

@@ -78,6 +78,8 @@ class TestZetaBounded:
         zeta = zeta_bounded(theta, p, frame, -0.5, 0.1)
         np.testing.assert_allclose(zeta, [0.0, 1.25, 0.0], atol=1e-12)
         assert np.dot(p.k - p.kappa * theta, zeta) == pytest.approx(-0.5)
+        # |kappa theta_par - k_par| is 0.4 exactly: eps = 0.4 still admits it
+        np.testing.assert_array_equal(zeta_bounded(theta, p, frame, -0.5, 0.4), zeta)
 
     def test_singular_direction_rejected(self):
         frame = make_frame(E1, 100.0)
@@ -481,6 +483,15 @@ def recon_csv_reference(result):
 
 class TestCsvBytes:
     """The chunked writer gives the bytes of a per-row f-string writer."""
+
+    def test_small_d_flag_includes_the_floor(self, monkeypatch):
+        # a node whose |D| equals DET_FLOOR exactly is flagged
+        field, p, spec = preset_field(3), params_d(3), small_spec(9)
+        floor = np.abs(reconstruct_grid(field, p, spec, SqrtScaled(-0.5)).D).min()
+        monkeypatch.setattr(recon, "DET_FLOOR", floor)
+        res = reconstruct_grid(field, p, spec, SqrtScaled(-0.5))
+        assert res.flag_small_d.any()
+        np.testing.assert_array_equal(res.flag_small_d, np.abs(res.D) <= floor)
 
     @pytest.mark.parametrize("dim, n, header", [
         (3, 21, "i,j,x2,x3,"),
