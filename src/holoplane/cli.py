@@ -5,6 +5,7 @@ All outputs are deterministic CSV/PGM files for a fixed config and seed.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from .errors import (
     HoloplaneError,
     UndefinedDenominatorError,
 )
-from .fields import far_field, plane_wave
+from .fields import far_field
 from .geometry import point_on_plane
 from .hologram import (
     add_noise,
@@ -34,7 +35,6 @@ from .metrics import (
     l2_ratio,
     l2_sums,
     l2_terms,
-    rel_l2,
     shifted_intensity,
     slope_estimate,
 )
@@ -82,79 +82,134 @@ def run_simulate(cfg, outdir):
 
 
 def _reconstruct(cfg):
+    """The records of the node blocks of `cfg`'s grid, in node order, one
+    `reconstruct_grid` call per block, each made when the caller asks for
+    it. A sampled hologram is sampled once, before the first block."""
     # Noisy data can only be consumed through the sampled hologram.
     sampled = cfg.mode == "bilinear" or cfg.noise_level > 0
     holo = _sampled_hologram(cfg) if sampled else None
-    return reconstruct_grid(
-        cfg.radiation_field(),
-        cfg.wave_params(),
-        cfg.grid_spec(),
-        cfg.zeta_strategy(),
-        refine2d=cfg.refine2d,
-        hologram=holo,
-        flag_eps=cfg.eps,
-    )
+    field, params, spec = cfg.radiation_field(), cfg.wave_params(), cfg.grid_spec()
+    strategy = cfg.zeta_strategy()
+    for rows in node_blocks(spec.size):
+        yield reconstruct_grid(field, params, spec, strategy, refine2d=cfg.refine2d,
+                               hologram=holo, flag_eps=cfg.eps, rows=rows)
 
 
-def compute_metrics(cfg, result):
-    """Reconstruction error and intensity discrepancy on G, D, G\\D.
+class _Scores:
+    """Running sums of the reconstruction error E and the intensity
+    discrepancy E_dis on G, D and G\\D over the node blocks of a grid.
 
-    One pass over the node blocks forms both intensities of a block, the
-    true one from the exact field the result carries, and the `l2_terms`
-    of both measures, and adds their `l2_sums` to every region's totals,
-    in the block order of `rel_l2`. G holds every node, so its sums take
-    the whole block (mask None), and D's block mask comes from `in_box`."""
-    spec = result.spec
-    axis = box_axis(spec, cfg.region_halfwidth)
-    regions = {"G": True, "D": axis.any(), "G\\D": not axis.all()}
-    params = cfg.wave_params()
-    sums = {(metric, name): np.zeros(2) for name in regions for metric in ("E", "E_dis")}
-    for b in node_blocks(spec.size):
-        psi1, psi1_rec = result.psi1[b], result.psi1_rec[b]
-        psi0 = plane_wave(result.points[b], params)
-        terms = {"E": l2_terms(psi1_rec, psi1),
-                 "E_dis": l2_terms(shifted_intensity(psi0, psi1_rec),
-                                   shifted_intensity(psi0, psi1))}
-        inside = in_box(spec, axis, b)
-        for name, selected in (("G", None), ("D", inside), ("G\\D", ~inside)):
+    Each block's `l2_terms` of both measures are added, as `l2_sums`, to
+    every region's totals, in the block order of `rel_l2`, so the ratios
+    have its bits. G holds every node, so its sums take the whole block
+    (mask None), and D's block mask comes from `in_box`. Whether D or G\\D
+    holds no node depends on the grid alone, so it is checked up front."""
+
+    REGIONS = ("G", "D", "G\\D")
+
+    def __init__(self, cfg, spec):
+        self.spec = spec
+        self.axis = box_axis(spec, cfg.region_halfwidth)
+        for name, occupied in (("D", self.axis.any()), ("G\\D", not self.axis.all())):
+            if not occupied:
+                raise UndefinedDenominatorError(f"region {name} holds no grid node")
+        self.sums = {(metric, name): np.zeros(2)
+                     for name in self.REGIONS for metric in ("E", "E_dis")}
+
+    def add(self, block):
+        """Add a block record's sums; its true intensity is the one the
+        kernel read at the nodes of an analytic run."""
+        terms = {"E": l2_terms(block.psi1_rec, block.psi1),
+                 "E_dis": l2_terms(shifted_intensity(block.psi0, block.psi1_rec),
+                                   block.intensity - 1.0)}
+        inside = in_box(self.spec, self.axis, block.rows)
+        for name, selected in zip(self.REGIONS, (None, inside, ~inside)):
             for metric, t in terms.items():
-                sums[metric, name] += l2_sums(t, selected)
-    out = {}
-    for name, occupied in regions.items():
-        if not occupied:
-            raise UndefinedDenominatorError(f"region {name} holds no grid node")
-        out[("E", name)] = l2_ratio(sums["E", name])
-        out[("E_dis", name)] = l2_ratio(sums["E_dis", name])
-    return out
+                self.sums[metric, name] += l2_sums(t, selected)
+
+    def ratios(self):
+        """{(metric, region): value}; raises where a reference vanishes."""
+        return {key: l2_ratio(sums) for key, sums in self.sums.items()}
+
+
+def compute_metrics(cfg, blocks):
+    """Reconstruction error and intensity discrepancy on G, D, G\\D, folded
+    over `blocks`, the node-block records of `cfg`'s grid in node order
+    (`_reconstruct`)."""
+    scores = _Scores(cfg, cfg.grid_spec())
+    for block in blocks:
+        scores.add(block)
+    return scores.ratios()
+
+
+def _profile_rows(spec):
+    """Node range of the central vertical profile: the row of
+    `GridSpec.shape` with smallest |first in-plane coordinate| (ties ->
+    smaller index), second coordinate varying; in d=2 the whole line."""
+    row = int(np.argmin(np.abs(spec.coords))) if spec.frame.dim == 3 else 0
+    return slice(row * spec.n, (row + 1) * spec.n)
 
 
 def run_reconstruct(cfg, outdir):
     """Full-grid reconstruction; writes recon.csv, profile.csv, metrics.csv.
-    The metrics are computed first, so a run whose metrics fail writes no
-    file."""
+
+    One pass over the node blocks (`_reconstruct`): `recon_to_csv` writes
+    each block's rows as it takes the block, and the block also adds to the
+    metric sums, the profile rows that fall in it and max |zeta|. A run
+    that fails leaves no file: the empty-region check runs before the
+    pass, and recon.csv and profile.csv are written under temporary names
+    and moved into place once every metric has its value. Returns the
+    metrics and max |zeta|."""
     os.makedirs(outdir, exist_ok=True)
-    result = _reconstruct(cfg)
-    metrics = compute_metrics(cfg, result)
-    recon_to_csv(result, os.path.join(outdir, "recon.csv"))
-    _write_profile(result, os.path.join(outdir, "profile.csv"))
+    spec = cfg.grid_spec()
+    scores = _Scores(cfg, spec)
+    profile_rows = _profile_rows(spec)
+    profile = np.empty((2, spec.n), dtype=complex)  # psi1 and psi1_rec
+    max_zeta = np.nan
+
+    def consume(block):
+        nonlocal max_zeta
+        scores.add(block)
+        lo = max(profile_rows.start, block.rows.start)
+        hi = min(profile_rows.stop, block.rows.stop)
+        if lo < hi:
+            rows = slice(lo - block.rows.start, hi - block.rows.start)
+            profile[:, lo - profile_rows.start:hi - profile_rows.start] = (
+                block.psi1[rows], block.psi1_rec[rows])
+        # fmax skips a block whose nodes all have no offset
+        max_zeta = np.fmax(max_zeta, block.max_zeta)
+        return block
+
+    names = ("recon.csv", "profile.csv")
+    staged = [os.path.join(outdir, f".{name}.part") for name in names]
+    try:
+        # map keeps no reference to a block it is done with, so the writer
+        # lets each block go before the next one is made
+        recon_to_csv(map(consume, _reconstruct(cfg)), staged[0])
+        _write_profile(spec, profile, staged[1])
+        metrics = scores.ratios()
+        for path, name in zip(staged, names):
+            os.replace(path, os.path.join(outdir, name))
+    finally:
+        for path in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     with open(os.path.join(outdir, "metrics.csv"), "w", newline="") as fh:
         fh.write("metric,region,value\n")
         for (metric, region), value in metrics.items():
             fh.write(f"{metric},{region},{value:.6g}\n")
             print(f"{metric},{region},{value:.6g}")
-    print(f"max_zeta,,{result.max_zeta:.6g}")
-    return result, metrics
+    print(f"max_zeta,,{max_zeta:.6g}")
+    return metrics, float(max_zeta)
 
 
-def _write_profile(result, path):
-    """Central vertical profile: the row of `GridSpec.shape` with smallest
-    |first in-plane coordinate| (ties -> smaller index), second coordinate
-    varying; in d=2 the whole line."""
-    spec = result.spec
-    row = (int(np.argmin(np.abs(spec.coords))),) * (spec.frame.dim - 2)
-    ex, rec = (a.reshape(spec.shape)[row] for a in (result.psi1, result.psi1_rec))
-    write_csv(path, {f"x{spec.frame.dim}": spec.coords, "re_psi1": ex.real, "im_psi1": ex.imag,
-                     "re_psi1rec": rec.real, "im_psi1rec": rec.imag})
+def _write_profile(spec, profile, path):
+    """Write the central vertical profile (`_profile_rows`): the true and
+    the reconstructed field, the rows of `profile`, along the varying
+    coordinate."""
+    ex, rec = profile
+    write_csv(path, [{f"x{spec.frame.dim}": spec.coords, "re_psi1": ex.real,
+                      "im_psi1": ex.imag, "re_psi1rec": rec.real, "im_psi1rec": rec.imag}])
 
 
 def _sweep_config(cfg, param, value):
@@ -176,14 +231,17 @@ def _sweep_config(cfg, param, value):
 
 
 def run_sweep(cfg, param, values, outdir):
-    """One full reconstruction per value; writes sweep.csv with E on G.
-    Every swept config is built, and so checked, before the first run."""
+    """One full reconstruction per value, a pass over its node blocks that
+    adds up the sums of E on G; writes sweep.csv with E on G. Every swept
+    config is built, and so checked, before the first run."""
     configs = [_sweep_config(cfg, param, value) for value in values]
     os.makedirs(outdir, exist_ok=True)
     rows = []
     for value, sub in zip(values, configs):
-        result = _reconstruct(sub)
-        rows.append((value, rel_l2(result.psi1_rec, result.psi1)))
+        sums = np.zeros(2)
+        for block in _reconstruct(sub):
+            sums += l2_sums(l2_terms(block.psi1_rec, block.psi1), None)
+        rows.append((value, l2_ratio(sums)))
     with open(os.path.join(outdir, "sweep.csv"), "w", newline="") as fh:
         fh.write("param,value,E_G\n")
         for value, e_g in rows:
@@ -259,7 +317,7 @@ def run_reproduce(cfg, outdir):
     """
     os.makedirs(outdir, exist_ok=True)
     run_simulate(cfg, outdir)
-    result, metrics = run_reconstruct(cfg, outdir)
+    metrics, max_zeta = run_reconstruct(cfg, outdir)
     e_s, e_kappa, e_x0, e_c = (
         [e for _, e in run_sweep(cfg, p, v, os.path.join(outdir, f"sweep_{p}"))]
         for p, v in REFERENCE_SWEEPS.items())
@@ -280,7 +338,7 @@ def run_reproduce(cfg, outdir):
           for region, x in (("G", 7.2e-3), ("D", 6.7e-3), ("G\\D", 7.2e-3))],
         ("E_dis(G) < 0.02 while E(G) > 0.09", f"{dis['G']:.2e} / {100 * e_g:.1f}%",
          dis["G"] < 0.02 and e_g > 0.09),
-        ("max|zeta| < 15", f"{result.max_zeta:.3f}", result.max_zeta < 15),
+        ("max|zeta| < 15", f"{max_zeta:.3f}", max_zeta < 15),
         *[(f"E(s={v})", pct(e), abs(e - x) <= 0.025)
           for v, e, x in zip(v_s, e_s, (0.25, 0.16, 0.117, 0.108))],
         ("E decreasing in s", str([f"{e:.3f}" for e in e_s]),

@@ -1,20 +1,23 @@
 """CSV writer and grid-node columns shared by the per-node exporters.
 
-`write_csv` takes named columns. It writes float columns as `'%.10g' % v`
-and integer and boolean columns as `'%d' % v` would, byte for byte, but it
-formats a chunk of rows with numpy array operations instead of one Python
-format call per value.
+`write_csv` takes a table as a stream of blocks of consecutive rows, each
+a dict of named columns, so a caller can make each block's columns only
+when the writer reaches it: `recon.recon_to_csv` writes a run's node blocks
+one by one, and no column of the whole table need exist. It writes float
+columns as `'%.10g' % v` and integer and boolean columns as `'%d' % v`
+would, byte for byte, but it formats a chunk of rows with numpy array
+operations instead of one Python format call per value.
 
 A column that holds few distinct values is given as a pair
-(values, index), meaning values[index]. Its values are formatted once,
-into a table of slots, and each chunk copies the slots of its indices. A
-boolean column is the pair ([0, 1], column). A column, or a pair's index,
-can also be a function of a row slice, called once per chunk with that
-chunk's rows: a derived column such as |D| is then built a chunk at a
-time, never for the whole table. `grid_columns` gives the d=3 node columns
-i, j, x2 and x3 as pairs over the n axis values whose index is such a
-function (`GridSpec.node_axes`), so each grid coordinate is formatted once
-per axis value, and no per-node index or coordinate array is built.
+(values, index), meaning values[index]. Its values are formatted once per
+file, into a table of slots, and each chunk copies the slots of its
+indices. A boolean column is the pair ([0, 1], column). A column, or a
+pair's index, can also be a function of a slice of the file's rows,
+called once per chunk with that chunk's rows. `grid_columns` gives the d=3
+node columns i, j, x2 and x3 as pairs over the n axis values whose index
+is such a function (`GridSpec.node_axes`), so each grid coordinate is
+formatted once per axis value, and no per-node index or coordinate array
+is built.
 
 An integer below 10**10 in magnitude is exactly a float64 whose `%.10g`
 text is its `%d` text, so every column goes through one float formatter.
@@ -54,13 +57,18 @@ instead:
   misplaced e still gives %.10g's digits;
 - integers with |v| >= 10**10.
 
-A chunk holds as many rows as fit in CHUNK_BYTES of slots, so a file with
-narrow rows gets more rows per chunk at the same slot memory: 672 rows of
-the 256-byte slot row of a d=3 `recon.csv`, 2389 of the 72-byte row of a
-d=3 `hologram.csv`. Each run of adjacent array columns is formatted by one
-`_format` call straight into its words of the chunk. The slot array and the
-bytes made from it take at most 172 kB each, and the formatter's
-temporaries at most 57 kB each.
+The budget of a chunk is as many rows as fit in CHUNK_BYTES of slots
+(`_chunk_rows`), so a file with narrow rows gets more rows per chunk at the
+same slot memory: 672 rows of the 256-byte slot row of a d=3 `recon.csv`,
+2389 of the 72-byte row of a d=3 `hologram.csv`. Each block is cut into
+round(rows / budget) chunks, at least one, of near-equal size (`_chunks`):
+a 4096-node block of `recon.csv` into 6 chunks of at most 683 rows, where
+cuts at the budget would leave a partial seventh chunk of 64 rows that
+costs the numpy calls of a whole one. Each run of adjacent array columns
+is formatted by one `_format` call straight into its words of the chunk.
+A chunk holds at most 1.5 times the budget, so the slot array and the
+bytes made from it take at most 258 kB each, and the formatter's
+temporaries at most 86 kB each.
 The lookup tables, about 120 kB, are built on the first write, so
 `import holoplane` does not pay for them.
 """
@@ -224,12 +232,15 @@ def _chunk_rows(words):
 
 def grid_columns(spec):
     """Node index and in-plane coordinate columns of a per-node CSV, by
-    name, in node order (d=3: i,j,x2,x3; d=2: i,x2).
+    name, in node order (d=3: i,j,x2,x3; d=2: i,x2), as functions of the
+    file's rows, so each block of a stream gives the same columns.
 
     For d=3 each column takes one of the n axis values per node, so it is
     the pair (axis values, the node's row or column number) that
     `write_csv` formats once per axis value. The index of a chunk of rows
-    is that chunk's axis indices, `GridSpec.node_axes`."""
+    is that chunk's axis indices, `GridSpec.node_axes`. For d=2 the node is
+    the axis index, and the columns are slices of the axis values."""
+    idx, coords = np.arange(spec.n), spec.coords
     if spec.frame.dim == 3:
         def row(rows):
             return spec.node_axes(rows)[0]
@@ -237,9 +248,8 @@ def grid_columns(spec):
         def col(rows):
             return spec.node_axes(rows)[1]
 
-        idx, coords = np.arange(spec.n), spec.coords
         return {"i": (idx, row), "j": (idx, col), "x2": (coords, row), "x3": (coords, col)}
-    return {"i": np.arange(spec.n), "x2": spec.coords}
+    return {"i": lambda rows: idx[rows], "x2": lambda rows: coords[rows]}
 
 
 def _template(column):
@@ -286,58 +296,93 @@ def _pair_slots(values, end):
     return table
 
 
-def write_csv(path, columns):
-    """Write `columns`, a dict from header name to column, as CSV with a
-    header line.
-
-    A column is a 1-d array, or a pair (values, index) that stands for
-    values[index]. A pair's values are formatted once, and each row copies
-    the slot of its index. A boolean column is written as the pair
-    ([0, 1], column). A column or a pair's index may also be a function of
-    a slice of rows that returns the column's values at those rows; it is
-    called once per chunk. Every column has the same number of rows, the
-    length of the array columns and indices, of which there is at least
-    one."""
-    t = _tables()
-    arrays = list(columns.values())
-    ends = np.array([ord(",")] * (len(arrays) - 1) + [ord("\n")], U8) << LAST
-    pairs = []  # (first word, column number, slot table) of each pair
-    runs = []  # [first word, first, last + 1] of each run of adjacent array columns
-    width = 0  # slot words per row
-    for c, column in enumerate(arrays):
+def _layout(columns):
+    """Row layout of a table with the `columns` of its first block: the
+    delimiter of each column, shifted to a slot word's last byte (`ends`),
+    the (first word, column number, slot table) of each pair, the [first
+    word, first, last + 1] of each run of adjacent array columns, the slot
+    words per row and the rows per chunk of the budget."""
+    ends = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], U8) << LAST
+    pairs, runs, width = [], [], 0
+    for c, column in enumerate(columns.values()):
         if isinstance(column, np.ndarray) and column.dtype == bool:
             column = (np.array([0, 1]), column)
         if isinstance(column, tuple):
-            values, arrays[c] = np.asarray(column[0]), column[1]
-            table = _pair_slots(values, ends[c])
+            table = _pair_slots(np.asarray(column[0]), ends[c])
             pairs.append((width, c, table))
             width += table.shape[1]
-            continue
-        if runs and runs[-1][2] == c:
+        elif runs and runs[-1][2] == c:
             runs[-1][2] += 1
+            width += 3
         else:
             runs.append([width, c, c + 1])
-        width += 3
-    step = _chunk_rows(width)
+            width += 3
+    return SimpleNamespace(ends=ends, pairs=pairs, runs=runs, width=width,
+                           step=_chunk_rows(width))
+
+
+def _chunks(nrows, step):
+    """Bounds of the chunks of a block of `nrows` rows: round(nrows / step)
+    chunks, at least one, of near-equal size. A block is never cut at
+    `step` rows into whole chunks and a partial one: a partial chunk costs
+    the per-chunk numpy calls of a whole one."""
+    count = max(1, round(nrows / step))
+    return [nrows * k // count for k in range(count + 1)]
+
+
+def write_csv(path, blocks):
+    """Write `blocks` as CSV with a header line. `blocks` is an iterable of
+    dicts from header name to column, one dict per block of consecutive
+    rows, in row order; each block has the names of the first, in the same
+    order, and the same kind of column under each name. A block is let go
+    before the next one is asked for, so a stream that makes its blocks on
+    demand holds one at a time.
+
+    A column is a 1-d array, or a pair (values, index) that stands for
+    values[index]. A pair's values are formatted once per file, from the
+    first block, so every block must give the same values, and each row
+    copies the slot of its index. A boolean column is written as the pair
+    ([0, 1], column). A column or a pair's index may also be a function of
+    a slice of the file's rows that returns the column's values at those
+    rows; it is called once per chunk. Every column of a block has the same
+    number of rows, the length of its array columns and indices, of which
+    there is at least one. Each block is cut into chunks by `_chunks`."""
+    t = _tables()
+    layout = None
+    start = 0  # file row of the block's first row
+    with open(path, "wb") as fh:
+        for columns in blocks:
+            if layout is None:
+                layout = _layout(columns)
+                fh.write((",".join(columns) + "\n").encode())
+            start += _write_block(fh, columns, start, layout, t)
+            del columns
+
+
+def _write_block(fh, columns, start, layout, t):
+    """Write the rows of the block `columns`, whose first row is row
+    `start` of the file, chunk by chunk; return its row count."""
+    # a pair's index, or the column itself
+    arrays = [c[1] if isinstance(c, tuple) else c for c in columns.values()]
     nrows = next((len(a) for a in arrays if not callable(a)), None)
     if nrows is None:
         raise ValueError("write_csv needs an array column, or a pair whose "
                          "index is an array, to fix the row count")
     functions = list(dict.fromkeys(a for a in arrays if callable(a)))
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        for start in range(0, nrows, step):
-            rows = slice(start, min(start + step, nrows))
-            # a function that several columns share is called once per chunk
-            values = {f: f(rows) for f in functions}
-            chunk = [values[a] if callable(a) else a[rows] for a in arrays]
-            words = np.empty((rows.stop - start, width), U8)
-            for first, lo, hi in runs:
-                # a view: the run's words are contiguous within each row
-                slots = words[:, first:first + 3 * (hi - lo)].reshape(-1, hi - lo, 3)
-                _slots(chunk[lo:hi], t, slots)
-                slots[..., 2] |= ends[lo:hi]
-            for first, c, table in pairs:
-                # take, not [], reads a boolean index as 0 and 1
-                words[:, first:first + table.shape[1]] = table.take(chunk[c], axis=0)
-            fh.write(words.tobytes().translate(None, b"\0"))
+    bounds = _chunks(nrows, layout.step)
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = slice(start + lo, start + hi)
+        # a function that several columns share is called once per chunk
+        values = {f: f(rows) for f in functions}
+        chunk = [values[a] if callable(a) else a[lo:hi] for a in arrays]
+        words = np.empty((hi - lo, layout.width), U8)
+        for first, c0, c1 in layout.runs:
+            # a view: the run's words are contiguous within each row
+            slots = words[:, first:first + 3 * (c1 - c0)].reshape(-1, c1 - c0, 3)
+            _slots(chunk[c0:c1], t, slots)
+            slots[..., 2] |= layout.ends[c0:c1]
+        for first, c, table in layout.pairs:
+            # take, not [], reads a boolean index as 0 and 1
+            words[:, first:first + table.shape[1]] = table.take(chunk[c], axis=0)
+        fh.write(words.tobytes().translate(None, b"\0"))
+    return nrows

@@ -94,12 +94,19 @@ def eval_radiation(field, kappa, x):
         p = tuple(float(v) for v in pts[hit[0]])
         raise SingularEvaluationError(
             f"evaluation point at {p} coincides with a source")
+    # Every product and quotient has a named operand. On an array of 256 KiB
+    # or more numpy reuses an unnamed temporary in place, which takes another
+    # complex-multiply loop with other last bits, so a point's value would
+    # depend on how many points are evaluated with it.
     total = np.zeros(pts.shape[0], dtype=complex)
     for src, r in zip(field.sources, dist):
         if field.dim == 3:
-            total += src.c * np.exp(1j * kappa * r) / r
+            wave = np.exp(1j * kappa * r)
+            wave_c = src.c * wave
+            total += wave_c / r
         else:
-            total += src.c * hankel0_first_kind(kappa * r)
+            h0 = hankel0_first_kind(kappa * r)
+            total += src.c * h0
     return total[0] if single else total
 
 

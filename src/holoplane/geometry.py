@@ -150,14 +150,15 @@ class GridSpec:
         return np.unravel_index(np.arange(*rows.indices(self.size)), self.shape)
 
 
-def grid_coords(spec):
-    """In-plane coordinates of the grid nodes, shape (size, d-1), in node
-    order."""
-    return spec.coords[np.stack(spec.node_axes(), axis=-1)]
+def grid_coords(spec, rows=slice(None)):
+    """In-plane coordinates of the grid nodes of the contiguous node range
+    `rows` (default: all), shape (nodes, d-1), in node order."""
+    return spec.coords[np.stack(spec.node_axes(rows), axis=-1)]
 
 
-def grid_points(spec):
-    """Ambient coordinates of the grid nodes, shape (size, d), in node order."""
-    uv = grid_coords(spec)
+def grid_points(spec, rows=slice(None)):
+    """Ambient coordinates of the grid nodes of the contiguous node range
+    `rows` (default: all), shape (nodes, d), in node order."""
+    uv = grid_coords(spec, rows)
     frame = spec.frame
     return frame.s * frame.omega + uv @ frame.basis

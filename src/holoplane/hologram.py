@@ -114,7 +114,7 @@ def add_noise(holo, relative_level, seed):
 
 def hologram_to_csv(holo, path):
     """Write the sampled intensity as CSV (d=3: i,j,x2,x3,I; d=2: i,x2,I)."""
-    write_csv(path, {**grid_columns(holo.spec), "I": holo.values})
+    write_csv(path, [{**grid_columns(holo.spec), "I": holo.values}])
 
 
 def hologram_to_pgm(holo, path):

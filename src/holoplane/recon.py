@@ -19,16 +19,22 @@ refinement) is written once, as a private function that takes one point or
 an (m, d) batch.  `reconstruct_points` chains them over a batch of plane
 points; the grid (`reconstruct_grid`) and the `rates` probe both run it.
 The caller gives the kernel the intensity at its own points, and the kernel
-reads only the offset points y through a lookup.  The grid evaluates the
-true field psi1 at its nodes once: the result carries it for scoring, and
-without a hologram the node intensity |psi0 + psi1|^2 comes from it.
+reads only the offset points y through a lookup.
+
+The grid is reconstructed NODE_BLOCK nodes at a time (`node_blocks`), and
+`reconstruct_grid` takes the node range to reconstruct, so a caller can
+consume one block's record before the next one exists, as `cli` does: no
+record of the whole grid is then ever held.  A block forms the reference
+wave psi0, the true field psi1 and the true intensity |psi0 + psi1|^2 at
+its nodes once; the record carries them for scoring, and without a
+hologram the kernel reads that intensity at the nodes.
 The public point helpers (`zeta_bounded`, `zeta_sqrt`, `beta_solve`,
 `determinant`) wrap the offset and determinant formulas and raise on the
 failures a batch only records.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,12 +46,11 @@ from .hologram import intensity_lookup
 
 DET_FLOOR = 1e-6
 
-# Grid nodes per block. The kernel, `max_zeta` and the metrics walk the
-# grid NODE_BLOCK nodes at a time (`node_blocks`), so the `ReconGridResult`
-# record is the only grid-sized memory a `reconstruct` run keeps. Whole-grid
-# temporaries also fragment the heap: at 1.6e5 nodes the peak memory moved
-# by 5 MB with the allocation history, while small blocks reuse the same
-# heap memory.
+# Grid nodes per block. The kernel, the metrics and the CSV rows of a
+# `reconstruct` run take the grid NODE_BLOCK nodes at a time (`node_blocks`),
+# so the run holds no grid-sized array. Whole-grid temporaries also fragment
+# the heap: at 1.6e5 nodes the peak memory moved by 5 MB with the allocation
+# history, while small blocks reuse the same heap memory.
 NODE_BLOCK = 4096
 
 # Below this relative size kappa*theta_par - k_par is treated as exactly
@@ -241,11 +246,15 @@ def determinant_phase_expansion(x, zeta, params):
 
 @dataclass
 class ReconGridResult:
-    """Per-grid-point reconstruction, row-major grid order."""
+    """Per-node reconstruction of the m consecutive grid nodes `rows`, in
+    node order: one block of a streamed run, or the whole grid."""
 
     spec: object
+    rows: slice  # the node range, start and stop set
     points: np.ndarray  # (m, d)
+    psi0: np.ndarray  # complex (m,), the reference wave
     psi1: np.ndarray  # complex (m,), the true field the run is scored against
+    intensity: np.ndarray  # (m,), the true intensity |psi0 + psi1|^2
     zeta: np.ndarray  # (m, d)
     D: np.ndarray  # complex (m,)
     f11: np.ndarray  # complex (m,)
@@ -256,13 +265,13 @@ class ReconGridResult:
     @property
     def max_zeta(self):
         # fmax skips the NaN rows of nodes that have no offset.
-        return float(np.fmax.reduce([np.fmax.reduce(row_norm(self.zeta[b]))
-                                     for b in node_blocks(len(self.zeta))]))
+        return float(np.fmax.reduce(row_norm(self.zeta)))
 
 
-def node_blocks(n):
-    """Slices of NODE_BLOCK consecutive nodes, in order, covering n nodes."""
-    return [slice(start, min(start + NODE_BLOCK, n)) for start in range(0, n, NODE_BLOCK)]
+def node_blocks(stop, start=0):
+    """Slices of NODE_BLOCK consecutive nodes, in order, covering the nodes
+    start..stop-1."""
+    return [slice(b, min(b + NODE_BLOCK, stop)) for b in range(start, stop, NODE_BLOCK)]
 
 
 def reconstruct_points(x, i_x, lookup, params, frame, strategy, refine2d=False):
@@ -311,52 +320,68 @@ def reconstruct_grid(
     refine2d=False,
     hologram=None,
     flag_eps=0.1,
+    rows=slice(None),
 ):
-    """Run `reconstruct_points` at every grid node, NODE_BLOCK nodes at a
-    time.
+    """Run `reconstruct_points` at the grid nodes of the contiguous node
+    range `rows` (default: every node), NODE_BLOCK nodes at a time.
 
-    The true field psi1 of (`field`, `params`) is evaluated at the nodes
-    once; the run is scored against it.  The intensity at a node is
-    `hologram`'s own sample when a hologram sampled on `spec` is given, and
-    |psi0 + psi1|^2 otherwise; at the offset points it is read as
+    The intensity at a node is `hologram`'s own sample when a hologram
+    sampled on `spec` is given, and the true |psi0 + psi1|^2 of (`field`,
+    `params`) otherwise; at the offset points it is read as
     `hologram.intensity_lookup` says.  Per-point failures (exceptional
     direction, offset leaving the patch, tiny determinant) are recorded in
-    flags / NaN results; the grid run never aborts.
+    flags / NaN results; the grid run never aborts.  A range of more than
+    one block is returned as one record, the blocks joined.
     """
-    pts = grid_points(spec)
-    psi1 = eval_radiation(field, params.kappa, pts)
     lookup = intensity_lookup(field, params, hologram)
-    n = len(pts)
-    zeta = np.empty_like(pts)
-    D, f11_vals, psi1_rec = (np.empty(n, dtype=complex) for _ in range(3))
-    exceptional, small_d = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    for b in node_blocks(n):
-        if hologram is None:
-            i_x = np.abs(plane_wave(pts[b], params) + psi1[b]) ** 2
-        else:
-            i_x = hologram.values[b]
-        zeta[b], D[b], f11_vals[b], psi1_rec[b], mn = reconstruct_points(
-            pts[b], i_x, lookup, params, spec.frame, strategy, refine2d)
-        exceptional[b] = mn < flag_eps
-        small_d[b] = np.abs(D[b]) <= DET_FLOOR
-    return ReconGridResult(spec, pts, psi1, zeta, D, f11_vals, psi1_rec,
-                           flag_exceptional=exceptional, flag_small_d=small_d)
+    start, stop, _ = rows.indices(spec.size)
+    blocks = [_reconstruct_block(spec, b, lookup, field, params, strategy, refine2d,
+                                 hologram, flag_eps)
+              for b in node_blocks(stop, start)]
+    if len(blocks) == 1:
+        return blocks[0]
+    return ReconGridResult(spec, slice(start, stop), *(
+        np.concatenate([getattr(b, f.name) for b in blocks])
+        for f in fields(ReconGridResult)[2:]))
 
 
-def recon_to_csv(result, path):
-    """Write per-point results as CSV.
+def _reconstruct_block(spec, rows, lookup, field, params, strategy, refine2d, hologram,
+                       flag_eps):
+    """The record of one node block `rows` of `reconstruct_grid`."""
+    pts = grid_points(spec, rows)
+    psi0 = plane_wave(pts, params)
+    psi1 = eval_radiation(field, params.kappa, pts)
+    intensity = np.abs(psi0 + psi1) ** 2
+    i_x = intensity if hologram is None else hologram.values[rows]
+    zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
+        pts, i_x, lookup, params, spec.frame, strategy, refine2d)
+    return ReconGridResult(spec, rows, pts, psi0, psi1, intensity, zeta, D, f11_vals,
+                           psi1_rec, flag_exceptional=mn < flag_eps,
+                           flag_small_d=np.abs(D) <= DET_FLOOR)
+
+
+def recon_to_csv(blocks, path):
+    """Write the records `blocks`, consecutive node ranges from node 0 on in
+    node order (such as the node blocks of a run, or one whole-grid
+    record), as one CSV table, a block's rows as that block comes.
 
     d=3 header: i,j,x2,x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec,
     re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD.
     d=2 drops j and x3.
     """
-    write_csv(path, {
-        **grid_columns(result.spec),
-        "re_psi1": result.psi1.real, "im_psi1": result.psi1.imag,
-        "re_psi1rec": result.psi1_rec.real, "im_psi1rec": result.psi1_rec.imag,
-        "re_f11": result.f11.real, "im_f11": result.f11.imag,
-        "abs_D": lambda rows: np.abs(result.D[rows]),
-        "zeta_norm": lambda rows: row_norm(result.zeta[rows]),
-        "flag_exceptional": result.flag_exceptional,
-        "flag_smallD": result.flag_small_d,
-    })
+    # map, unlike a generator, keeps no reference to the record it is done with
+    write_csv(path, map(_csv_columns, blocks))
+
+
+def _csv_columns(r):
+    """The `recon_to_csv` columns of the record `r`."""
+    return {
+        **grid_columns(r.spec),
+        "re_psi1": r.psi1.real, "im_psi1": r.psi1.imag,
+        "re_psi1rec": r.psi1_rec.real, "im_psi1rec": r.psi1_rec.imag,
+        "re_f11": r.f11.real, "im_f11": r.f11.imag,
+        "abs_D": np.abs(r.D),
+        "zeta_norm": row_norm(r.zeta),
+        "flag_exceptional": r.flag_exceptional,
+        "flag_smallD": r.flag_small_d,
+    }

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from holoplane import cli, fields
+from holoplane import cli, fields, recon
 from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe_errors
 from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
@@ -14,6 +14,12 @@ from holoplane.recon import BoundedOffset, SqrtScaled, zeta_bounded, zeta_sqrt
 from closed_form import two_point_f11
 
 SMALL = "n = 16\n"
+
+
+def joined(cfg, *names):
+    """Whole-grid arrays `names` of the node-block records of `cfg`."""
+    blocks = list(_reconstruct(cfg))
+    return [np.concatenate([getattr(b, name) for b in blocks]) for name in names]
 
 
 def run(tmp_path, args, config=SMALL):
@@ -73,11 +79,37 @@ class TestReconstruct:
         assert "max_zeta" in captured.out
 
     def test_zero_field_fails_cleanly(self, tmp_path, capsys):
-        rc, _ = run(tmp_path, ["reconstruct"], config=SMALL + "source = 0,0,0,2.5,0\n")
+        # the metric ratios fail after the whole pass: the staged recon.csv
+        # and profile.csv are removed, not moved into place
+        rc, out = run(tmp_path, ["reconstruct"], config=SMALL + "source = 0,0,0,2.5,0\n")
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert err == "error: reference function vanishes on the region\n"
+        assert list(out.iterdir()) == []
+
+    def test_failure_mid_pass_leaves_no_file(self, tmp_path, capsys):
+        # node 5100 of the 101 x 101 grid, in the second node block, lies on
+        # the source: the first block's rows are already written
+        rc, out = run(tmp_path, ["reconstruct"], config="n = 101\nsource = 1, 0, 100, 0, 0\n")
+        assert 4096 <= 50 * 101 + 50 < 2 * 4096
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: evaluation point at (100.0, 0.0, 0.0) coincides with a source\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [
+        "n = 101\nk = 3.2, 2.4, 0\nfallback_axis = 1\n",
+        "dim = 2\nn = 9001\nnoise_level = 0.01\n",
+    ])
+    def test_outputs_independent_of_node_block(self, tmp_path, monkeypatch, config):
+        # block boundaries move the metric sums, not recon.csv or profile.csv;
+        # with k off the plane normal, psi0 differs from node to node
+        outs = []
+        for block in (4096, 1000):
+            monkeypatch.setattr(recon, "NODE_BLOCK", block)
+            outs.append(run(tmp_path / str(block), ["reconstruct"], config=config)[1])
+        for name in ("recon.csv", "profile.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_noisy_reconstruction_runs(self, tmp_path):
         rc, out = run(
@@ -98,14 +130,15 @@ class TestProfileBytes:
     def check(self, tmp_path, config, coords, header, steps):
         rc, out = run(tmp_path, ["reconstruct"], config=config)
         assert rc == 0
-        result = _reconstruct(parse_config(config))
-        rows = coords(result)
-        # profile.csv is the last file written: more than one chunk, and a
-        # partial last one
+        cfg = parse_config(config)
+        psi1, psi1_rec = joined(cfg, "psi1", "psi1_rec")
+        rows = coords(cfg.grid_spec())
+        # profile.csv is the last file written: more than one chunk, not a
+        # whole number of chunks at the budget
         assert len(rows) > steps[-1] and len(rows) % steps[-1]
         expected = header
         for c, idx in rows:
-            ex, rec = result.psi1[idx], result.psi1_rec[idx]
+            ex, rec = psi1[idx], psi1_rec[idx]
             expected += (f"{c:.10g},{ex.real:.10g},{ex.imag:.10g},"
                          f"{rec.real:.10g},{rec.imag:.10g}\n")
         assert "nan" in expected
@@ -116,8 +149,7 @@ class TestProfileBytes:
         # (8 rows of 5 three-word slots)
         steps = chunk_budget(8 * 5 * 24)
 
-        def column(result):
-            spec = result.spec
+        def column(spec):
             i0 = min(range(spec.n), key=lambda i: abs(spec.coords[i]))
             return [(spec.coords[j], i0 * spec.n + j) for j in range(spec.n)]
 
@@ -127,8 +159,8 @@ class TestProfileBytes:
     def test_2d(self, tmp_path, chunk_budget):
         steps = chunk_budget(64 * 5 * 24)
 
-        def line(result):
-            uv = grid_coords(result.spec)
+        def line(spec):
+            uv = grid_coords(spec)
             return [(u, idx) for idx, u in enumerate(uv[:, 0])]
 
         self.check(tmp_path, self.BILINEAR + "dim = 2\nn = 301\n", line,
@@ -213,12 +245,11 @@ class TestForwardModelPasses:
     def test_two_points_per_node(self, monkeypatch, config):
         cfg = parse_config(config)
         counts = self.count_points(monkeypatch)
-        result = _reconstruct(cfg)
+        psi1, points = joined(cfg, "psi1", "points")
         assert sum(counts) == 2 * cfg.grid_spec().size
         monkeypatch.undo()
         np.testing.assert_array_equal(
-            result.psi1,
-            fields.eval_radiation(cfg.radiation_field(), cfg.kappa, result.points))
+            psi1, fields.eval_radiation(cfg.radiation_field(), cfg.kappa, points))
 
 
 class TestEmptyRegion:

@@ -29,7 +29,7 @@ def reference(columns):
 
 
 def check(path, columns):
-    write_csv(path, columns)
+    write_csv(path, [columns])
     assert path.read_bytes().decode().split("\n") == reference(columns).split("\n")
 
 
@@ -181,12 +181,12 @@ def test_mixed_columns_any_budget(out, columns, budget):
 
 def test_grid_columns_in_a_long_chunk(out, chunk_budget):
     # texts of at most 7 bytes give the d=3 grid columns one word each and
-    # a flag makes the fifth, so a chunk takes 4300 rows, which start and
-    # stop in the middle of a grid row
+    # a flag makes the fifth, so the budget is 4300 rows, and the 6561 rows
+    # are cut into two chunks at row 3280, in the middle of a grid row
     steps = chunk_budget(csvrows.CHUNK_BYTES)
     spec = GridSpec(frame=make_frame(np.eye(3)[0], 100.0), half_width=40.0, n=81)
     flag = np.arange(spec.size) % 3 == 0
-    write_csv(out, {**grid_columns(spec), "flag": flag})
+    write_csv(out, [{**grid_columns(spec), "flag": flag}])
     assert steps[-1] == csvrows.CHUNK_BYTES // 40 and spec.size % steps[-1]
     i, j = np.divmod(np.arange(spec.size), spec.n)
     assert out.read_text() == reference(
@@ -197,15 +197,15 @@ def test_row_count_needs_an_array(out):
     # the d=3 grid columns are pairs indexed by functions of the rows
     spec = GridSpec(frame=make_frame(np.eye(3)[0], 100.0), half_width=1.0, n=3)
     with pytest.raises(ValueError) as info:
-        write_csv(out, grid_columns(spec))
+        write_csv(out, [grid_columns(spec)])
     assert str(info.value) == ("write_csv needs an array column, or a pair whose index "
                                "is an array, to fix the row count")
 
 
 def test_function_columns_across_chunks(out, chunk_budget):
     # a column and a pair index given as functions of the chunk's rows give
-    # the bytes of the arrays they stand for, across chunk boundaries and
-    # into a partial last chunk
+    # the bytes of the arrays they stand for, across chunk boundaries; the
+    # 29 rows at a budget of 8 are round(29 / 8) = 4 chunks of 7 or 8 rows
     steps = chunk_budget(8 * 10 * 8)
     rng = np.random.default_rng(4)
     rows = 29
@@ -219,12 +219,66 @@ def test_function_columns_across_chunks(out, chunk_budget):
         return index[r]
 
     a = rng.standard_normal(rows)
-    write_csv(out, {"abs": lambda r: np.abs(z[r]), "a": a, "v": (values, index_at),
-                    "k": lambda r: np.arange(r.start, r.stop) * 3})
+    write_csv(out, [{"abs": lambda r: np.abs(z[r]), "a": a, "v": (values, index_at),
+                     "k": lambda r: np.arange(r.start, r.stop) * 3}])
     assert steps == [8]
-    assert seen == [(s, min(s + 8, rows)) for s in range(0, rows, 8)]
+    assert seen == [(0, 7), (7, 14), (14, 21), (21, 29)]
     assert out.read_text() == reference(
         {"abs": np.abs(z), "a": a, "v": (values, index), "k": np.arange(rows) * 3})
+
+
+def test_block_stream(out, chunk_budget, monkeypatch):
+    # a table given as blocks of 13, 3, 9 and 20 rows at a budget of 4 rows:
+    # each block is cut into its own chunks, a function column sees the
+    # file's rows, and each pair's table is formatted once, from the first
+    # block
+    steps = chunk_budget(4 * 8 * 8)  # two array slots, a pair and a flag
+    formatted = []
+    pair_slots = csvrows._pair_slots
+    monkeypatch.setattr(csvrows, "_pair_slots", lambda values, end: (
+        formatted.append(len(values)) or pair_slots(values, end)))
+    rng = np.random.default_rng(6)
+    rows = 45
+    a = rng.standard_normal(rows)
+    flag = rng.random(rows) < 0.5
+    values = np.array([0.5, -1e-7, np.nan])
+    index = rng.integers(0, values.size, rows)
+    seen = []
+
+    def k(r):
+        seen.append((r.start, r.stop))
+        return np.arange(r.start, r.stop) * 3
+
+    bounds = [0, 13, 16, 25, rows]
+    write_csv(out, ({"a": a[lo:hi], "k": k, "v": (values, index[lo:hi]), "flag": flag[lo:hi]}
+                    for lo, hi in zip(bounds, bounds[1:])))
+    assert steps == [4] and formatted == [3, 2]
+    # 13 rows: round(3.25) = 3 chunks; 3: 1; 9: round(2.25) = 2; 20: 5
+    assert seen == [(0, 4), (4, 8), (8, 13), (13, 16), (16, 20), (20, 25),
+                    (25, 29), (29, 33), (33, 37), (37, 41), (41, 45)]
+    assert out.read_text() == reference(
+        {"a": a, "k": np.arange(rows) * 3, "v": (values, index), "flag": flag})
+
+
+def test_recon_block_in_six_chunks(out, chunk_budget):
+    # a 4096-row block of 32-word rows, the node block of a d=3 recon.csv:
+    # at the default budget of 672 rows it is cut into 6 chunks of at most
+    # 683 rows, not into 6 whole chunks and a partial one of 64 rows
+    steps = chunk_budget(csvrows.CHUNK_BYTES)
+    rng = np.random.default_rng(7)
+    rows = 4096
+    seen = []
+
+    def k(r):
+        seen.append(r.stop - r.start)
+        return np.arange(r.start, r.stop) * 0.5
+
+    columns = {f"c{c}": rng.standard_normal(rows) for c in range(9)}
+    columns.update({"k": k, "f": rng.random(rows) < 0.5, "g": rng.random(rows) < 0.1})
+    write_csv(out, [columns])
+    assert steps == [672]
+    assert seen == [682, 683, 683, 682, 683, 683]
+    assert out.read_text() == reference({**columns, "k": np.arange(rows) * 0.5})
 
 
 def test_non_finite_values_in_ordinary_columns(out, chunk_budget):

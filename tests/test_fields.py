@@ -110,6 +110,20 @@ class TestEvalRadiation:
         for row, p in zip(batch, pts):
             assert row == pytest.approx(eval_radiation(f, 4.0, p))
 
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_value_independent_of_batch_length(self, dim):
+        # 2e4 points make arrays past numpy's 256 KiB temporary-reuse
+        # threshold; 4096-point blocks stay below it. An amplitude with both
+        # parts nonzero is where the in-place multiply loop changes bits.
+        f = RadiationField(dim, (PointSource(0.7 - 0.2j, np.r_[0.0, 2.5, 0.0][:dim]),
+                                 PointSource(1.3 + 0.4j, np.r_[1.0, -1.0, 2.0][:dim])))
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-20.0, 20.0, (20_000, dim))
+        pts[:, 0] = 100.0
+        whole = eval_radiation(f, 4.0, pts)
+        blocks = [eval_radiation(f, 4.0, pts[s:s + 4096]) for s in range(0, len(pts), 4096)]
+        np.testing.assert_array_equal(whole, np.concatenate(blocks))
+
     @pytest.mark.parametrize("dim, sources, message", [
         (4, (PointSource(1.0 + 0j, np.zeros(4)),), "only d=2 and d=3 are supported"),
         (1, (PointSource(1.0 + 0j, np.zeros(1)),), "only d=2 and d=3 are supported"),

@@ -1,12 +1,15 @@
-"""The stages after the kernel stream the grid in blocks.
+"""A `reconstruct` run streams the grid in node blocks.
 
-Once `reconstruct_grid` has returned, its record is the only grid-sized
-memory of a `reconstruct` run: the metrics, the CSV writer and `max_zeta`
-work on NODE_BLOCK nodes or on CHUNK_BYTES of CSV slots at a time.
-tracemalloc sees numpy's buffers, so the traced peak of each stage is what
-it allocates.
-Any one whole-grid float or index array would take more than 12 % of the
-record at this size.
+`cli.run_reconstruct` makes one pass over the node blocks, and each block's
+record is consumed by the metrics, the CSV rows, the profile and max |zeta|
+before the next one exists, so no grid-sized memory is held: the traced
+peak of a whole run does not grow with the grid. The stages that consume
+the blocks work on NODE_BLOCK nodes or on CHUNK_BYTES of CSV slots at a
+time; their traced peaks are held against the size of all the block
+records of a run, which no run keeps at once. Any one whole-grid float or
+index array would take more than 12 % of those records at this size.
+tracemalloc sees numpy's buffers, so a traced peak is what a stage
+allocates.
 """
 
 import dataclasses
@@ -15,21 +18,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holoplane.cli import _reconstruct, compute_metrics
+from holoplane.cli import _reconstruct, compute_metrics, run_reconstruct
 from holoplane.config import parse_config
 from holoplane.recon import recon_to_csv
 
 BOUND = 0.12
+# Peak growth allowed from n = 100 to n = 300, against a peak of 1.2 MB:
+# the profile and the axis tables grow with n, by 23 kB; one whole-grid
+# float array at n = 300 takes 720 kB.
+MARGIN = 64 * 2**10
 
 
 @pytest.fixture(scope="module")
 def run300():
     cfg = parse_config("n = 300\n")
-    result = _reconstruct(cfg)
-    record = sum(np.asarray(getattr(result, f.name)).nbytes
-                 for f in dataclasses.fields(result) if f.name != "spec")
+    blocks = list(_reconstruct(cfg))
+    record = sum(np.asarray(getattr(block, f.name)).nbytes for block in blocks
+                 for f in dataclasses.fields(block) if f.name not in ("spec", "rows"))
     assert record > 9.5 * 2**20
-    return cfg, result, record
+    return cfg, blocks, record
 
 
 def traced_peak(stage):
@@ -42,17 +49,26 @@ def traced_peak(stage):
 
 
 def test_compute_metrics_peak(run300):
-    cfg, result, record = run300
-    assert traced_peak(lambda: compute_metrics(cfg, result)) < BOUND * record
+    cfg, blocks, record = run300
+    assert traced_peak(lambda: compute_metrics(cfg, blocks)) < BOUND * record
 
 
 def test_recon_to_csv_peak(run300, tmp_path):
-    _, result, record = run300
+    _, blocks, record = run300
     path = str(tmp_path / "recon.csv")
-    recon_to_csv(result, path)  # the writer's lookup tables are built once
-    assert traced_peak(lambda: recon_to_csv(result, path)) < BOUND * record
+    recon_to_csv(blocks, path)  # the writer's lookup tables are built once
+    assert traced_peak(lambda: recon_to_csv(blocks, path)) < BOUND * record
 
 
 def test_max_zeta_peak(run300):
-    _, result, record = run300
-    assert traced_peak(lambda: result.max_zeta) < BOUND * record
+    _, blocks, record = run300
+    assert traced_peak(lambda: max(b.max_zeta for b in blocks)) < BOUND * record
+
+
+def test_run_reconstruct_peak_does_not_grow_with_the_grid(tmp_path, capsys):
+    def peak(n):
+        cfg = parse_config(f"n = {n}\n")
+        return traced_peak(lambda: run_reconstruct(cfg, str(tmp_path / str(n))))
+
+    peak(16)  # the writer's lookup tables are built once
+    assert peak(300) <= peak(100) + MARGIN

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoplane.cli import compute_metrics
+from holoplane.cli import _reconstruct, compute_metrics
 from holoplane.errors import UndefinedDenominatorError
 from holoplane.fields import PointSource, RadiationField, WaveParams, eval_radiation
 from holoplane.geometry import GridSpec, grid_points, make_frame
@@ -145,8 +145,9 @@ class TestSlopeEstimate:
 
 
 def test_compute_metrics_discrepancy_matches_per_mask_calls(preset_run):
+    # the fold over the node blocks of a run and the whole-grid record
     cfg, result = preset_run
-    metrics = compute_metrics(cfg, result)
+    metrics = compute_metrics(cfg, _reconstruct(cfg))
     masks = region_masks(result.spec, cfg.region_halfwidth)
     for name, mask in masks.items():
         assert metrics[("E", name)] == rel_l2(result.psi1_rec, result.psi1, mask)
@@ -159,7 +160,7 @@ def test_compute_metrics_matches_whole_grid_formula(preset_run):
     # the preset grid ends in a partial node block
     cfg, result = preset_run
     assert result.spec.size % NODE_BLOCK
-    metrics = compute_metrics(cfg, result)
+    metrics = compute_metrics(cfg, _reconstruct(cfg))
     psi0 = np.exp(1j * (result.points @ cfg.wave_params().k))
     i_true = np.abs(psi0 + result.psi1) ** 2 - 1
     i_rec = np.abs(psi0 + result.psi1_rec) ** 2 - 1

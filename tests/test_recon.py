@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -450,7 +452,7 @@ class TestReconstructGrid:
     def test_csv_export(self, preset_run, tmp_path):
         _, result = preset_run
         path = tmp_path / "recon.csv"
-        recon_to_csv(result, str(path))
+        recon_to_csv([result], str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "i,j,x2,x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
@@ -510,7 +512,7 @@ class TestCsvBytes:
         assert (nan_rows & ~res.flag_exceptional).any()
         assert res.flag_exceptional.any() and res.flag_small_d.any()
         path = tmp_path / "recon.csv"
-        recon_to_csv(res, str(path))
+        recon_to_csv([res], str(path))
         assert nodes > steps[-1] and nodes % steps[-1]
         assert path.read_text() == (
             header + "re_psi1,im_psi1,re_psi1rec,im_psi1rec,"
@@ -555,9 +557,23 @@ class TestGridMatchesClosedForm:
             monkeypatch.setattr(recon, "NODE_BLOCK", 37)
             blocks = reconstruct_grid(field, p, spec, strategy, hologram=holo)
             assert blocks.max_zeta == whole.max_zeta
-            for name in ("psi1", "zeta", "D", "f11", "psi1_rec", "flag_exceptional",
-                         "flag_small_d"):
+            for name in ("points", "psi0", "psi1", "intensity", "zeta", "D", "f11",
+                         "psi1_rec", "flag_exceptional", "flag_small_d"):
                 np.testing.assert_array_equal(getattr(blocks, name), getattr(whole, name))
+
+    def test_node_range_is_a_slice_of_the_grid(self):
+        # a range across a block boundary, read bilinearly, is the same
+        # slice of the whole-grid record; the true intensity is formed once
+        field, p, spec = preset_field(), params_d(3), small_spec(101)
+        strategy = SqrtScaled(alpha=-0.5)
+        holo = sample_hologram(field, p, spec)
+        whole = reconstruct_grid(field, p, spec, strategy, hologram=holo)
+        rows = slice(recon.NODE_BLOCK - 7, recon.NODE_BLOCK + 30)
+        part = reconstruct_grid(field, p, spec, strategy, hologram=holo, rows=rows)
+        assert (part.rows, whole.rows) == (rows, slice(0, spec.size))
+        for f in dataclasses.fields(part)[2:]:
+            np.testing.assert_array_equal(getattr(part, f.name), getattr(whole, f.name)[rows])
+        np.testing.assert_array_equal(whole.intensity, holo.values)
 
     def test_singular_center_node_of_odd_grid(self):
         p = params_d(3)

@@ -9,11 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from holoplane.cli import REFERENCE_SWEEPS, _reconstruct, _sweep_config
+from holoplane.cli import REFERENCE_SWEEPS, _reconstruct, _sweep_config, compute_metrics
 from holoplane.config import ExperimentConfig
 from holoplane.fields import eval_radiation, plane_wave
 from holoplane.geometry import grid_points
-from holoplane.metrics import discrepancy, rel_l2
+from holoplane.metrics import rel_l2
 from holoplane.recon import reconstruct_points
 
 E_DIS_LOW = 3.6e-3  # criterion 3: E_dis(G) within 2x of 7.2e-3
@@ -47,17 +47,15 @@ def sweep_spread(cfg, lam):
     """The spread of E(G) over the c sweep with every amplitude times lam."""
     errors = []
     for c in REFERENCE_SWEEPS["c"]:
-        result = _reconstruct(_sweep_config(cfg, "c", lam * c))
-        errors.append(rel_l2(result.psi1_rec, result.psi1))
+        sub = _sweep_config(cfg, "c", lam * c)
+        errors.append(compute_metrics(sub, _reconstruct(sub))[("E", "G")])
     return max(errors) - min(errors)
 
 
 def discrepancy_g(cfg, lam):
     """E_dis(G) of the plain estimator with every source scaled by lam."""
     cfg = replace(cfg, sources=tuple((lam * c, x0) for c, x0 in cfg.sources))
-    result = _reconstruct(cfg)
-    return discrepancy(cfg.radiation_field(), cfg.wave_params(), result.points,
-                       result.psi1_rec)
+    return compute_metrics(cfg, _reconstruct(cfg))[("E_dis", "G")]
 
 
 @pytest.fixture(scope="module")

@@ -44,12 +44,12 @@ MUTANTS = [
      "2.0 * alpha / (mn - np.sqrt(disc))", "root sign in recon._beta"),
     ("src/holoplane/recon.py", "ok = mn >= eps", "ok = mn > eps",
      ">= to > in recon._bounded_offset: |m| = eps has a bounded offset"),
-    ("src/holoplane/recon.py", "small_d[b] = np.abs(D[b]) <= DET_FLOOR",
-     "small_d[b] = np.abs(D[b]) < DET_FLOOR", "<= to < at DET_FLOOR in the grid's flag"),
+    ("src/holoplane/recon.py", "flag_small_d=np.abs(D) <= DET_FLOOR",
+     "flag_small_d=np.abs(D) < DET_FLOOR", "<= to < at DET_FLOOR in the grid's flag"),
     ("src/holoplane/cli.py", "if np.any(np.abs(D) <= DET_FLOOR):",
      "if np.any(np.abs(D) < DET_FLOOR):", "<= to < at DET_FLOOR in the rates probe"),
-    ("src/holoplane/recon.py", "np.fmax.reduce(row_norm(self.zeta[b]))",
-     "np.max(row_norm(self.zeta[b]))", "max for fmax in max_zeta: NaN offsets win"),
+    ("src/holoplane/recon.py", "np.fmax.reduce(row_norm(self.zeta))",
+     "np.max(row_norm(self.zeta))", "max for fmax in max_zeta: NaN offsets win"),
     ("src/holoplane/csvrows.py", "TIE = 0.5 - 1e-5", "TIE = 0.5",
      "no tie margin in the CSV formatter"),
     ("src/holoplane/csvrows.py", "E_MIN, E_MAX = -290, 300", "E_MIN, E_MAX = -300, 300",
@@ -70,8 +70,24 @@ MUTANTS = [
      "return np.abs(spec.coords) <= b", "< to <= in the central box"),
     ("src/holoplane/csvrows.py", "template = _template(values)",
      "template = _template(values).replace('10', '9')", "%.10g to %.9g in _pair_slots"),
-    ("src/holoplane/cli.py", '"G\\\\D": not axis.all()', '"G\\\\D": axis.all()',
+    ("src/holoplane/cli.py", '("G\\\\D", not self.axis.all())', '("G\\\\D", self.axis.all())',
      "G\\D emptiness test inverted in compute_metrics"),
+    ("src/holoplane/cli.py",
+     "        metrics = scores.ratios()\n"
+     "        for path, name in zip(staged, names):\n"
+     "            os.replace(path, os.path.join(outdir, name))\n",
+     "        for path, name in zip(staged, names):\n"
+     "            os.replace(path, os.path.join(outdir, name))\n"
+     "        metrics = scores.ratios()\n",
+     "os.replace before the metric ratios: a failing run leaves its files"),
+    ("src/holoplane/csvrows.py", "count = max(1, round(nrows / step))",
+     "count = max(1, -(-nrows // step))", "ceil for round in the chunk rule"),
+    ("src/holoplane/cli.py", "return slice(row * spec.n, (row + 1) * spec.n)",
+     "return slice(row * spec.n + 1, (row + 1) * spec.n + 1)",
+     "profile row offset off by one"),
+    ("src/holoplane/recon.py", "psi0 = plane_wave(pts, params)",
+     "psi0 = plane_wave(grid_points(spec, slice(0, len(pts))), params)",
+     "psi0 of a block taken from the first block's nodes"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -55,11 +55,14 @@ CONFIGS = {
     # Coordinates whose texts fill three slot words, e.g. -0.0009327846365.
     "fine-h-n37-3d": "h = 0.000987654321\nn = 37\nregion_halfwidth = 0.0005\n",
     "fine-h-n37-2d": "dim = 2\nh = 0.000987654321\nn = 37\nregion_halfwidth = 0.0005\n",
-    # Failing runs: an empty error region, and a source on a grid node.
+    # Failing runs: an empty error region, and a source on a grid node, in
+    # the only node block or in the second one, after the first block's
+    # rows are written.
     "empty-D-n2": "n = 2\n",
     "empty-D-box0.1": "region_halfwidth = 0.1\n",
     "empty-GminusD-box50": "region_halfwidth = 50\n",
     "source-on-node-n3": "n = 3\nsource = 1, 0, 100, 0, 0\n",
+    "source-on-node-n101": "n = 101\nsource = 1, 0, 100, 0, 0\n",
 }
 
 SMALL = "n = 16\n"
