@@ -116,29 +116,33 @@ class _Scores:
         self.sums = {(metric, name): np.zeros(2)
                      for name in self.REGIONS for metric in ("E", "E_dis")}
 
-    def add(self, block):
-        """Add a block record's sums; its true intensity is the one the
-        kernel read at the nodes of an analytic run."""
-        terms = {"E": l2_terms(block.psi1_rec, block.psi1),
-                 "E_dis": l2_terms(shifted_intensity(block.psi0, block.psi1_rec),
-                                   block.intensity - 1.0)}
-        inside = in_box(self.spec, self.axis, block.rows)
-        for name, selected in zip(self.REGIONS, (None, inside, ~inside)):
-            for metric, t in terms.items():
-                self.sums[metric, name] += l2_sums(t, selected)
+    def add(self, record):
+        """Add the sums of a record's node blocks (one block for a record
+        of `_reconstruct`); its true intensity is the one the kernel read
+        at the nodes of an analytic run."""
+        for b in node_blocks(record.rows.stop, record.rows.start):
+            part = slice(b.start - record.rows.start, b.stop - record.rows.start)
+            terms = {"E": l2_terms(record.psi1_rec[part], record.psi1[part]),
+                     "E_dis": l2_terms(shifted_intensity(record.psi0[part],
+                                                         record.psi1_rec[part]),
+                                       record.intensity[part] - 1.0)}
+            inside = in_box(self.spec, self.axis, b)
+            for name, selected in zip(self.REGIONS, (None, inside, ~inside)):
+                for metric, t in terms.items():
+                    self.sums[metric, name] += l2_sums(t, selected)
 
     def ratios(self):
         """{(metric, region): value}; raises where a reference vanishes."""
         return {key: l2_ratio(sums) for key, sums in self.sums.items()}
 
 
-def compute_metrics(cfg, blocks):
+def compute_metrics(cfg, records):
     """Reconstruction error and intensity discrepancy on G, D, G\\D, folded
-    over `blocks`, the node-block records of `cfg`'s grid in node order
-    (`_reconstruct`)."""
+    over `records`, which cover `cfg`'s grid in node order: the node-block
+    records of `_reconstruct`, or one whole-grid record."""
     scores = _Scores(cfg, cfg.grid_spec())
-    for block in blocks:
-        scores.add(block)
+    for record in records:
+        scores.add(record)
     return scores.ratios()
 
 

@@ -34,7 +34,7 @@ failures a batch only records.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,7 +265,8 @@ class ReconGridResult:
     @property
     def max_zeta(self):
         # fmax skips the NaN rows of nodes that have no offset.
-        return float(np.fmax.reduce(row_norm(self.zeta)))
+        return float(np.fmax.reduce([np.fmax.reduce(row_norm(self.zeta[b]))
+                                     for b in node_blocks(len(self.zeta))]))
 
 
 def node_blocks(stop, start=0):
@@ -331,18 +332,24 @@ def reconstruct_grid(
     `hologram.intensity_lookup` says.  Per-point failures (exceptional
     direction, offset leaving the patch, tiny determinant) are recorded in
     flags / NaN results; the grid run never aborts.  A range of more than
-    one block is returned as one record, the blocks joined.
+    one block is returned as one record, each block's arrays copied into
+    it as the block is made.
     """
     lookup = intensity_lookup(field, params, hologram)
     start, stop, _ = rows.indices(spec.size)
-    blocks = [_reconstruct_block(spec, b, lookup, field, params, strategy, refine2d,
-                                 hologram, flag_eps)
-              for b in node_blocks(stop, start)]
-    if len(blocks) == 1:
-        return blocks[0]
-    return ReconGridResult(spec, slice(start, stop), *(
-        np.concatenate([getattr(b, f.name) for b in blocks])
-        for f in fields(ReconGridResult)[2:]))
+    out = None
+    for b in node_blocks(stop, start):
+        block = _reconstruct_block(spec, b, lookup, field, params, strategy, refine2d,
+                                   hologram, flag_eps)
+        if b.stop - b.start == stop - start:
+            return block
+        arrays = {name: a for name, a in vars(block).items() if isinstance(a, np.ndarray)}
+        if out is None:
+            out = {name: np.empty((stop - start,) + a.shape[1:], a.dtype)
+                   for name, a in arrays.items()}
+        for name, a in arrays.items():
+            out[name][b.start - start:b.stop - start] = a
+    return ReconGridResult(spec, slice(start, stop), **out)
 
 
 def _reconstruct_block(spec, rows, lookup, field, params, strategy, refine2d, hologram,
@@ -380,8 +387,13 @@ def _csv_columns(r):
         "re_psi1": r.psi1.real, "im_psi1": r.psi1.imag,
         "re_psi1rec": r.psi1_rec.real, "im_psi1rec": r.psi1_rec.imag,
         "re_f11": r.f11.real, "im_f11": r.f11.imag,
-        "abs_D": np.abs(r.D),
-        "zeta_norm": row_norm(r.zeta),
+        "abs_D": lambda rows: np.abs(r.D[_within(r, rows)]),
+        "zeta_norm": lambda rows: row_norm(r.zeta[_within(r, rows)]),
         "flag_exceptional": r.flag_exceptional,
         "flag_smallD": r.flag_small_d,
     }
+
+
+def _within(r, rows):
+    """The file rows `rows` as a slice of the record `r`'s arrays."""
+    return slice(rows.start - r.rows.start, rows.stop - r.rows.start)

@@ -1,18 +1,18 @@
-"""A `reconstruct` run streams the grid in node blocks.
+"""The stages after the kernel stream the grid in blocks.
 
-`cli.run_reconstruct` makes one pass over the node blocks, and each block's
-record is consumed by the metrics, the CSV rows, the profile and max |zeta|
-before the next one exists, so no grid-sized memory is held: the traced
-peak of a whole run does not grow with the grid. The stages that consume
-the blocks work on NODE_BLOCK nodes or on CHUNK_BYTES of CSV slots at a
-time; their traced peaks are held against the size of all the block
-records of a run, which no run keeps at once. Any one whole-grid float or
-index array would take more than 12 % of those records at this size.
-tracemalloc sees numpy's buffers, so a traced peak is what a stage
-allocates.
+The metrics, the CSV writer and `max_zeta` work on NODE_BLOCK nodes or on
+CHUNK_BYTES of CSV slots at a time, whether they are given one whole-grid
+`ReconGridResult` record or the node-block records of a `reconstruct` run,
+so their traced peaks are held against the size of the record. That size
+is counted over the fields the record held before it carried psi0 and the
+true intensity, so the bounds stay as strict as they were. Any one
+whole-grid float or index array would take more than 12 % of the record
+at this size. `cli.run_reconstruct` consumes each block's record before
+the next one is made, so the traced peak of a whole run does not grow
+with the grid. tracemalloc sees numpy's buffers, so a traced peak is what
+a stage allocates.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,22 +20,37 @@ import pytest
 
 from holoplane.cli import _reconstruct, compute_metrics, run_reconstruct
 from holoplane.config import parse_config
-from holoplane.recon import recon_to_csv
+from holoplane.recon import recon_to_csv, reconstruct_grid
 
 BOUND = 0.12
+# The per-node fields the bounds are held against.
+RECORD_FIELDS = ("points", "psi1", "zeta", "D", "f11", "psi1_rec",
+                 "flag_exceptional", "flag_small_d")
 # Peak growth allowed from n = 100 to n = 300, against a peak of 1.2 MB:
 # the profile and the axis tables grow with n, by 23 kB; one whole-grid
 # float array at n = 300 takes 720 kB.
 MARGIN = 64 * 2**10
 
 
+def record_bytes(records):
+    return sum(getattr(r, name).nbytes for r in records for name in RECORD_FIELDS)
+
+
 @pytest.fixture(scope="module")
 def run300():
     cfg = parse_config("n = 300\n")
-    blocks = list(_reconstruct(cfg))
-    record = sum(np.asarray(getattr(block, f.name)).nbytes for block in blocks
-                 for f in dataclasses.fields(block) if f.name not in ("spec", "rows"))
+    result = reconstruct_grid(cfg.radiation_field(), cfg.wave_params(), cfg.grid_spec(),
+                              cfg.zeta_strategy(), flag_eps=cfg.eps)
+    record = record_bytes([result])
     assert record > 9.5 * 2**20
+    return cfg, result, record
+
+
+@pytest.fixture(scope="module")
+def blocks300(run300):
+    cfg, _, record = run300
+    blocks = list(_reconstruct(cfg))
+    assert record_bytes(blocks) == record
     return cfg, blocks, record
 
 
@@ -49,20 +64,39 @@ def traced_peak(stage):
 
 
 def test_compute_metrics_peak(run300):
-    cfg, blocks, record = run300
-    assert traced_peak(lambda: compute_metrics(cfg, blocks)) < BOUND * record
+    cfg, result, record = run300
+    assert traced_peak(lambda: compute_metrics(cfg, [result])) < BOUND * record
 
 
 def test_recon_to_csv_peak(run300, tmp_path):
-    _, blocks, record = run300
+    _, result, record = run300
     path = str(tmp_path / "recon.csv")
-    recon_to_csv(blocks, path)  # the writer's lookup tables are built once
-    assert traced_peak(lambda: recon_to_csv(blocks, path)) < BOUND * record
+    recon_to_csv([result], path)  # the writer's lookup tables are built once
+    assert traced_peak(lambda: recon_to_csv([result], path)) < BOUND * record
 
 
 def test_max_zeta_peak(run300):
-    _, blocks, record = run300
+    _, result, record = run300
+    assert traced_peak(lambda: result.max_zeta) < BOUND * record
+
+
+def test_block_stream_peaks(blocks300, tmp_path):
+    cfg, blocks, record = blocks300
+    path = str(tmp_path / "recon.csv")
+    recon_to_csv(blocks, path)
+    assert traced_peak(lambda: compute_metrics(cfg, blocks)) < BOUND * record
+    assert traced_peak(lambda: recon_to_csv(blocks, path)) < BOUND * record
     assert traced_peak(lambda: max(b.max_zeta for b in blocks)) < BOUND * record
+
+
+def test_whole_record_and_block_stream_agree(run300, blocks300, tmp_path):
+    cfg, result, _ = run300
+    _, blocks, _ = blocks300
+    assert compute_metrics(cfg, [result]) == compute_metrics(cfg, blocks)
+    assert result.max_zeta == np.fmax.reduce([b.max_zeta for b in blocks])
+    recon_to_csv([result], str(tmp_path / "whole.csv"))
+    recon_to_csv(blocks, str(tmp_path / "blocks.csv"))
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "blocks.csv").read_bytes()
 
 
 def test_run_reconstruct_peak_does_not_grow_with_the_grid(tmp_path, capsys):

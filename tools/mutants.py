@@ -48,8 +48,8 @@ MUTANTS = [
      "flag_small_d=np.abs(D) < DET_FLOOR", "<= to < at DET_FLOOR in the grid's flag"),
     ("src/holoplane/cli.py", "if np.any(np.abs(D) <= DET_FLOOR):",
      "if np.any(np.abs(D) < DET_FLOOR):", "<= to < at DET_FLOOR in the rates probe"),
-    ("src/holoplane/recon.py", "np.fmax.reduce(row_norm(self.zeta))",
-     "np.max(row_norm(self.zeta))", "max for fmax in max_zeta: NaN offsets win"),
+    ("src/holoplane/recon.py", "np.fmax.reduce(row_norm(self.zeta[b]))",
+     "np.max(row_norm(self.zeta[b]))", "max for fmax in max_zeta: NaN offsets win"),
     ("src/holoplane/csvrows.py", "TIE = 0.5 - 1e-5", "TIE = 0.5",
      "no tie margin in the CSV formatter"),
     ("src/holoplane/csvrows.py", "E_MIN, E_MAX = -290, 300", "E_MIN, E_MAX = -300, 300",
