@@ -80,10 +80,11 @@ def _asymptotic_coefficients():
 
 
 _COEF = _asymptotic_coefficients()
+_PARTS = _COEF.real + _COEF.imag  # the nonzero part: real for even m, else imaginary
 _POWERS = np.arange(_ASYMPTOTIC_TERMS)[:, None]
 # Arguments per asymptotic term table, which holds _ASYMPTOTIC_TERMS
-# complex values per argument: bounds its memory on long argument arrays.
-_BLOCK = 256
+# values per argument: bounds its memory on long argument arrays.
+_BLOCK = 1024
 # Terms below this magnitude cannot change a bit of the sum (`_asymptotic`).
 _NEGLIGIBLE = 1e-30
 
@@ -92,8 +93,11 @@ def _asymptotic(z):
     """Large-argument form for a 1-d array z > Z_SWITCH:
     sqrt(2/(pi z)) e^{i(z - pi/4)} sum_{m < _ASYMPTOTIC_TERMS} i^m a_m / z^m.
 
-    The terms are tabulated, one column per argument, and summed in order,
-    so a one-point call costs a few numpy calls rather than one per term.
+    The terms are tabulated, one column per argument, as the reals 1 / z^m
+    times the nonzero part of i^m a_m, and the even ones are summed in order
+    into the real part, the odd ones into the imaginary part. That is the
+    in-order complex sum bit for bit: numpy divides a + bi by a real c as
+    ((a + b 0) (1 / c), (b - a 0) (1 / c)), and the zero parts add nothing.
 
     A block of arguments sums only the terms that are at least _NEGLIGIBLE
     at its smallest non-NaN z; the rest add nothing. For z > Z_SWITCH each term is
@@ -103,15 +107,19 @@ def _asymptotic(z):
     half an ulp of either part is at least about 8e-22, and for larger z
     the terms fall faster than the parts do. So in the in-order sum a term
     below 1e-30 rounds away and leaves every bit as the full sum has it.
+    From z = 1.25e29 on no odd term is left, and the imaginary part is +0.
     """
-    s = np.empty(z.shape, dtype=complex)
+    s = np.zeros(z.shape, dtype=complex)
     for start in range(0, z.size, _BLOCK):
         block = z[start:start + _BLOCK]
         # fmin skips NaN arguments, so they do not cut the finite ones' sum
         size = np.abs(_COEF[:, 0]) / np.fmin.reduce(block) ** _POWERS[:, 0]
         used = np.count_nonzero(size >= _NEGLIGIBLE)
-        terms = _COEF[:used] / block ** _POWERS[:used]
-        s[start:start + _BLOCK] = np.add.accumulate(terms, axis=0)[-1]
+        terms = 1.0 / block ** _POWERS[:used]
+        terms *= _PARTS[:used]
+        for part, rows in ((s.real, terms[0::2]), (s.imag, terms[1::2])):
+            if len(rows):
+                part[start:start + _BLOCK] = np.add.accumulate(rows, axis=0)[-1]
     amp = np.sqrt(2.0 / (math.pi * z))
     return amp * np.exp(1j * (z - 0.25 * math.pi)) * s
 

@@ -13,40 +13,16 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, _parse_number, parse_config
-from .csvrows import write_csv
-from .errors import (
-    DegenerateDeterminantError,
-    ExceptionalDirectionError,
-    HoloplaneError,
-    UndefinedDenominatorError,
-)
+from .errors import (DegenerateDeterminantError, ExceptionalDirectionError, HoloplaneError,
+                     UndefinedDenominatorError)
 from .fields import far_field
 from .geometry import point_on_plane
-from .hologram import (
-    add_noise,
-    hologram_to_csv,
-    hologram_to_pgm,
-    intensity_lookup,
-    sample_hologram,
-)
-from .metrics import (
-    box_axis,
-    in_box,
-    l2_ratio,
-    l2_sums,
-    l2_terms,
-    shifted_intensity,
-    slope_estimate,
-)
-from .recon import (
-    DET_FLOOR,
-    BoundedOffset,
-    SqrtScaled,
-    node_blocks,
-    recon_to_csv,
-    reconstruct_grid,
-    reconstruct_points,
-)
+from .hologram import (add_noise, hologram_to_csv, hologram_to_pgm, intensity_lookup,
+                       sample_hologram)
+from .metrics import (box_axis, in_box, l2_ratio, l2_sums, l2_terms, shifted_intensity,
+                      slope_estimate)
+from .recon import (DET_FLOOR, BoundedOffset, SqrtScaled, node_blocks, recon_to_csv,
+                    reconstruct_grid, reconstruct_points)
 
 RATE_S_LADDER = (50.0, 100.0, 200.0, 400.0, 800.0)
 # The reference experiment's parameter sweeps, in run order.
@@ -146,40 +122,24 @@ def compute_metrics(cfg, records):
     return scores.ratios()
 
 
-def _profile_rows(spec):
-    """Node range of the central vertical profile: the row of
-    `GridSpec.shape` with smallest |first in-plane coordinate| (ties ->
-    smaller index), second coordinate varying; in d=2 the whole line."""
-    row = int(np.argmin(np.abs(spec.coords))) if spec.frame.dim == 3 else 0
-    return slice(row * spec.n, (row + 1) * spec.n)
-
-
 def run_reconstruct(cfg, outdir):
     """Full-grid reconstruction; writes recon.csv, profile.csv, metrics.csv.
 
     One pass over the node blocks (`_reconstruct`): `recon_to_csv` writes
-    each block's rows as it takes the block, and the block also adds to the
-    metric sums, the profile rows that fall in it and max |zeta|. A run
-    that fails leaves no file: the empty-region check runs before the
-    pass, and recon.csv and profile.csv are written under temporary names
-    and moved into place once every metric has its value. Returns the
-    metrics and max |zeta|."""
+    each block's rows as it takes the block, with the profile
+    (`_write_profile`) as an excerpt of them, and the block also adds to
+    the metric sums and max |zeta|. A run that fails leaves no file: the
+    empty-region check runs before the pass, and recon.csv and profile.csv
+    are written under temporary names and moved into place once every
+    metric has its value. Returns the metrics and max |zeta|."""
     os.makedirs(outdir, exist_ok=True)
     spec = cfg.grid_spec()
     scores = _Scores(cfg, spec)
-    profile_rows = _profile_rows(spec)
-    profile = np.empty((2, spec.n), dtype=complex)  # psi1 and psi1_rec
     max_zeta = np.nan
 
     def consume(block):
         nonlocal max_zeta
         scores.add(block)
-        lo = max(profile_rows.start, block.rows.start)
-        hi = min(profile_rows.stop, block.rows.stop)
-        if lo < hi:
-            rows = slice(lo - block.rows.start, hi - block.rows.start)
-            profile[:, lo - profile_rows.start:hi - profile_rows.start] = (
-                block.psi1[rows], block.psi1_rec[rows])
         # fmax skips a block whose nodes all have no offset
         max_zeta = np.fmax(max_zeta, block.max_zeta)
         return block
@@ -189,8 +149,8 @@ def run_reconstruct(cfg, outdir):
     try:
         # map keeps no reference to a block it is done with, so the writer
         # lets each block go before the next one is made
-        recon_to_csv(map(consume, _reconstruct(cfg)), staged[0])
-        _write_profile(spec, profile, staged[1])
+        recon_to_csv(map(consume, _reconstruct(cfg)), staged[0],
+                     excerpt=_write_profile(spec, staged[1]))
         metrics = scores.ratios()
         for path, name in zip(staged, names):
             os.replace(path, os.path.join(outdir, name))
@@ -207,13 +167,14 @@ def run_reconstruct(cfg, outdir):
     return metrics, float(max_zeta)
 
 
-def _write_profile(spec, profile, path):
-    """Write the central vertical profile (`_profile_rows`): the true and
-    the reconstructed field, the rows of `profile`, along the varying
-    coordinate."""
-    ex, rec = profile
-    write_csv(path, [{f"x{spec.frame.dim}": spec.coords, "re_psi1": ex.real,
-                      "im_psi1": ex.imag, "re_psi1rec": rec.real, "im_psi1rec": rec.imag}])
+def _write_profile(spec, path):
+    """The central vertical profile as the `write_csv` excerpt of recon.csv
+    to `path`: columns x{d} to im_psi1rec, at the row of `GridSpec.shape`
+    with smallest |first in-plane coordinate| (ties -> smaller index); in
+    d=2 the whole line."""
+    row = int(np.argmin(np.abs(spec.coords))) if spec.frame.dim == 3 else 0
+    names = (f"x{spec.frame.dim}", "re_psi1", "im_psi1", "re_psi1rec", "im_psi1rec")
+    return path, names, slice(row * spec.n, (row + 1) * spec.n)
 
 
 def _sweep_config(cfg, param, value):

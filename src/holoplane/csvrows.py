@@ -58,21 +58,22 @@ instead:
 - integers with |v| >= 10**10.
 
 The budget of a chunk is as many rows as fit in CHUNK_BYTES of slots
-(`_chunk_rows`), so a file with narrow rows gets more rows per chunk at the
-same slot memory: 672 rows of the 256-byte slot row of a d=3 `recon.csv`,
-2389 of the 72-byte row of a d=3 `hologram.csv`. Each block is cut into
-round(rows / budget) chunks, at least one, of near-equal size (`_chunks`):
-a 4096-node block of `recon.csv` into 6 chunks of at most 683 rows, where
-cuts at the budget would leave a partial seventh chunk of 64 rows that
-costs the numpy calls of a whole one. Each run of adjacent array columns
-is formatted by one `_format` call straight into its words of the chunk.
-A chunk holds at most 1.5 times the budget, so the slot array and the
-bytes made from it take at most 258 kB each, and the formatter's
-temporaries at most 86 kB each.
-The lookup tables, about 120 kB, are built on the first write, so
-`import holoplane` does not pay for them.
+(`_chunk_rows`: 672 rows of a d=3 `recon.csv`, 2389 of a d=3
+`hologram.csv`), and each block is cut into near-equal chunks (`_chunks`).
+Each run of adjacent array columns is formatted by one `_format` call
+straight into its words of the chunk. A chunk holds at most 1.5 times the
+budget, so the slot array and the bytes made from it take at most 258 kB
+each, and the formatter's temporaries at most 86 kB each. The lookup
+tables, about 120 kB, are built on the first write, so `import holoplane`
+does not pay for them.
+
+An excerpt (adjacent columns over a contiguous range of rows, such as
+`profile.csv` of `recon.csv`) is written to a second file from the same
+slot words, the last one's delimiter byte set to `\n`, with one more
+`translate` per chunk: its values are not formatted again.
 """
 
+import contextlib
 import functools
 from types import SimpleNamespace
 
@@ -296,41 +297,53 @@ def _pair_slots(values, end):
     return table
 
 
-def _layout(columns):
+def _layout(columns, excerpt):
     """Row layout of a table with the `columns` of its first block: the
     delimiter of each column, shifted to a slot word's last byte (`ends`),
-    the (first word, column number, slot table) of each pair, the [first
-    word, first, last + 1] of each run of adjacent array columns, the slot
-    words per row and the rows per chunk of the budget."""
+    the first slot word of each column and the row's end (`starts`), the
+    slot table of each pair by column number, the [first, last + 1]
+    columns of each run of adjacent array columns, the rows per chunk of
+    the budget, and the files to write (`cuts`): the table, and the
+    `write_csv` excerpt if one is given, each as (header names, first slot
+    word, end word, the flip of its last delimiter to `\n`, file rows)."""
     ends = np.array([ord(",")] * (len(columns) - 1) + [ord("\n")], U8) << LAST
-    pairs, runs, width = [], [], 0
+    pairs, runs, starts = {}, [], [0]
     for c, column in enumerate(columns.values()):
         if isinstance(column, np.ndarray) and column.dtype == bool:
             column = (np.array([0, 1]), column)
         if isinstance(column, tuple):
-            table = _pair_slots(np.asarray(column[0]), ends[c])
-            pairs.append((width, c, table))
-            width += table.shape[1]
-        elif runs and runs[-1][2] == c:
-            runs[-1][2] += 1
-            width += 3
+            pairs[c] = _pair_slots(np.asarray(column[0]), ends[c])
+        elif runs and runs[-1][1] == c:
+            runs[-1][1] += 1
         else:
-            runs.append([width, c, c + 1])
-            width += 3
-    return SimpleNamespace(ends=ends, pairs=pairs, runs=runs, width=width,
-                           step=_chunk_rows(width))
+            runs.append([c, c + 1])
+        starts.append(starts[-1] + (pairs[c].shape[1] if c in pairs else 3))
+    header = list(columns)
+    cuts = [(header, 0, starts[-1], 0, slice(0, np.inf))]
+    if excerpt is not None:
+        names = list(excerpt[1])
+        c0 = next((c for c in range(len(header)) if header[c:c + len(names)] == names), None)
+        if not names or c0 is None:
+            raise ValueError(f"excerpt columns {names} are not adjacent columns, "
+                             f"in column order, of {header}")
+        c1 = c0 + len(names)
+        cuts.append((names, starts[c0], starts[c1], ends[c1 - 1] ^ ends[-1], excerpt[2]))
+    return SimpleNamespace(ends=ends, pairs=pairs, runs=runs, starts=starts, cuts=cuts,
+                           step=_chunk_rows(starts[-1]))
 
 
 def _chunks(nrows, step):
     """Bounds of the chunks of a block of `nrows` rows: round(nrows / step)
     chunks, at least one, of near-equal size. A block is never cut at
     `step` rows into whole chunks and a partial one: a partial chunk costs
-    the per-chunk numpy calls of a whole one."""
+    the per-chunk numpy calls of a whole one (a 4096-node block of a d=3
+    `recon.csv` is 6 chunks of at most 683 rows, not 6 of 672 and one of
+    64)."""
     count = max(1, round(nrows / step))
     return [nrows * k // count for k in range(count + 1)]
 
 
-def write_csv(path, blocks):
+def write_csv(path, blocks, excerpt=None):
     """Write `blocks` as CSV with a header line. `blocks` is an iterable of
     dicts from header name to column, one dict per block of consecutive
     rows, in row order; each block has the names of the first, in the same
@@ -339,29 +352,35 @@ def write_csv(path, blocks):
     demand holds one at a time.
 
     A column is a 1-d array, or a pair (values, index) that stands for
-    values[index]. A pair's values are formatted once per file, from the
-    first block, so every block must give the same values, and each row
-    copies the slot of its index. A boolean column is written as the pair
-    ([0, 1], column). A column or a pair's index may also be a function of
-    a slice of the file's rows that returns the column's values at those
-    rows; it is called once per chunk. Every column of a block has the same
-    number of rows, the length of its array columns and indices, of which
-    there is at least one. Each block is cut into chunks by `_chunks`."""
+    values[index], whose values are formatted once per file, from the first
+    block, so every block must give the same values. A boolean column is
+    written as the pair ([0, 1], column). A column or a pair's index may
+    also be a function of a slice of the file's rows, called once per chunk.
+    A block has at least one array column or index, and every column has
+    its row count.
+
+    `excerpt`, if given, is (path, names, rows): the CSV of the columns
+    `names`, adjacent and in column order (else ValueError), at the file
+    rows `rows` (a slice with start and stop), written to that path."""
     t = _tables()
     layout = None
     start = 0  # file row of the block's first row
-    with open(path, "wb") as fh:
+    paths = [path] if excerpt is None else [path, excerpt[0]]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "wb")) for p in paths]
         for columns in blocks:
             if layout is None:
-                layout = _layout(columns)
-                fh.write((",".join(columns) + "\n").encode())
-            start += _write_block(fh, columns, start, layout, t)
+                layout = _layout(columns, excerpt)
+                for fh, (names, *_) in zip(files, layout.cuts):
+                    fh.write((",".join(names) + "\n").encode())
+            start += _write_block(files, columns, start, layout, t)
             del columns
 
 
-def _write_block(fh, columns, start, layout, t):
+def _write_block(files, columns, start, layout, t):
     """Write the rows of the block `columns`, whose first row is row
-    `start` of the file, chunk by chunk; return its row count."""
+    `start` of the file, chunk by chunk, to `files` as `layout.cuts` says;
+    return the block's row count."""
     # a pair's index, or the column itself
     arrays = [c[1] if isinstance(c, tuple) else c for c in columns.values()]
     nrows = next((len(a) for a in arrays if not callable(a)), None)
@@ -375,14 +394,20 @@ def _write_block(fh, columns, start, layout, t):
         # a function that several columns share is called once per chunk
         values = {f: f(rows) for f in functions}
         chunk = [values[a] if callable(a) else a[lo:hi] for a in arrays]
-        words = np.empty((hi - lo, layout.width), U8)
-        for first, c0, c1 in layout.runs:
+        words = np.empty((hi - lo, layout.starts[-1]), U8)
+        for c0, c1 in layout.runs:
             # a view: the run's words are contiguous within each row
-            slots = words[:, first:first + 3 * (c1 - c0)].reshape(-1, c1 - c0, 3)
+            slots = words[:, layout.starts[c0]:layout.starts[c1]].reshape(-1, c1 - c0, 3)
             _slots(chunk[c0:c1], t, slots)
             slots[..., 2] |= layout.ends[c0:c1]
-        for first, c, table in layout.pairs:
+        for c, table in layout.pairs.items():
             # take, not [], reads a boolean index as 0 and 1
-            words[:, first:first + table.shape[1]] = table.take(chunk[c], axis=0)
-        fh.write(words.tobytes().translate(None, b"\0"))
+            words[:, layout.starts[c]:layout.starts[c + 1]] = table.take(chunk[c], axis=0)
+        for fh, (_, first, end, flip, cut) in zip(files, layout.cuts):
+            # the file's rows as rows of the chunk
+            a, b = (min(max(r - start - lo, 0), hi - lo) for r in (cut.start, cut.stop))
+            if a < b:
+                part = words[a:b, first:end]
+                part[:, -1] ^= flip
+                fh.write(part.tobytes().translate(None, b"\0"))
     return nrows

@@ -367,17 +367,18 @@ def _reconstruct_block(spec, rows, lookup, field, params, strategy, refine2d, ho
                            flag_small_d=np.abs(D) <= DET_FLOOR)
 
 
-def recon_to_csv(blocks, path):
+def recon_to_csv(blocks, path, excerpt=None):
     """Write the records `blocks`, consecutive node ranges from node 0 on in
     node order (such as the node blocks of a run, or one whole-grid
-    record), as one CSV table, a block's rows as that block comes.
+    record), as one CSV table, a block's rows as that block comes; and the
+    `write_csv` `excerpt` of that table, if given, in the same pass.
 
     d=3 header: i,j,x2,x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec,
     re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD.
     d=2 drops j and x3.
     """
     # map, unlike a generator, keeps no reference to the record it is done with
-    write_csv(path, map(_csv_columns, blocks))
+    write_csv(path, map(_csv_columns, blocks), excerpt)
 
 
 def _csv_columns(r):

@@ -152,3 +152,61 @@ def test_truncated_asymptotic_sum_has_the_bits_of_the_full_sum():
     finite = np.isfinite(z)
     assert got[finite].tobytes() == expected[finite].tobytes()
     assert np.isnan(got[~finite]).all()
+
+
+def _complex_formula(z):
+    """H0 for z > Z_SWITCH from all 24 complex terms i^m a_m / z^m, summed in
+    order by `np.add.accumulate` per argument (NaN arguments give NaN).
+
+    The power table is made 1000 arguments at a time, as `_asymptotic` makes
+    it in blocks: from about 5500 arguments on numpy computes `z ** 2` of the
+    table by np.square, whose bits differ from pow's for about 5 % of them."""
+    parts = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, z.size, 1000):
+            block = z[start:start + 1000]
+            full = np.add.accumulate(bessel._COEF / block ** bessel._POWERS, axis=0)[-1]
+            parts.append(np.sqrt(2.0 / (np.pi * block))
+                         * np.exp(1j * (block - 0.25 * np.pi)) * full)
+    return np.concatenate(parts)
+
+
+def _assert_same_bits(got, expected):
+    finite = np.isfinite(expected)
+    assert got[finite].tobytes() == expected[finite].tobytes()
+    assert np.isnan(got[~finite]).all()
+
+
+def test_one_argument_calls_have_the_bits_of_the_complex_sum():
+    # a one-point table is summed along its only column: a pairwise sum
+    # (`sum(axis=0)`) instead of the in-order one changes about half of them
+    z = np.random.default_rng(11).uniform(18.0, 25.0, 5000)
+    got = np.array([hankel0_first_kind(float(v)) for v in z])
+    _assert_same_bits(got, _complex_formula(z))
+
+
+def test_long_array_has_the_bits_of_the_complex_sum():
+    # 10**5 arguments, about a hundred term-table blocks: one table of the
+    # whole array would take np.square at m = 2 and change a few sums
+    z = np.random.default_rng(12).uniform(18.0, 30.0, 10**5)
+    _assert_same_bits(hankel0_first_kind(z), _complex_formula(z))
+
+
+def test_nan_arguments_keep_the_bits_of_the_others():
+    z = np.random.default_rng(13).uniform(18.0, 400.0, 5000)
+    z[::7] = np.nan
+    z[2048:3072] = np.nan  # a whole term-table block of NaN
+    with np.errstate(invalid="ignore"):
+        got = bessel._asymptotic(z)
+    _assert_same_bits(got, _complex_formula(z))
+
+
+def test_first_term_only_has_the_bits_of_the_complex_sum():
+    # from 0.125 / z < 1e-30 on only the first term is summed: no odd term is
+    # left, and the imaginary part of the sum is that term's +0
+    z = np.concatenate([np.logspace(29.1, 300, 500), [1.26e29, 1e200, 3e29]])
+    expected = _complex_formula(z)
+    with np.errstate(over="ignore"):  # z ** m of the terms left out
+        _assert_same_bits(hankel0_first_kind(z), expected)
+        assert all(bessel._asymptotic(np.array([v])).tobytes() == e.tobytes()
+                   for v, e in zip(z[-3:], expected[-3:]))

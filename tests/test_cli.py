@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from holoplane import cli, fields, recon
+from holoplane import cli, csvrows, fields, recon
 from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe_errors
 from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
@@ -97,6 +97,16 @@ class TestReconstruct:
             "error: evaluation point at (100.0, 0.0, 0.0) coincides with a source\n")
         assert list(out.iterdir()) == []
 
+    def test_failure_after_the_profile_leaves_no_file(self, tmp_path, capsys):
+        # node 90 * 101 + 50, in the third node block, lies on the source:
+        # the profile's nodes 5050-5150, in the second block, are written
+        rc, out = run(tmp_path, ["reconstruct"], config="n = 101\nsource = 1, 0, 100, 16, 0\n")
+        assert 2 * 4096 <= 90 * 101 + 50 and 5150 < 2 * 4096
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: evaluation point at (100.0, 16.0, 0.0) coincides with a source\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("config", [
         "n = 101\nk = 3.2, 2.4, 0\nfallback_axis = 1\n",
         "dim = 2\nn = 9001\nnoise_level = 0.01\n",
@@ -122,8 +132,8 @@ class TestReconstruct:
 
 
 class TestProfileBytes:
-    """profile.csv from the chunked writer matches a per-row f-string
-    writer, on a bilinear bounded run with NaN rows."""
+    """profile.csv, the excerpt of recon.csv's slot words, matches a
+    per-row f-string writer, on a bilinear bounded run with NaN rows."""
 
     BILINEAR = "mode = bilinear\nstrategy = bounded\n"
 
@@ -131,11 +141,18 @@ class TestProfileBytes:
         rc, out = run(tmp_path, ["reconstruct"], config=config)
         assert rc == 0
         cfg = parse_config(config)
+        spec = cfg.grid_spec()
         psi1, psi1_rec = joined(cfg, "psi1", "psi1_rec")
-        rows = coords(cfg.grid_spec())
-        # profile.csv is the last file written: more than one chunk, not a
-        # whole number of chunks at the budget
-        assert len(rows) > steps[-1] and len(rows) % steps[-1]
+        rows = coords(spec)
+        # recon.csv is the only file written by chunks, steps[-1] rows at the
+        # budget: the profile's nodes cross the bounds of its chunks and of
+        # the node blocks, and in d = 3 start and end inside chunks
+        lo, hi = rows[0][1], rows[-1][1] + 1
+        blocks = list(recon.node_blocks(spec.size))
+        cuts = {b.start + k for b in blocks
+                for k in csvrows._chunks(b.stop - b.start, steps[-1])}
+        assert any(lo < c < hi for c in cuts) and any(lo < b.start < hi for b in blocks)
+        assert spec.frame.dim == 2 or not {lo, hi} & cuts
         expected = header
         for c, idx in rows:
             ex, rec = psi1[idx], psi1_rec[idx]
@@ -144,10 +161,11 @@ class TestProfileBytes:
         assert "nan" in expected
         assert (out / "profile.csv").read_text() == expected
 
-    def test_3d(self, tmp_path, chunk_budget):
-        # a 3-d profile has only n rows: shrink the chunk to cross boundaries
-        # (8 rows of 5 three-word slots)
-        steps = chunk_budget(8 * 5 * 24)
+    def test_3d(self, tmp_path, chunk_budget, monkeypatch):
+        # the profile's 21 nodes 210-230 of a 21 x 21 grid, in node blocks
+        # of 220 and in recon.csv chunks of about 4 rows (4 rows of 30 words)
+        monkeypatch.setattr(recon, "NODE_BLOCK", 220)
+        steps = chunk_budget(4 * 30 * 8)
 
         def column(spec):
             i0 = min(range(spec.n), key=lambda i: abs(spec.coords[i]))
@@ -156,8 +174,11 @@ class TestProfileBytes:
         self.check(tmp_path, self.BILINEAR + "n = 21\n", column,
                    "x3,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n", steps)
 
-    def test_2d(self, tmp_path, chunk_budget):
-        steps = chunk_budget(64 * 5 * 24)
+    def test_2d(self, tmp_path, chunk_budget, monkeypatch):
+        # the 301 nodes in node blocks of 128 and in recon.csv chunks of
+        # 64 rows (of 32 words)
+        monkeypatch.setattr(recon, "NODE_BLOCK", 128)
+        steps = chunk_budget(64 * 32 * 8)
 
         def line(spec):
             uv = grid_coords(spec)
@@ -165,7 +186,6 @@ class TestProfileBytes:
 
         self.check(tmp_path, self.BILINEAR + "dim = 2\nn = 301\n", line,
                    "x2,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n", steps)
-
 
 class TestSweep:
     def test_sweep_table(self, tmp_path):

@@ -314,3 +314,63 @@ def test_any_finite_double(out, values):
 @given(st.lists(st.integers(INT64.min, INT64.max), min_size=1, max_size=40))
 def test_any_int64(out, values):
     check(out, {"i": np.array(values, dtype=np.int64)})
+
+
+def excerpt_table(rows):
+    """Columns of a table for the excerpt tests: pairs, arrays, a function
+    column and a flag, in an order where pairs and arrays alternate."""
+    rng = np.random.default_rng(8)
+    values = np.array([0.5, -1e-7, np.nan, 1234567890.5])
+    return {
+        "p": (values, rng.integers(0, values.size, rows)),
+        "a": rng.standard_normal(rows),
+        "k": lambda r: np.arange(r.start, r.stop) * 0.25,
+        "q": (np.arange(5) * 1e12, rng.integers(0, 5, rows)),
+        "b": rng.standard_normal(rows) * 1e-9,
+        "flag": rng.random(rows) < 0.5,
+    }
+
+
+def whole(columns, rows):
+    """`columns` as arrays and (values, index) pairs of arrays."""
+    return {name: c(slice(0, rows)) if callable(c) else c for name, c in columns.items()}
+
+
+def blocks_of(columns, bounds):
+    """The block stream of `columns` cut at `bounds`."""
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield {name: c if callable(c) else (c[0], c[1][lo:hi]) if isinstance(c, tuple)
+               else c[lo:hi] for name, c in columns.items()}
+
+
+@pytest.mark.parametrize("names, first, stop", [
+    (["p", "a", "k", "q", "b"], 5, 38),  # from a pair to an array
+    (["a", "k", "q"], 0, 45),  # every row, ending on a pair
+    (["b", "flag"], 13, 14),  # one row, ending on the file's last column
+    (["k"], 44, 45),  # the last row
+    (["q"], 20, 20),  # no row
+])
+def test_excerpt_across_chunks_and_blocks(tmp_path, chunk_budget, names, first, stop):
+    # blocks of 13, 3, 9 and 20 rows at a budget of 4 rows: the excerpt's
+    # rows start and end inside chunks and cross chunk and block bounds
+    steps = chunk_budget(4 * 13 * 8)
+    rows = 45
+    columns = excerpt_table(rows)
+    part = tmp_path / "part.csv"
+    write_csv(tmp_path / "all.csv", blocks_of(columns, [0, 13, 16, 25, rows]),
+              excerpt=(part, names, slice(first, stop)))
+    assert steps == [4]
+    table = whole(columns, rows)
+    assert (tmp_path / "all.csv").read_text() == reference(table)
+    cut = {name: (table[name][0], table[name][1][first:stop])
+           if isinstance(table[name], tuple) else table[name][first:stop] for name in names}
+    assert part.read_text() == reference(cut)
+
+
+@pytest.mark.parametrize("names", [["p", "k"], ["k", "a"], ["a", "x"], ["x"], []])
+def test_excerpt_columns_must_be_adjacent_and_in_order(tmp_path, names):
+    columns = excerpt_table(6)
+    with pytest.raises(ValueError) as info:
+        write_csv(tmp_path / "all.csv", [columns], excerpt=(tmp_path / "part.csv", names,
+                                                            slice(0, 6)))
+    assert "are not adjacent columns, in column order" in str(info.value)

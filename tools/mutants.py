@@ -82,9 +82,21 @@ MUTANTS = [
      "os.replace before the metric ratios: a failing run leaves its files"),
     ("src/holoplane/csvrows.py", "count = max(1, round(nrows / step))",
      "count = max(1, -(-nrows // step))", "ceil for round in the chunk rule"),
-    ("src/holoplane/cli.py", "return slice(row * spec.n, (row + 1) * spec.n)",
-     "return slice(row * spec.n + 1, (row + 1) * spec.n + 1)",
+    ("src/holoplane/cli.py", "return path, names, slice(row * spec.n, (row + 1) * spec.n)",
+     "return path, names, slice(row * spec.n + 1, (row + 1) * spec.n + 1)",
      "profile row offset off by one"),
+    ("src/holoplane/csvrows.py", "part[:, -1] ^= flip", "part[:, -1] ^= 0",
+     "no `\\n` rewrite of an excerpt's last delimiter"),
+    ("src/holoplane/csvrows.py", "ends[c1 - 1] ^ ends[-1], excerpt[2])",
+     "ends[c1 - 1] ^ ends[-1], slice(excerpt[2].start + 1, excerpt[2].stop + 1))",
+     "excerpt rows off by one"),
+    ("src/holoplane/bessel.py", "((s.real, terms[0::2]), (s.imag, terms[1::2]))",
+     "((s.real, terms[1::2]), (s.imag, terms[0::2]))",
+     "even and odd asymptotic terms swapped"),
+    ("src/holoplane/bessel.py", "np.add.accumulate(rows, axis=0)[-1]", "rows.sum(axis=0)",
+     "pairwise sum(axis=0) for the in-order asymptotic sum"),
+    ("src/holoplane/bessel.py", "_BLOCK = 1024", "_BLOCK = 10**6",
+     "one asymptotic term table for the whole argument array"),
     ("src/holoplane/recon.py", "psi0 = plane_wave(pts, params)",
      "psi0 = plane_wave(grid_points(spec, slice(0, len(pts))), params)",
      "psi0 of a block taken from the first block's nodes"),

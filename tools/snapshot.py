@@ -50,6 +50,8 @@ CONFIGS = {
     "tilted-omega-noise-n41": ("omega = 0.8, 0.6, 0\nmode = bilinear\nn = 41\n"
                                "noise_level = 0.01\n"),
     "2d-noise-n301": "dim = 2\nnoise_level = 0.01\nn = 301\n",
+    # d=2 over three node blocks: the profile excerpt spans block bounds.
+    "2d-n9001": "dim = 2\nn = 9001\n",
     "2d-tilted-bilinear-hybrid-n501": ("dim = 2\nomega = 0.6, 0.8\nmode = bilinear\n"
                                        "strategy = hybrid\nn = 501\n"),
     # Coordinates whose texts fill three slot words, e.g. -0.0009327846365.
