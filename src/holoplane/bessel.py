@@ -112,10 +112,12 @@ def _asymptotic(z):
     s = np.zeros(z.shape, dtype=complex)
     for start in range(0, z.size, _BLOCK):
         block = z[start:start + _BLOCK]
-        # fmin skips NaN arguments, so they do not cut the finite ones' sum
-        size = np.abs(_COEF[:, 0]) / np.fmin.reduce(block) ** _POWERS[:, 0]
-        used = np.count_nonzero(size >= _NEGLIGIBLE)
-        terms = 1.0 / block ** _POWERS[:used]
+        # fmin skips NaN arguments, so they do not cut the finite ones' sum. An
+        # inf z^m (z > 1e13.4) is of a term that is dropped, or would round away.
+        with np.errstate(over="ignore"):
+            size = np.abs(_COEF[:, 0]) / np.fmin.reduce(block) ** _POWERS[:, 0]
+            used = np.count_nonzero(size >= _NEGLIGIBLE)
+            terms = 1.0 / block ** _POWERS[:used]
         terms *= _PARTS[:used]
         for part, rows in ((s.real, terms[0::2]), (s.imag, terms[1::2])):
             if len(rows):

@@ -16,13 +16,13 @@ from .config import ExperimentConfig, _parse_number, parse_config
 from .errors import (DegenerateDeterminantError, ExceptionalDirectionError, HoloplaneError,
                      UndefinedDenominatorError)
 from .fields import far_field
-from .geometry import point_on_plane
+from .geometry import node_blocks, point_on_plane
 from .hologram import (add_noise, hologram_to_csv, hologram_to_pgm, intensity_lookup,
                        sample_hologram)
 from .metrics import (box_axis, in_box, l2_ratio, l2_sums, l2_terms, shifted_intensity,
                       slope_estimate)
-from .recon import (DET_FLOOR, BoundedOffset, SqrtScaled, node_blocks, recon_to_csv,
-                    reconstruct_grid, reconstruct_points)
+from .recon import (DET_FLOOR, BoundedOffset, SqrtScaled, recon_to_csv, reconstruct_grid,
+                    reconstruct_points)
 
 RATE_S_LADDER = (50.0, 100.0, 200.0, 400.0, 800.0)
 # The reference experiment's parameter sweeps, in run order.
@@ -96,13 +96,11 @@ class _Scores:
         """Add the sums of a record's node blocks (one block for a record
         of `_reconstruct`); its true intensity is the one the kernel read
         at the nodes of an analytic run."""
-        for b in node_blocks(record.rows.stop, record.rows.start):
-            part = slice(b.start - record.rows.start, b.stop - record.rows.start)
-            terms = {"E": l2_terms(record.psi1_rec[part], record.psi1[part]),
-                     "E_dis": l2_terms(shifted_intensity(record.psi0[part],
-                                                         record.psi1_rec[part]),
-                                       record.intensity[part] - 1.0)}
-            inside = in_box(self.spec, self.axis, b)
+        for b in record.blocks():
+            terms = {"E": l2_terms(b.psi1_rec, b.psi1),
+                     "E_dis": l2_terms(shifted_intensity(b.psi0, b.psi1_rec),
+                                       b.intensity - 1.0)}
+            inside = in_box(self.spec, self.axis, b.rows)
             for name, selected in zip(self.REGIONS, (None, inside, ~inside)):
                 for metric, t in terms.items():
                     self.sums[metric, name] += l2_sums(t, selected)

@@ -11,13 +11,11 @@ operations instead of one Python format call per value.
 A column that holds few distinct values is given as a pair
 (values, index), meaning values[index]. Its values are formatted once per
 file, into a table of slots, and each chunk copies the slots of its
-indices. A boolean column is the pair ([0, 1], column). A column, or a
-pair's index, can also be a function of a slice of the file's rows,
-called once per chunk with that chunk's rows. `grid_columns` gives the d=3
-node columns i, j, x2 and x3 as pairs over the n axis values whose index
-is such a function (`GridSpec.node_axes`), so each grid coordinate is
-formatted once per axis value, and no per-node index or coordinate array
-is built.
+indices. A boolean column is the pair ([0, 1], column). `grid_columns`
+gives the d=3 node columns i, j, x2 and x3 of a node range as pairs over
+the n axis values, indexed by the range's axis indices
+(`GridSpec.node_axes`), so each grid coordinate is formatted once per axis
+value.
 
 An integer below 10**10 in magnitude is exactly a float64 whose `%.10g`
 text is its `%d` text, so every column goes through one float formatter.
@@ -231,26 +229,17 @@ def _chunk_rows(words):
     return max(1, CHUNK_BYTES // (8 * words))
 
 
-def grid_columns(spec):
-    """Node index and in-plane coordinate columns of a per-node CSV, by
-    name, in node order (d=3: i,j,x2,x3; d=2: i,x2), as functions of the
-    file's rows, so each block of a stream gives the same columns.
-
-    For d=3 each column takes one of the n axis values per node, so it is
-    the pair (axis values, the node's row or column number) that
-    `write_csv` formats once per axis value. The index of a chunk of rows
-    is that chunk's axis indices, `GridSpec.node_axes`. For d=2 the node is
-    the axis index, and the columns are slices of the axis values."""
+def grid_columns(spec, rows=slice(None)):
+    """Node index and in-plane coordinate columns of a per-node CSV at the
+    contiguous node range `rows` (default: all), by name, in node order
+    (d=3: i,j,x2,x3; d=2: i,x2). For d=3 each is the pair (axis values, the
+    nodes' row or column numbers, `GridSpec.node_axes`), which `write_csv`
+    formats once per axis value; for d=2 the node is the axis index."""
     idx, coords = np.arange(spec.n), spec.coords
     if spec.frame.dim == 3:
-        def row(rows):
-            return spec.node_axes(rows)[0]
-
-        def col(rows):
-            return spec.node_axes(rows)[1]
-
+        row, col = spec.node_axes(rows)
         return {"i": (idx, row), "j": (idx, col), "x2": (coords, row), "x3": (coords, col)}
-    return {"i": lambda rows: idx[rows], "x2": lambda rows: coords[rows]}
+    return {"i": idx[rows], "x2": coords[rows]}
 
 
 def _template(column):
@@ -351,13 +340,11 @@ def write_csv(path, blocks, excerpt=None):
     before the next one is asked for, so a stream that makes its blocks on
     demand holds one at a time.
 
-    A column is a 1-d array, or a pair (values, index) that stands for
-    values[index], whose values are formatted once per file, from the first
-    block, so every block must give the same values. A boolean column is
-    written as the pair ([0, 1], column). A column or a pair's index may
-    also be a function of a slice of the file's rows, called once per chunk.
-    A block has at least one array column or index, and every column has
-    its row count.
+    A column is a 1-d array, or a pair (values, index) of arrays that
+    stands for values[index], whose values are formatted once per file,
+    from the first block, so every block must give the same values. A
+    boolean column is written as the pair ([0, 1], column). Every column of
+    a block has its row count.
 
     `excerpt`, if given, is (path, names, rows): the CSV of the columns
     `names`, adjacent and in column order (else ValueError), at the file
@@ -383,17 +370,10 @@ def _write_block(files, columns, start, layout, t):
     return the block's row count."""
     # a pair's index, or the column itself
     arrays = [c[1] if isinstance(c, tuple) else c for c in columns.values()]
-    nrows = next((len(a) for a in arrays if not callable(a)), None)
-    if nrows is None:
-        raise ValueError("write_csv needs an array column, or a pair whose "
-                         "index is an array, to fix the row count")
-    functions = list(dict.fromkeys(a for a in arrays if callable(a)))
+    nrows = len(arrays[0])
     bounds = _chunks(nrows, layout.step)
     for lo, hi in zip(bounds, bounds[1:]):
-        rows = slice(start + lo, start + hi)
-        # a function that several columns share is called once per chunk
-        values = {f: f(rows) for f in functions}
-        chunk = [values[a] if callable(a) else a[lo:hi] for a in arrays]
+        chunk = [a[lo:hi] for a in arrays]
         words = np.empty((hi - lo, layout.starts[-1]), U8)
         for c0, c1 in layout.runs:
             # a view: the run's words are contiguous within each row

@@ -14,6 +14,13 @@ from .errors import OutOfHalfspaceError
 
 _UNIT_TOL = 1e-9
 
+# Grid nodes per block. The kernel, the metrics and the CSV rows of a run
+# take the grid NODE_BLOCK nodes at a time (`node_blocks`), so the run holds
+# no grid-sized array. Whole-grid temporaries also fragment the heap: at
+# 1.6e5 nodes the peak memory moved by 5 MB with the allocation history,
+# while small blocks reuse the same heap memory.
+NODE_BLOCK = 4096
+
 
 def _as_unit(v, name="vector"):
     v = np.asarray(v, dtype=float)
@@ -148,6 +155,14 @@ class GridSpec:
         """Per-axis indices into `coords` of the contiguous node range
         `rows`, one index array per axis of `shape`."""
         return np.unravel_index(np.arange(*rows.indices(self.size)), self.shape)
+
+
+def node_blocks(stop, start=0):
+    """The grid's node blocks, NODE_BLOCK consecutive nodes each from node 0
+    on, cut to the nodes start..stop-1: slices, in order. A range split at
+    these bounds gives every stage the blocks of a whole-grid run."""
+    bounds = [start, *range(start - start % NODE_BLOCK + NODE_BLOCK, stop, NODE_BLOCK), stop]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def grid_coords(spec, rows=slice(None)):

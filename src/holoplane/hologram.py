@@ -11,7 +11,7 @@ import numpy as np
 from .csvrows import grid_columns, write_csv
 from .errors import OutOfPatchError
 from .fields import eval_radiation, plane_wave
-from .geometry import grid_points
+from .geometry import grid_points, node_blocks
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,10 @@ def add_noise(holo, relative_level, seed):
 
 
 def hologram_to_csv(holo, path):
-    """Write the sampled intensity as CSV (d=3: i,j,x2,x3,I; d=2: i,x2,I)."""
-    write_csv(path, [{**grid_columns(holo.spec), "I": holo.values}])
+    """Write the sampled intensity as CSV (d=3: i,j,x2,x3,I; d=2: i,x2,I),
+    a node block at a time."""
+    write_csv(path, ({**grid_columns(holo.spec, b), "I": holo.values[b]}
+                     for b in node_blocks(holo.spec.size)))
 
 
 def hologram_to_pgm(holo, path):

@@ -2,7 +2,7 @@
 rectangular regions, and log-log slope fits.
 
 The L2 distance is summed over the grid NODE_BLOCK nodes at a time
-(`recon.node_blocks`): `l2_terms` gives the squared terms of one block,
+(`geometry.node_blocks`): `l2_terms` gives the squared terms of one block,
 `l2_sums` their two sums over a region's nodes of the block, and `l2_ratio`
 turns the running totals into the relative distance. Any caller that adds
 up the same blocks in the same order, as `rel_l2` and `cli.compute_metrics`
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import UndefinedDenominatorError
 from .fields import eval_radiation, plane_wave
-from .recon import node_blocks
+from .geometry import node_blocks
 
 
 def box_axis(spec, box_half_width):

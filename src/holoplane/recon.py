@@ -21,37 +21,32 @@ points; the grid (`reconstruct_grid`) and the `rates` probe both run it.
 The caller gives the kernel the intensity at its own points, and the kernel
 reads only the offset points y through a lookup.
 
-The grid is reconstructed NODE_BLOCK nodes at a time (`node_blocks`), and
-`reconstruct_grid` takes the node range to reconstruct, so a caller can
-consume one block's record before the next one exists, as `cli` does: no
-record of the whole grid is then ever held.  A block forms the reference
-wave psi0, the true field psi1 and the true intensity |psi0 + psi1|^2 at
-its nodes once; the record carries them for scoring, and without a
-hologram the kernel reads that intensity at the nodes.
+The grid is reconstructed a node block at a time (`geometry.node_blocks`),
+and `reconstruct_grid` takes the node range to reconstruct, so a caller can
+consume one block's record before the next one exists, as `cli` does. A
+record of several blocks splits itself into them (`ReconGridResult.blocks`),
+so every stage after the kernel sees one block at a time. A block forms
+psi0, psi1 and the true intensity |psi0 + psi1|^2 at its nodes once; the
+record carries them for scoring, and without a hologram the kernel reads
+that intensity at the nodes.
 The public point helpers (`zeta_bounded`, `zeta_sqrt`, `beta_solve`,
 `determinant`) wrap the offset and determinant formulas and raise on the
 failures a batch only records.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .errors import ExceptionalDirectionError, InfeasibleParametersError
 from .csvrows import grid_columns, write_csv
 from .fields import eval_radiation, plane_wave
-from .geometry import grid_points, row_norm
+from .geometry import grid_points, node_blocks, row_norm
 from .hologram import intensity_lookup
 
 DET_FLOOR = 1e-6
-
-# Grid nodes per block. The kernel, the metrics and the CSV rows of a
-# `reconstruct` run take the grid NODE_BLOCK nodes at a time (`node_blocks`),
-# so the run holds no grid-sized array. Whole-grid temporaries also fragment
-# the heap: at 1.6e5 nodes the peak memory moved by 5 MB with the allocation
-# history, while small blocks reuse the same heap memory.
-NODE_BLOCK = 4096
 
 # Below this relative size kappa*theta_par - k_par is treated as exactly
 # singular and the sqrt-scaled offset uses the fallback axis.
@@ -262,17 +257,23 @@ class ReconGridResult:
     flag_exceptional: np.ndarray  # bool (m,)
     flag_small_d: np.ndarray  # bool (m,)
 
+    def blocks(self):
+        """The record's node blocks (`node_blocks`), in order, as records of
+        views of its arrays; [self] when it is one block."""
+        bounds = node_blocks(self.rows.stop, self.rows.start)
+        if len(bounds) == 1:
+            return [self]
+        arrays = {name: a for name, a in vars(self).items() if isinstance(a, np.ndarray)}
+        start = self.rows.start
+        return [replace(self, rows=b, **{name: a[b.start - start:b.stop - start]
+                                         for name, a in arrays.items()})
+                for b in bounds]
+
     @property
     def max_zeta(self):
         # fmax skips the NaN rows of nodes that have no offset.
-        return float(np.fmax.reduce([np.fmax.reduce(row_norm(self.zeta[b]))
-                                     for b in node_blocks(len(self.zeta))]))
-
-
-def node_blocks(stop, start=0):
-    """Slices of NODE_BLOCK consecutive nodes, in order, covering the nodes
-    start..stop-1."""
-    return [slice(b, min(b + NODE_BLOCK, stop)) for b in range(start, stop, NODE_BLOCK)]
+        return float(np.fmax.reduce([np.fmax.reduce(row_norm(b.zeta))
+                                     for b in self.blocks()]))
 
 
 def reconstruct_points(x, i_x, lookup, params, frame, strategy, refine2d=False):
@@ -324,7 +325,7 @@ def reconstruct_grid(
     rows=slice(None),
 ):
     """Run `reconstruct_points` at the grid nodes of the contiguous node
-    range `rows` (default: every node), NODE_BLOCK nodes at a time.
+    range `rows` (default: every node), a node block at a time.
 
     The intensity at a node is `hologram`'s own sample when a hologram
     sampled on `spec` is given, and the true |psi0 + psi1|^2 of (`field`,
@@ -377,24 +378,20 @@ def recon_to_csv(blocks, path, excerpt=None):
     re_f11,im_f11,abs_D,zeta_norm,flag_exceptional,flag_smallD.
     d=2 drops j and x3.
     """
-    # map, unlike a generator, keeps no reference to the record it is done with
-    write_csv(path, map(_csv_columns, blocks), excerpt)
+    # map and chain, unlike a generator, let go of each record they are done with
+    write_csv(path, map(_csv_columns, chain.from_iterable(map(ReconGridResult.blocks,
+                                                              blocks))), excerpt)
 
 
 def _csv_columns(r):
-    """The `recon_to_csv` columns of the record `r`."""
+    """The `recon_to_csv` columns of the one-block record `r`."""
     return {
-        **grid_columns(r.spec),
+        **grid_columns(r.spec, r.rows),
         "re_psi1": r.psi1.real, "im_psi1": r.psi1.imag,
         "re_psi1rec": r.psi1_rec.real, "im_psi1rec": r.psi1_rec.imag,
         "re_f11": r.f11.real, "im_f11": r.f11.imag,
-        "abs_D": lambda rows: np.abs(r.D[_within(r, rows)]),
-        "zeta_norm": lambda rows: row_norm(r.zeta[_within(r, rows)]),
+        "abs_D": np.abs(r.D),
+        "zeta_norm": row_norm(r.zeta),
         "flag_exceptional": r.flag_exceptional,
         "flag_smallD": r.flag_small_d,
     }
-
-
-def _within(r, rows):
-    """The file rows `rows` as a slice of the record `r`'s arrays."""
-    return slice(rows.start - r.rows.start, rows.stop - r.rows.start)

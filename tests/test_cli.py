@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from holoplane import cli, csvrows, fields, recon
+from holoplane import cli, csvrows, fields, geometry
 from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe_errors
 from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
@@ -112,13 +112,19 @@ class TestReconstruct:
         "dim = 2\nn = 9001\nnoise_level = 0.01\n",
     ])
     def test_outputs_independent_of_node_block(self, tmp_path, monkeypatch, config):
-        # block boundaries move the metric sums, not recon.csv or profile.csv;
-        # with k off the plane normal, psi0 differs from node to node
-        outs = []
+        # block boundaries move the metric sums, not recon.csv, profile.csv
+        # or hologram.csv; with k off the plane normal, psi0 differs from
+        # node to node
+        outs, counts = [], []
+        size = parse_config(config).grid_spec().size
         for block in (4096, 1000):
-            monkeypatch.setattr(recon, "NODE_BLOCK", block)
-            outs.append(run(tmp_path / str(block), ["reconstruct"], config=config)[1])
-        for name in ("recon.csv", "profile.csv"):
+            monkeypatch.setattr(geometry, "NODE_BLOCK", block)
+            counts.append(len(geometry.node_blocks(size)))
+            for command in ("simulate", "reconstruct"):
+                assert run(tmp_path / str(block), [command], config=config)[0] == 0
+            outs.append(tmp_path / str(block) / "out")
+        assert counts[0] != counts[1]
+        for name in ("recon.csv", "profile.csv", "hologram.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_noisy_reconstruction_runs(self, tmp_path):
@@ -148,7 +154,7 @@ class TestProfileBytes:
         # budget: the profile's nodes cross the bounds of its chunks and of
         # the node blocks, and in d = 3 start and end inside chunks
         lo, hi = rows[0][1], rows[-1][1] + 1
-        blocks = list(recon.node_blocks(spec.size))
+        blocks = list(geometry.node_blocks(spec.size))
         cuts = {b.start + k for b in blocks
                 for k in csvrows._chunks(b.stop - b.start, steps[-1])}
         assert any(lo < c < hi for c in cuts) and any(lo < b.start < hi for b in blocks)
@@ -164,7 +170,7 @@ class TestProfileBytes:
     def test_3d(self, tmp_path, chunk_budget, monkeypatch):
         # the profile's 21 nodes 210-230 of a 21 x 21 grid, in node blocks
         # of 220 and in recon.csv chunks of about 4 rows (4 rows of 30 words)
-        monkeypatch.setattr(recon, "NODE_BLOCK", 220)
+        monkeypatch.setattr(geometry, "NODE_BLOCK", 220)
         steps = chunk_budget(4 * 30 * 8)
 
         def column(spec):
@@ -177,7 +183,7 @@ class TestProfileBytes:
     def test_2d(self, tmp_path, chunk_budget, monkeypatch):
         # the 301 nodes in node blocks of 128 and in recon.csv chunks of
         # 64 rows (of 32 words)
-        monkeypatch.setattr(recon, "NODE_BLOCK", 128)
+        monkeypatch.setattr(geometry, "NODE_BLOCK", 128)
         steps = chunk_budget(64 * 32 * 8)
 
         def line(spec):

@@ -193,45 +193,28 @@ def test_grid_columns_in_a_long_chunk(out, chunk_budget):
         {"i": i, "j": j, "x2": spec.coords[i], "x3": spec.coords[j], "flag": flag})
 
 
-def test_row_count_needs_an_array(out):
-    # the d=3 grid columns are pairs indexed by functions of the rows
-    spec = GridSpec(frame=make_frame(np.eye(3)[0], 100.0), half_width=1.0, n=3)
-    with pytest.raises(ValueError) as info:
-        write_csv(out, [grid_columns(spec)])
-    assert str(info.value) == ("write_csv needs an array column, or a pair whose index "
-                               "is an array, to fix the row count")
-
-
-def test_function_columns_across_chunks(out, chunk_budget):
-    # a column and a pair index given as functions of the chunk's rows give
-    # the bytes of the arrays they stand for, across chunk boundaries; the
-    # 29 rows at a budget of 8 are round(29 / 8) = 4 chunks of 7 or 8 rows
-    steps = chunk_budget(8 * 10 * 8)
-    rng = np.random.default_rng(4)
-    rows = 29
-    z = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
-    values = np.array([0.25, -1.5, np.nan, 1e-7])
-    index = rng.integers(0, values.size, rows)
+@pytest.fixture
+def chunk_bounds(monkeypatch):
+    """The file rows (start, stop) of each chunk `write_csv` cuts, in
+    order, from the bounds `csvrows._chunks` gives each block of one
+    table."""
     seen = []
+    chunks = csvrows._chunks
 
-    def index_at(r):
-        seen.append((r.start, r.stop))
-        return index[r]
+    def spy(nrows, step):
+        bounds = chunks(nrows, step)
+        start = seen[-1][1] if seen else 0
+        seen.extend((start + lo, start + hi) for lo, hi in zip(bounds, bounds[1:]))
+        return bounds
 
-    a = rng.standard_normal(rows)
-    write_csv(out, [{"abs": lambda r: np.abs(z[r]), "a": a, "v": (values, index_at),
-                     "k": lambda r: np.arange(r.start, r.stop) * 3}])
-    assert steps == [8]
-    assert seen == [(0, 7), (7, 14), (14, 21), (21, 29)]
-    assert out.read_text() == reference(
-        {"abs": np.abs(z), "a": a, "v": (values, index), "k": np.arange(rows) * 3})
+    monkeypatch.setattr(csvrows, "_chunks", spy)
+    return seen
 
 
-def test_block_stream(out, chunk_budget, monkeypatch):
+def test_block_stream(out, chunk_budget, chunk_bounds, monkeypatch):
     # a table given as blocks of 13, 3, 9 and 20 rows at a budget of 4 rows:
-    # each block is cut into its own chunks, a function column sees the
-    # file's rows, and each pair's table is formatted once, from the first
-    # block
+    # each block is cut into its own chunks, and each pair's table is
+    # formatted once, from the first block
     steps = chunk_budget(4 * 8 * 8)  # two array slots, a pair and a flag
     formatted = []
     pair_slots = csvrows._pair_slots
@@ -240,45 +223,34 @@ def test_block_stream(out, chunk_budget, monkeypatch):
     rng = np.random.default_rng(6)
     rows = 45
     a = rng.standard_normal(rows)
+    k = np.arange(rows) * 3
     flag = rng.random(rows) < 0.5
     values = np.array([0.5, -1e-7, np.nan])
     index = rng.integers(0, values.size, rows)
-    seen = []
-
-    def k(r):
-        seen.append((r.start, r.stop))
-        return np.arange(r.start, r.stop) * 3
-
     bounds = [0, 13, 16, 25, rows]
-    write_csv(out, ({"a": a[lo:hi], "k": k, "v": (values, index[lo:hi]), "flag": flag[lo:hi]}
-                    for lo, hi in zip(bounds, bounds[1:])))
+    write_csv(out, ({"a": a[lo:hi], "k": k[lo:hi], "v": (values, index[lo:hi]),
+                     "flag": flag[lo:hi]} for lo, hi in zip(bounds, bounds[1:])))
     assert steps == [4] and formatted == [3, 2]
     # 13 rows: round(3.25) = 3 chunks; 3: 1; 9: round(2.25) = 2; 20: 5
-    assert seen == [(0, 4), (4, 8), (8, 13), (13, 16), (16, 20), (20, 25),
-                    (25, 29), (29, 33), (33, 37), (37, 41), (41, 45)]
-    assert out.read_text() == reference(
-        {"a": a, "k": np.arange(rows) * 3, "v": (values, index), "flag": flag})
+    assert chunk_bounds == [(0, 4), (4, 8), (8, 13), (13, 16), (16, 20), (20, 25),
+                            (25, 29), (29, 33), (33, 37), (37, 41), (41, 45)]
+    assert out.read_text() == reference({"a": a, "k": k, "v": (values, index), "flag": flag})
 
 
-def test_recon_block_in_six_chunks(out, chunk_budget):
+def test_recon_block_in_six_chunks(out, chunk_budget, chunk_bounds):
     # a 4096-row block of 32-word rows, the node block of a d=3 recon.csv:
     # at the default budget of 672 rows it is cut into 6 chunks of at most
     # 683 rows, not into 6 whole chunks and a partial one of 64 rows
     steps = chunk_budget(csvrows.CHUNK_BYTES)
     rng = np.random.default_rng(7)
     rows = 4096
-    seen = []
-
-    def k(r):
-        seen.append(r.stop - r.start)
-        return np.arange(r.start, r.stop) * 0.5
-
     columns = {f"c{c}": rng.standard_normal(rows) for c in range(9)}
-    columns.update({"k": k, "f": rng.random(rows) < 0.5, "g": rng.random(rows) < 0.1})
+    columns.update({"k": np.arange(rows) * 0.5, "f": rng.random(rows) < 0.5,
+                    "g": rng.random(rows) < 0.1})
     write_csv(out, [columns])
     assert steps == [672]
-    assert seen == [682, 683, 683, 682, 683, 683]
-    assert out.read_text() == reference({**columns, "k": np.arange(rows) * 0.5})
+    assert [hi - lo for lo, hi in chunk_bounds] == [682, 683, 683, 682, 683, 683]
+    assert out.read_text() == reference(columns)
 
 
 def test_non_finite_values_in_ordinary_columns(out, chunk_budget):
@@ -317,30 +289,25 @@ def test_any_int64(out, values):
 
 
 def excerpt_table(rows):
-    """Columns of a table for the excerpt tests: pairs, arrays, a function
-    column and a flag, in an order where pairs and arrays alternate."""
+    """Columns of a table for the excerpt tests: pairs, arrays and a flag,
+    in an order where pairs and arrays alternate."""
     rng = np.random.default_rng(8)
     values = np.array([0.5, -1e-7, np.nan, 1234567890.5])
     return {
         "p": (values, rng.integers(0, values.size, rows)),
         "a": rng.standard_normal(rows),
-        "k": lambda r: np.arange(r.start, r.stop) * 0.25,
+        "k": np.arange(rows) * 0.25,
         "q": (np.arange(5) * 1e12, rng.integers(0, 5, rows)),
         "b": rng.standard_normal(rows) * 1e-9,
         "flag": rng.random(rows) < 0.5,
     }
 
 
-def whole(columns, rows):
-    """`columns` as arrays and (values, index) pairs of arrays."""
-    return {name: c(slice(0, rows)) if callable(c) else c for name, c in columns.items()}
-
-
 def blocks_of(columns, bounds):
     """The block stream of `columns` cut at `bounds`."""
     for lo, hi in zip(bounds, bounds[1:]):
-        yield {name: c if callable(c) else (c[0], c[1][lo:hi]) if isinstance(c, tuple)
-               else c[lo:hi] for name, c in columns.items()}
+        yield {name: (c[0], c[1][lo:hi]) if isinstance(c, tuple) else c[lo:hi]
+               for name, c in columns.items()}
 
 
 @pytest.mark.parametrize("names, first, stop", [
@@ -350,7 +317,8 @@ def blocks_of(columns, bounds):
     (["k"], 44, 45),  # the last row
     (["q"], 20, 20),  # no row
 ])
-def test_excerpt_across_chunks_and_blocks(tmp_path, chunk_budget, names, first, stop):
+def test_excerpt_across_chunks_and_blocks(tmp_path, chunk_budget, chunk_bounds, names,
+                                         first, stop):
     # blocks of 13, 3, 9 and 20 rows at a budget of 4 rows: the excerpt's
     # rows start and end inside chunks and cross chunk and block bounds
     steps = chunk_budget(4 * 13 * 8)
@@ -360,10 +328,11 @@ def test_excerpt_across_chunks_and_blocks(tmp_path, chunk_budget, names, first, 
     write_csv(tmp_path / "all.csv", blocks_of(columns, [0, 13, 16, 25, rows]),
               excerpt=(part, names, slice(first, stop)))
     assert steps == [4]
-    table = whole(columns, rows)
-    assert (tmp_path / "all.csv").read_text() == reference(table)
-    cut = {name: (table[name][0], table[name][1][first:stop])
-           if isinstance(table[name], tuple) else table[name][first:stop] for name in names}
+    assert [lo for lo, _ in chunk_bounds] == [0, 4, 8, 13, 16, 20, 25, 29, 33, 37, 41]
+    assert (tmp_path / "all.csv").read_text() == reference(columns)
+    cut = {name: (columns[name][0], columns[name][1][first:stop])
+           if isinstance(columns[name], tuple) else columns[name][first:stop]
+           for name in names}
     assert part.read_text() == reference(cut)
 
 

@@ -1,9 +1,10 @@
 """The stages after the kernel stream the grid in blocks.
 
-The metrics, the CSV writer and `max_zeta` work on NODE_BLOCK nodes or on
-CHUNK_BYTES of CSV slots at a time, whether they are given one whole-grid
-`ReconGridResult` record or the node-block records of a `reconstruct` run,
-so their traced peaks are held against the size of the record. That size
+The metrics, the CSV writer and `max_zeta` work on the node blocks of
+`geometry.node_blocks` (`ReconGridResult.blocks`) or on CHUNK_BYTES of CSV
+slots at a time, whether they are given one whole-grid `ReconGridResult`
+record or the node-block records of a `reconstruct` run, so their traced
+peaks are held against the size of the record. That size
 is counted over the fields the record held before it carried psi0 and the
 true intensity, so the bounds stay as strict as they were. Any one
 whole-grid float or index array would take more than 12 % of the record

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from holoplane.cli import _reconstruct, compute_metrics
 from holoplane.errors import UndefinedDenominatorError
 from holoplane.fields import PointSource, RadiationField, WaveParams, eval_radiation
-from holoplane.geometry import GridSpec, grid_points, make_frame
+from holoplane.geometry import NODE_BLOCK, GridSpec, grid_points, make_frame
 from holoplane.metrics import discrepancy, region_masks, rel_l2, slope_estimate
-from holoplane.recon import NODE_BLOCK
 
 
 def spec3(n=10, h=20.0):

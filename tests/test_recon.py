@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holoplane import recon
+from holoplane import geometry, recon
 from holoplane.errors import ExceptionalDirectionError, InfeasibleParametersError
 from holoplane.fields import (
     PointSource,
@@ -549,12 +549,12 @@ class TestGridMatchesClosedForm:
         # where the kernel forms each block's node intensity from psi1
         field, p, spec = preset_field(), params_d(3), small_spec(21)
         strategy = HybridStrategy(BoundedOffset(alpha=-0.5, eps=0.1), SqrtScaled(alpha=-0.5))
-        assert spec.size <= recon.NODE_BLOCK and spec.size % 37
+        assert spec.size <= geometry.NODE_BLOCK and spec.size % 37
         for holo in (sample_hologram(field, p, spec), None):
             monkeypatch.undo()
             whole = reconstruct_grid(field, p, spec, strategy, hologram=holo)
             assert np.isnan(whole.f11).any() == (holo is not None)
-            monkeypatch.setattr(recon, "NODE_BLOCK", 37)
+            monkeypatch.setattr(geometry, "NODE_BLOCK", 37)
             blocks = reconstruct_grid(field, p, spec, strategy, hologram=holo)
             assert blocks.max_zeta == whole.max_zeta
             for name in ("points", "psi0", "psi1", "intensity", "zeta", "D", "f11",
@@ -568,12 +568,30 @@ class TestGridMatchesClosedForm:
         strategy = SqrtScaled(alpha=-0.5)
         holo = sample_hologram(field, p, spec)
         whole = reconstruct_grid(field, p, spec, strategy, hologram=holo)
-        rows = slice(recon.NODE_BLOCK - 7, recon.NODE_BLOCK + 30)
+        rows = slice(geometry.NODE_BLOCK - 7, geometry.NODE_BLOCK + 30)
         part = reconstruct_grid(field, p, spec, strategy, hologram=holo, rows=rows)
         assert (part.rows, whole.rows) == (rows, slice(0, spec.size))
         for f in dataclasses.fields(part)[2:]:
             np.testing.assert_array_equal(getattr(part, f.name), getattr(whole, f.name)[rows])
         np.testing.assert_array_equal(whole.intensity, holo.values)
+
+    def test_record_splits_into_its_node_blocks(self):
+        # a range that starts 7 nodes before a block boundary: each block is
+        # the record of its own node range, so a view whose offset does not
+        # count from the range's first node shows
+        field, p, spec = preset_field(), params_d(3), small_spec(101)
+        strategy = SqrtScaled(alpha=-0.5)
+        holo = sample_hologram(field, p, spec)
+        rows = slice(geometry.NODE_BLOCK - 7, geometry.NODE_BLOCK + 30)
+        part = reconstruct_grid(field, p, spec, strategy, hologram=holo, rows=rows)
+        blocks = part.blocks()
+        assert [b.rows for b in blocks] == geometry.node_blocks(rows.stop, rows.start)
+        assert len(blocks) == 2
+        for b in blocks:
+            own = reconstruct_grid(field, p, spec, strategy, hologram=holo, rows=b.rows)
+            assert len(own.blocks()) == 1 and own.blocks()[0] is own
+            for f in dataclasses.fields(b)[2:]:
+                np.testing.assert_array_equal(getattr(b, f.name), getattr(own, f.name))
 
     def test_singular_center_node_of_odd_grid(self):
         p = params_d(3)

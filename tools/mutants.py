@@ -48,8 +48,8 @@ MUTANTS = [
      "flag_small_d=np.abs(D) < DET_FLOOR", "<= to < at DET_FLOOR in the grid's flag"),
     ("src/holoplane/cli.py", "if np.any(np.abs(D) <= DET_FLOOR):",
      "if np.any(np.abs(D) < DET_FLOOR):", "<= to < at DET_FLOOR in the rates probe"),
-    ("src/holoplane/recon.py", "np.fmax.reduce(row_norm(self.zeta[b]))",
-     "np.max(row_norm(self.zeta[b]))", "max for fmax in max_zeta: NaN offsets win"),
+    ("src/holoplane/recon.py", "np.fmax.reduce(row_norm(b.zeta))",
+     "np.max(row_norm(b.zeta))", "max for fmax in max_zeta: NaN offsets win"),
     ("src/holoplane/csvrows.py", "TIE = 0.5 - 1e-5", "TIE = 0.5",
      "no tie margin in the CSV formatter"),
     ("src/holoplane/csvrows.py", "E_MIN, E_MAX = -290, 300", "E_MIN, E_MAX = -300, 300",
@@ -97,6 +97,8 @@ MUTANTS = [
      "pairwise sum(axis=0) for the in-order asymptotic sum"),
     ("src/holoplane/bessel.py", "_BLOCK = 1024", "_BLOCK = 10**6",
      "one asymptotic term table for the whole argument array"),
+    ("src/holoplane/recon.py", "a[b.start - start:b.stop - start]", "a[b.start:b.stop]",
+     "views of a record's node blocks not offset by its first node"),
     ("src/holoplane/recon.py", "psi0 = plane_wave(pts, params)",
      "psi0 = plane_wave(grid_points(spec, slice(0, len(pts))), params)",
      "psi0 of a block taken from the first block's nodes"),
