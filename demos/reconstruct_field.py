@@ -14,28 +14,21 @@ good field.
 
 import numpy as np
 
-from holoplane import (
-    ExperimentConfig,
-    discrepancy,
-    reconstruct_grid,
-    region_masks,
-    rel_l2,
-)
+from holoplane import ExperimentConfig, reconstruct_grid
+from holoplane.cli import compute_metrics
 
 cfg = ExperimentConfig()
-field = cfg.radiation_field()
-params = cfg.wave_params()
-spec = cfg.grid_spec()
 
-# the result carries the true field psi1 at the nodes it is scored against
-result = reconstruct_grid(field, params, spec, cfg.zeta_strategy())
+# the result carries the true field psi1 and intensity at the nodes it is
+# scored against
+result = reconstruct_grid(cfg.radiation_field(), cfg.wave_params(), cfg.grid_spec(),
+                          cfg.zeta_strategy())
 
-masks = region_masks(spec, cfg.region_halfwidth)
+metrics = compute_metrics(cfg, [result])
 print("region   field error   intensity discrepancy")
 for name in ("G", "D", "G\\D"):
-    e = rel_l2(result.psi1_rec, result.psi1, masks[name])
-    e_dis = discrepancy(field, params, result.points, result.psi1_rec, masks[name])
-    print("%-6s   %6.2f %%      %.2e" % (name, 100 * e, e_dis))
+    print("%-6s   %6.2f %%      %.2e" % (name, 100 * metrics["E", name],
+                                         metrics["E_dis", name]))
 
 print()
 print("max |zeta| over the patch : %.3f" % result.max_zeta)

@@ -40,7 +40,7 @@ from .hologram import (
     intensity_at,
     sample_hologram,
 )
-from .metrics import discrepancy, region_masks, rel_l2, slope_estimate
+from .metrics import discrepancy, rel_l2, slope_estimate
 from .recon import (
     BoundedOffset,
     HybridStrategy,

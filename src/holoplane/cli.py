@@ -13,14 +13,12 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, _parse_number, parse_config
-from .errors import (DegenerateDeterminantError, ExceptionalDirectionError, HoloplaneError,
-                     UndefinedDenominatorError)
+from .errors import DegenerateDeterminantError, ExceptionalDirectionError, HoloplaneError
 from .fields import far_field
 from .geometry import node_blocks, point_on_plane
 from .hologram import (add_noise, hologram_to_csv, hologram_to_pgm, intensity_lookup,
                        sample_hologram)
-from .metrics import (box_axis, in_box, l2_ratio, l2_sums, l2_terms, shifted_intensity,
-                      slope_estimate)
+from .metrics import Scores, l2_ratio, l2_sums, l2_terms, slope_estimate
 from .recon import (DET_FLOOR, BoundedOffset, SqrtScaled, recon_to_csv, reconstruct_grid,
                     reconstruct_points)
 
@@ -71,50 +69,11 @@ def _reconstruct(cfg):
                                hologram=holo, flag_eps=cfg.eps, rows=rows)
 
 
-class _Scores:
-    """Running sums of the reconstruction error E and the intensity
-    discrepancy E_dis on G, D and G\\D over the node blocks of a grid.
-
-    Each block's `l2_terms` of both measures are added, as `l2_sums`, to
-    every region's totals, in the block order of `rel_l2`, so the ratios
-    have its bits. G holds every node, so its sums take the whole block
-    (mask None), and D's block mask comes from `in_box`. Whether D or G\\D
-    holds no node depends on the grid alone, so it is checked up front."""
-
-    REGIONS = ("G", "D", "G\\D")
-
-    def __init__(self, cfg, spec):
-        self.spec = spec
-        self.axis = box_axis(spec, cfg.region_halfwidth)
-        for name, occupied in (("D", self.axis.any()), ("G\\D", not self.axis.all())):
-            if not occupied:
-                raise UndefinedDenominatorError(f"region {name} holds no grid node")
-        self.sums = {(metric, name): np.zeros(2)
-                     for name in self.REGIONS for metric in ("E", "E_dis")}
-
-    def add(self, record):
-        """Add the sums of a record's node blocks (one block for a record
-        of `_reconstruct`); its true intensity is the one the kernel read
-        at the nodes of an analytic run."""
-        for b in record.blocks():
-            terms = {"E": l2_terms(b.psi1_rec, b.psi1),
-                     "E_dis": l2_terms(shifted_intensity(b.psi0, b.psi1_rec),
-                                       b.intensity - 1.0)}
-            inside = in_box(self.spec, self.axis, b.rows)
-            for name, selected in zip(self.REGIONS, (None, inside, ~inside)):
-                for metric, t in terms.items():
-                    self.sums[metric, name] += l2_sums(t, selected)
-
-    def ratios(self):
-        """{(metric, region): value}; raises where a reference vanishes."""
-        return {key: l2_ratio(sums) for key, sums in self.sums.items()}
-
-
 def compute_metrics(cfg, records):
     """Reconstruction error and intensity discrepancy on G, D, G\\D, folded
     over `records`, which cover `cfg`'s grid in node order: the node-block
     records of `_reconstruct`, or one whole-grid record."""
-    scores = _Scores(cfg, cfg.grid_spec())
+    scores = Scores(cfg.grid_spec(), cfg.region_halfwidth)
     for record in records:
         scores.add(record)
     return scores.ratios()
@@ -125,29 +84,20 @@ def run_reconstruct(cfg, outdir):
 
     One pass over the node blocks (`_reconstruct`): `recon_to_csv` writes
     each block's rows as it takes the block, with the profile
-    (`_write_profile`) as an excerpt of them, and the block also adds to
-    the metric sums and max |zeta|. A run that fails leaves no file: the
-    empty-region check runs before the pass, and recon.csv and profile.csv
-    are written under temporary names and moved into place once every
-    metric has its value. Returns the metrics and max |zeta|."""
+    (`_write_profile`) as an excerpt of them, and `Scores.add` adds the
+    block to the metric sums and max |zeta|. A run that fails leaves no
+    file: the empty-region check runs before the pass, and recon.csv and
+    profile.csv are written under temporary names and moved into place
+    once every metric has its value. Returns the metrics and max |zeta|."""
     os.makedirs(outdir, exist_ok=True)
     spec = cfg.grid_spec()
-    scores = _Scores(cfg, spec)
-    max_zeta = np.nan
-
-    def consume(block):
-        nonlocal max_zeta
-        scores.add(block)
-        # fmax skips a block whose nodes all have no offset
-        max_zeta = np.fmax(max_zeta, block.max_zeta)
-        return block
-
+    scores = Scores(spec, cfg.region_halfwidth)
     names = ("recon.csv", "profile.csv")
     staged = [os.path.join(outdir, f".{name}.part") for name in names]
     try:
         # map keeps no reference to a block it is done with, so the writer
         # lets each block go before the next one is made
-        recon_to_csv(map(consume, _reconstruct(cfg)), staged[0],
+        recon_to_csv(map(scores.add, _reconstruct(cfg)), staged[0],
                      excerpt=_write_profile(spec, staged[1]))
         metrics = scores.ratios()
         for path, name in zip(staged, names):
@@ -161,8 +111,8 @@ def run_reconstruct(cfg, outdir):
         for (metric, region), value in metrics.items():
             fh.write(f"{metric},{region},{value:.6g}\n")
             print(f"{metric},{region},{value:.6g}")
-    print(f"max_zeta,,{max_zeta:.6g}")
-    return metrics, float(max_zeta)
+    print(f"max_zeta,,{scores.max_zeta:.6g}")
+    return metrics, float(scores.max_zeta)
 
 
 def _write_profile(spec, path):
@@ -195,8 +145,9 @@ def _sweep_config(cfg, param, value):
 
 def run_sweep(cfg, param, values, outdir):
     """One full reconstruction per value, a pass over its node blocks that
-    adds up the sums of E on G; writes sweep.csv with E on G. Every swept
-    config is built, and so checked, before the first run."""
+    adds up the sums of E on G; writes sweep.csv with E on G. It scores no
+    region but G, so it runs where D or G\\D is empty. Every swept config
+    is built, and so checked, before the first run."""
     configs = [_sweep_config(cfg, param, value) for value in values]
     os.makedirs(outdir, exist_ok=True)
     rows = []

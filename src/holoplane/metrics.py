@@ -1,19 +1,19 @@
-"""Error measures: relative discrete L2 distance, intensity discrepancy,
-rectangular regions, and log-log slope fits.
+"""Error measures: relative discrete L2 distance, the scores E and E_dis of
+a reconstruction on the regions G, D and G\\D, and log-log slope fits.
 
 The L2 distance is summed over the grid NODE_BLOCK nodes at a time
 (`geometry.node_blocks`): `l2_terms` gives the squared terms of one block,
 `l2_sums` their two sums over a region's nodes of the block, and `l2_ratio`
-turns the running totals into the relative distance. Any caller that adds
-up the same blocks in the same order, as `rel_l2` and `cli.compute_metrics`
-do, gets the same bits. D is kept as its per-axis box (`box_axis`), and
-`in_box` gives its membership of a block of nodes.
+turns the running totals into the relative distance. `rel_l2` and
+`Scores`, the one fold that scores a reconstruction, add up the same
+blocks in the same order, so E on G has the same bits from both. D is kept
+as its per-axis box (`box_axis`), and `in_box` gives its membership of a
+block of nodes.
 """
 
 import numpy as np
 
 from .errors import UndefinedDenominatorError
-from .fields import eval_radiation, plane_wave
 from .geometry import node_blocks
 
 
@@ -29,13 +29,6 @@ def box_axis(spec, box_half_width):
 def in_box(spec, axis, rows=slice(None)):
     """Which nodes of the range `rows` have every coordinate in the box `axis`."""
     return np.logical_and.reduce([axis[a] for a in spec.node_axes(rows)])
-
-
-def region_masks(spec, box_half_width):
-    """Boolean masks over the grid nodes, in node order: {"G": all nodes,
-    "D": central box |u_i| < b, "G\\D": complement}."""
-    center = in_box(spec, box_axis(spec, box_half_width))
-    return {"G": np.ones(spec.size, dtype=bool), "D": center, "G\\D": ~center}
 
 
 def l2_terms(u2, u1):
@@ -59,29 +52,62 @@ def l2_ratio(sums):
     return float(np.sqrt(num) / denom)
 
 
-def rel_l2(u2, u1, mask=None):
-    """|| u2 - u1 ||_2 / || u1 ||_2 over the masked nodes (uniform weights),
-    summed a block of nodes at a time."""
+def rel_l2(u2, u1):
+    """|| u2 - u1 ||_2 / || u1 ||_2 over all nodes (uniform weights), summed
+    a block of nodes at a time."""
     u2 = np.asarray(u2)
     u1 = np.asarray(u1)
     sums = np.zeros(2)
     for b in node_blocks(len(u1)):
-        sums += l2_sums(l2_terms(u2[b], u1[b]), None if mask is None else mask[b])
+        sums += l2_sums(l2_terms(u2[b], u1[b]), None)
     return l2_ratio(sums)
 
 
-def discrepancy(field, params, points, psi1_rec, mask=None):
-    """Relative L2 mismatch of reconstructed vs measured intensity, both
-    shifted by -1: rel_l2(|psi0 + psi1_rec|^2 - 1, I - 1)."""
-    psi0 = plane_wave(points, params)
-    psi1 = eval_radiation(field, params.kappa, points)
-    return rel_l2(shifted_intensity(psi0, psi1_rec), shifted_intensity(psi0, psi1), mask)
+def discrepancy(b):
+    """The E_dis `l2_terms` of the one-block record `b`: the reconstructed
+    intensity |psi0 + psi1_rec|^2 - 1 against the true I - 1."""
+    return l2_terms(np.abs(b.psi0 + b.psi1_rec) ** 2 - 1.0, b.intensity - 1.0)
 
 
-def shifted_intensity(psi0, psi1):
-    """I - 1 with I = |psi0 + psi1|^2, the reference wave psi0 plus the
-    scattered field psi1 at the same points."""
-    return np.abs(psi0 + psi1) ** 2 - 1.0
+class Scores:
+    """Running sums of the reconstruction error E and the intensity
+    discrepancy E_dis on G, D and G\\D, and max |zeta|, over records that
+    cover the grid `spec` in node order.
+
+    Each block's `l2_terms` of both measures are added, as `l2_sums`, to
+    every region's totals, in the block order of `rel_l2`. G holds every
+    node, so its sums take the whole block (mask None), and D's block mask
+    comes from `in_box`. Whether D or G\\D holds no node depends on the
+    grid alone, so it is checked up front."""
+
+    REGIONS = ("G", "D", "G\\D")
+
+    def __init__(self, spec, box_half_width):
+        self.spec = spec
+        self.axis = box_axis(spec, box_half_width)
+        for name, occupied in (("D", self.axis.any()), ("G\\D", not self.axis.all())):
+            if not occupied:
+                raise UndefinedDenominatorError(f"region {name} holds no grid node")
+        self.sums = {(metric, name): np.zeros(2)
+                     for name in self.REGIONS for metric in ("E", "E_dis")}
+        self.max_zeta = np.nan
+
+    def add(self, record):
+        """Add the sums of a record's node blocks (one block for a record
+        of `cli._reconstruct`), and return the record."""
+        for b in record.blocks():
+            terms = {"E": l2_terms(b.psi1_rec, b.psi1), "E_dis": discrepancy(b)}
+            inside = in_box(self.spec, self.axis, b.rows)
+            for name, selected in zip(self.REGIONS, (None, inside, ~inside)):
+                for metric, t in terms.items():
+                    self.sums[metric, name] += l2_sums(t, selected)
+        # fmax skips a record whose nodes all have no offset
+        self.max_zeta = np.fmax(self.max_zeta, record.max_zeta)
+        return record
+
+    def ratios(self):
+        """{(metric, region): value}; raises where a reference vanishes."""
+        return {key: l2_ratio(sums) for key, sums in self.sums.items()}
 
 
 def slope_estimate(samples):

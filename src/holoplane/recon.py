@@ -338,6 +338,8 @@ def reconstruct_grid(
     """
     lookup = intensity_lookup(field, params, hologram)
     start, stop, _ = rows.indices(spec.size)
+    if stop <= start:
+        raise ValueError(f"node range {start}:{stop} holds no node")
     out = None
     for b in node_blocks(stop, start):
         block = _reconstruct_block(spec, b, lookup, field, params, strategy, refine2d,

@@ -7,7 +7,7 @@ tolerance and prints a single PASS/FAIL line directly to the terminal.
 import numpy as np
 import pytest
 
-from holoplane.cli import run_rates, run_sweep
+from holoplane.cli import compute_metrics, run_rates, run_sweep
 from holoplane.config import ExperimentConfig
 from holoplane.errors import (
     ExceptionalDirectionError,
@@ -22,12 +22,7 @@ from holoplane.fields import (
     far_field_numeric_oracle,
 )
 from holoplane.geometry import GridSpec, make_frame, point_on_plane
-from holoplane.metrics import (
-    discrepancy,
-    region_masks,
-    rel_l2,
-    slope_estimate,
-)
+from holoplane.metrics import rel_l2, slope_estimate
 from holoplane.recon import (
     SqrtScaled,
     beta_solve,
@@ -59,14 +54,9 @@ def check(failures, ok, message):
 @pytest.fixture(scope="module")
 def preset_metrics(preset_run):
     cfg, result = preset_run
-    masks = region_masks(result.spec, cfg.region_halfwidth)
-    field = cfg.radiation_field()
-    params = cfg.wave_params()
-    e = {}
-    e_dis = {}
-    for name, mask in masks.items():
-        e[name] = rel_l2(result.psi1_rec, result.psi1, mask)
-        e_dis[name] = discrepancy(field, params, result.points, result.psi1_rec, mask)
+    metrics = compute_metrics(cfg, [result])
+    e, e_dis = ({name: metrics[metric, name] for name in ("G", "D", "G\\D")}
+                for metric in ("E", "E_dis"))
     return e, e_dis, result
 
 

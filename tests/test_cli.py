@@ -290,6 +290,18 @@ class TestEmptyRegion:
         for name in ("recon.csv", "profile.csv", "metrics.csv"):
             assert not (out / name).exists()
 
+    def test_sweep_scores_g_alone(self, tmp_path, capsys):
+        # every node of the half-width 1 grid lies in the box |u| < 4: the
+        # region check belongs to scoring on D and G\D, which sweep skips
+        config = "n = 16\nh = 1\nregion_halfwidth = 4\n"
+        rc, out = run(tmp_path / "sweep", ["sweep", "--param", "s", "--values", "100,200"],
+                      config=config)
+        assert rc == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+        rc, _ = run(tmp_path / "reconstruct", ["reconstruct"], config=config)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: region G\\D holds no grid node\n"
+
 
 class TestReproduce:
     SUMMARY = """\

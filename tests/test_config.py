@@ -6,7 +6,8 @@ import pytest
 from holoplane.cli import main
 from holoplane.config import ExperimentConfig, parse_config
 from holoplane.errors import ConfigError
-from holoplane.metrics import region_masks, rel_l2
+from holoplane.cli import compute_metrics
+from holoplane.metrics import box_axis, in_box
 
 
 class TestDefaults:
@@ -206,7 +207,7 @@ class TestDerivedObjects:
 
 class TestReferenceBox:
     """The default central box D is the one the reference error levels
-    imply.  Over a split of G into D and G\\D, rel_l2 obeys
+    imply.  Over a split of G into D and G\\D, the error E obeys
     E(G)^2 = w E(D)^2 + (1 - w) E(G\\D)^2 with w = |psi1|^2_D / |psi1|^2_G,
     whatever the reconstruction; so the reference values
     (E(G), E(D), E(G\\D)) = (0.117, 0.297, 0.102), each rounded to the
@@ -231,16 +232,17 @@ class TestReferenceBox:
 
     def test_default_box_holds_forced_share(self, preset_run):
         _, result = preset_run
-        d = region_masks(result.spec, ExperimentConfig().region_halfwidth)["D"]
+        d = in_box(result.spec, box_axis(result.spec, ExperimentConfig().region_halfwidth))
         lo, hi = self._forced_interval()  # about [0.039, 0.045]
         assert lo <= self._field_share(result.psi1, d) <= hi
 
     def test_split_identity(self, preset_run):
         cfg, result = preset_run
         psi1 = result.psi1
-        masks = region_masks(result.spec, cfg.region_halfwidth)
-        w = self._field_share(psi1, masks["D"])
-        e = {k: rel_l2(result.psi1_rec, psi1, m) for k, m in masks.items()}
+        d = in_box(result.spec, box_axis(result.spec, cfg.region_halfwidth))
+        w = self._field_share(psi1, d)
+        e = {k: value for (metric, k), value in compute_metrics(cfg, [result]).items()
+             if metric == "E"}
         assert e["G"] ** 2 == pytest.approx(
             w * e["D"] ** 2 + (1 - w) * e["G\\D"] ** 2, rel=1e-12
         )

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoplane.cli import _reconstruct, compute_metrics
+from holoplane.config import parse_config
 from holoplane.errors import UndefinedDenominatorError
-from holoplane.fields import PointSource, RadiationField, WaveParams, eval_radiation
-from holoplane.geometry import NODE_BLOCK, GridSpec, grid_points, make_frame
-from holoplane.metrics import discrepancy, region_masks, rel_l2, slope_estimate
+from holoplane.geometry import NODE_BLOCK, GridSpec, grid_coords, make_frame, node_blocks
+from holoplane.metrics import (Scores, box_axis, discrepancy, in_box, l2_ratio, l2_sums,
+                               l2_terms, rel_l2, slope_estimate)
 
 
 def spec3(n=10, h=20.0):
@@ -17,22 +20,30 @@ def spec3(n=10, h=20.0):
 
 
 class TestRegionMasks:
+    """D is the box of `box_axis`, and `in_box` gives its nodes of a node
+    range; G\\D is the rest of the grid."""
+
     def test_partition_counts(self):
-        masks = region_masks(spec3(n=100), 2.0)
-        assert masks["G"].sum() == 10000
-        assert masks["D"].sum() + masks["G\\D"].sum() == 10000
-        assert not np.any(masks["D"] & masks["G\\D"])
+        # 10 axis values per axis lie in |u| < 2; the n = 100 grid spans
+        # three node blocks, whose memberships join into the whole grid's
+        spec = spec3(n=100)
+        axis = box_axis(spec, 2.0)
+        inside = in_box(spec, axis)
+        assert inside.shape == (10000,)
+        assert inside.sum() == axis.sum() ** 2 == 100
+        blocks = node_blocks(spec.size)
+        assert len(blocks) == 3
+        np.testing.assert_array_equal(
+            np.concatenate([in_box(spec, axis, b) for b in blocks]), inside)
 
     def test_central_box_membership(self):
-        from holoplane.geometry import grid_coords
-
         # the n = 5 grid has nodes on the box's edge |u_i| = b, outside D
         for spec, b in ((spec3(n=100), 2.0), (spec3(n=5, h=2.0), 1.0)):
             inside = np.all(np.abs(grid_coords(spec)) < b, axis=1)
-            np.testing.assert_array_equal(region_masks(spec, b)["D"], inside)
+            np.testing.assert_array_equal(in_box(spec, box_axis(spec, b)), inside)
         assert inside.sum() == 1
         with pytest.raises(ValueError, match="box half-width must be positive"):
-            region_masks(spec, 0)
+            box_axis(spec, 0)
 
 
 class TestRelL2:
@@ -50,8 +61,9 @@ class TestRelL2:
 
     def test_masked_zero_reference_rejected(self):
         u1 = np.array([0.0, 0.0, 5.0])
+        sums = l2_sums(l2_terms(np.ones(3), u1), np.array([True, True, False]))
         with pytest.raises(UndefinedDenominatorError):
-            rel_l2(np.ones(3), u1, mask=np.array([True, True, False]))
+            l2_ratio(sums)
 
     @given(
         st.lists(st.floats(-10, 10), min_size=4, max_size=4),
@@ -84,37 +96,28 @@ class TestRelL2:
         u1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         u2 = u1.copy()
         u2[-3:] += 1.0
-        mask = rng.random(n) < 0.5
-        mask[-3:] = True
         assert rel_l2(u2, u1) == pytest.approx(
             np.sqrt(3) / np.linalg.norm(u1), rel=1e-12)
-        assert rel_l2(u2, u1, mask) == pytest.approx(
-            np.sqrt(3) / np.linalg.norm(u1[mask]), rel=1e-12)
 
 
 class TestDiscrepancy:
-    def _setup(self):
-        params = WaveParams(kappa=4.0, k=np.array([4.0, 0.0, 0.0]))
-        field = RadiationField(
-            3, (PointSource(1.0 + 0j, np.array([0.0, 2.5, 0.0])),)
-        )
-        spec = spec3(n=12)
-        pts = grid_points(spec)
-        return field, params, pts
+    """`discrepancy` gives the E_dis terms of a block record, which
+    `Scores` sums like those of E."""
 
     def test_exact_reconstruction_gives_zero(self):
-        field, params, pts = self._setup()
-        psi1 = eval_radiation(field, params.kappa, pts)
-        assert discrepancy(field, params, pts, psi1) == pytest.approx(0.0, abs=1e-12)
+        cfg = parse_config("n = 12\n")
+        (record,) = _reconstruct(cfg)
+        num, den = discrepancy(dataclasses.replace(record, psi1_rec=record.psi1))
+        assert not num.any()
+        assert den.all()
 
     def test_zero_field_rejected(self):
-        params = WaveParams(kappa=4.0, k=np.array([4.0, 0.0, 0.0]))
-        field = RadiationField(
-            3, (PointSource(0.0 + 0j, np.array([0.0, 2.5, 0.0])),)
-        )
-        pts = grid_points(spec3(n=6))
+        # psi1 = 0, so I - 1 vanishes at every node
+        cfg = parse_config("n = 6\nsource = 0, 0, 0, 2.5, 0\n")
+        records = list(_reconstruct(cfg))
+        assert not any(discrepancy(r)[1].any() for r in records)
         with pytest.raises(UndefinedDenominatorError):
-            discrepancy(field, params, pts, np.zeros(len(pts), dtype=complex))
+            compute_metrics(cfg, records)
 
 
 class TestSlopeEstimate:
@@ -143,18 +146,6 @@ class TestSlopeEstimate:
             slope_estimate([(1, 1.0), (1, 0.5), (3, 0.2)])
 
 
-def test_compute_metrics_discrepancy_matches_per_mask_calls(preset_run):
-    # the fold over the node blocks of a run and the whole-grid record
-    cfg, result = preset_run
-    metrics = compute_metrics(cfg, _reconstruct(cfg))
-    masks = region_masks(result.spec, cfg.region_halfwidth)
-    for name, mask in masks.items():
-        assert metrics[("E", name)] == rel_l2(result.psi1_rec, result.psi1, mask)
-        assert metrics[("E_dis", name)] == discrepancy(
-            cfg.radiation_field(), cfg.wave_params(), result.points,
-            result.psi1_rec, mask)
-
-
 def test_compute_metrics_matches_whole_grid_formula(preset_run):
     # the preset grid ends in a partial node block
     cfg, result = preset_run
@@ -163,8 +154,19 @@ def test_compute_metrics_matches_whole_grid_formula(preset_run):
     psi0 = np.exp(1j * (result.points @ cfg.wave_params().k))
     i_true = np.abs(psi0 + result.psi1) ** 2 - 1
     i_rec = np.abs(psi0 + result.psi1_rec) ** 2 - 1
-    for name, mask in region_masks(result.spec, cfg.region_halfwidth).items():
+    inside = in_box(result.spec, box_axis(result.spec, cfg.region_halfwidth))
+    for name, mask in (("G", slice(None)), ("D", inside), ("G\\D", ~inside)):
         for metric, u2, u1 in (("E", result.psi1_rec, result.psi1),
                                ("E_dis", i_rec, i_true)):
             expected = np.linalg.norm((u2 - u1)[mask]) / np.linalg.norm(u1[mask])
             assert metrics[(metric, name)] == pytest.approx(expected, rel=1e-12)
+
+
+def test_scores_fold_returns_each_record(preset_run):
+    # the fold over a run's node blocks passes each block on, and its
+    # max |zeta| is the whole-grid record's
+    cfg, result = preset_run
+    scores = Scores(cfg.grid_spec(), cfg.region_halfwidth)
+    assert np.isnan(scores.max_zeta)
+    assert all(scores.add(b) is b for b in _reconstruct(cfg))
+    assert scores.max_zeta == result.max_zeta

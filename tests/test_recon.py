@@ -593,6 +593,14 @@ class TestGridMatchesClosedForm:
             for f in dataclasses.fields(b)[2:]:
                 np.testing.assert_array_equal(getattr(b, f.name), getattr(own, f.name))
 
+    @pytest.mark.parametrize("rows", [slice(5, 5), slice(9, 3), slice(256, None)])
+    def test_empty_node_range_rejected(self, rows):
+        # the n = 16 grid has 256 nodes; a range with none makes no record
+        field, p, spec = preset_field(), params_d(3), small_spec(16)
+        start, stop, _ = rows.indices(spec.size)
+        with pytest.raises(ValueError, match=f"^node range {start}:{stop} holds no node$"):
+            reconstruct_grid(field, p, spec, SqrtScaled(alpha=-0.5), rows=rows)
+
     def test_singular_center_node_of_odd_grid(self):
         p = params_d(3)
         spec = small_spec(21)

@@ -70,8 +70,14 @@ MUTANTS = [
      "return np.abs(spec.coords) <= b", "< to <= in the central box"),
     ("src/holoplane/csvrows.py", "template = _template(values)",
      "template = _template(values).replace('10', '9')", "%.10g to %.9g in _pair_slots"),
-    ("src/holoplane/cli.py", '("G\\\\D", not self.axis.all())', '("G\\\\D", self.axis.all())',
-     "G\\D emptiness test inverted in compute_metrics"),
+    ("src/holoplane/metrics.py", '("G\\\\D", not self.axis.all())',
+     '("G\\\\D", self.axis.all())',
+     "G\\D emptiness test inverted in metrics.Scores"),
+    ("src/holoplane/metrics.py", "np.fmax(self.max_zeta, record.max_zeta)",
+     "np.maximum(self.max_zeta, record.max_zeta)",
+     "maximum for fmax in Scores' max |zeta| fold: the initial NaN wins"),
+    ("src/holoplane/metrics.py", "b.intensity - 1.0)", "np.abs(b.psi1) ** 2 - 1.0)",
+     "|psi1|^2 for the true intensity in the E_dis reference of metrics.discrepancy"),
     ("src/holoplane/cli.py",
      "        metrics = scores.ratios()\n"
      "        for path, name in zip(staged, names):\n"

@@ -5,10 +5,11 @@
 runs `python -m holoplane.cli` with PYTHONPATH=SRC (the directory that
 holds the `holoplane` package) on each config of `CONFIGS`, with the
 commands `simulate`, `reconstruct` and `rates`; then `reproduce-paper` at
-n = 16 and one `sweep` per parameter of the reference experiment. Each
-run gets its own directory OUT/<case>/<command>/ holding the config text
-(`config.txt`), the files the command wrote (under `out/`), and its
-`stdout`, `stderr` and `exit` code.
+n = 16, one `sweep` per parameter of the reference experiment, and one
+`sweep` on a grid with every node in D. Each run gets its own directory
+OUT/<case>/<command>/ holding the config text (`config.txt`), the files
+the command wrote (under `out/`), and its `stdout`, `stderr` and `exit`
+code.
 
 To check that a change leaves every output byte alone, snapshot the old
 and the new sources and compare the two trees:
@@ -77,6 +78,9 @@ RUNS = [
     ("sweep-kappa-n16", SMALL, ["sweep", "--param", "kappa", "--values", "1,4,16"]),
     ("sweep-x0_2-n16", SMALL, ["sweep", "--param", "x0_2", "--values", "0,2.5,5"]),
     ("sweep-c-n16", SMALL, ["sweep", "--param", "c", "--values", "0.1,1,10,20"]),
+    # G\D is empty: sweep scores E on G alone, so it runs.
+    ("sweep-s-n16-all-in-D", "n = 16\nh = 1\nregion_halfwidth = 4\n",
+     ["sweep", "--param", "s", "--values", "100,200"]),
 ]
 
 
