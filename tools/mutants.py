@@ -72,7 +72,7 @@ MUTANTS = [
      "template = _template(values).replace('10', '9')", "%.10g to %.9g in _pair_slots"),
     ("src/holoplane/metrics.py", '("G\\\\D", not self.axis.all())',
      '("G\\\\D", self.axis.all())',
-     "G\\D emptiness test inverted in metrics.Scores"),
+     "G\\D emptiness test inverted in compute_metrics (metrics.Scores)"),
     ("src/holoplane/metrics.py", "np.fmax(self.max_zeta, record.max_zeta)",
      "np.maximum(self.max_zeta, record.max_zeta)",
      "maximum for fmax in Scores' max |zeta| fold: the initial NaN wins"),
