@@ -41,9 +41,7 @@ def _load_config(path):
 
 def _sampled_hologram(cfg):
     holo = sample_hologram(cfg.radiation_field(), cfg.wave_params(), cfg.grid_spec())
-    if cfg.noise_level > 0:
-        holo = add_noise(holo, cfg.noise_level, cfg.noise_seed)
-    return holo
+    return add_noise(holo, cfg.noise_level, cfg.noise_seed)
 
 
 def run_simulate(cfg, outdir):

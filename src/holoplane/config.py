@@ -48,38 +48,39 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Every comparison with NaN is false, so no rule below would see one.
-        numbers = [(key, getattr(self, key)) for key, kind in _KEY_TYPES.items()
+        numbers = [(key, key, getattr(self, key)) for key, kind in _KEY_TYPES.items()
                    if kind is not str]
         for i, (c, x0) in enumerate(self.sources, start=1):
-            numbers += [(f"source {i} c", c), (f"source {i} x0", x0)]
-        for name, value in numbers:
+            numbers += [(f"source {i} c", "sources", c), (f"source {i} x0", "sources", x0)]
+        for name, key, value in numbers:
             if not np.all(np.isfinite(value)):
-                raise ConfigError(f"{name} must be finite")
+                raise _broken(f"{name} must be finite", key)
         if self.dim not in (2, 3):
-            raise ConfigError("dim must be 2 or 3")
+            raise _broken("dim must be 2 or 3", "dim")
         if len(self.k) != self.dim or len(self.omega) != self.dim:
-            raise ConfigError("k and omega must have `dim` components")
+            raise _broken("k and omega must have `dim` components", "dim", "k", "omega")
         if self.strategy not in ("sqrt", "bounded", "hybrid"):
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        try:
-            self.wave_params()
-            self.grid_spec()
-            self.radiation_field()
-            self.zeta_strategy()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise _broken(f"unknown strategy {self.strategy!r}", "strategy")
+        derived = ((self.wave_params, ("kappa", "k")), (self.frame, ("omega", "s")),
+                   (self.grid_spec, ("h", "n")), (self.radiation_field, ("dim", "sources")),
+                   (self.zeta_strategy, ("strategy", "alpha", "eps", "fallback_axis")))
+        for build, keys in derived:
+            try:
+                build()
+            except ValueError as exc:
+                raise _broken(str(exc), *keys) from exc
         if not 0 < self.eps < 2 * self.kappa:
-            raise ConfigError("eps must lie in (0, 2*kappa)")
+            raise _broken("eps must lie in (0, 2*kappa)", "eps", "kappa")
         if not 0 <= self.fallback_axis < self.dim - 1:
-            raise ConfigError("fallback_axis out of range")
+            raise _broken("fallback_axis out of range", "fallback_axis", "dim")
         if self.mode not in ("analytic", "bilinear"):
-            raise ConfigError(f"unknown lookup mode {self.mode!r}")
+            raise _broken(f"unknown lookup mode {self.mode!r}", "mode")
         if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
+            raise _broken("noise_level must be nonnegative", "noise_level")
         if self.noise_seed < 0:
-            raise ConfigError("noise_seed must be nonnegative")
+            raise _broken("noise_seed must be nonnegative", "noise_seed")
         if self.region_halfwidth <= 0:
-            raise ConfigError("region_halfwidth must be positive")
+            raise _broken("region_halfwidth must be positive", "region_halfwidth")
 
     # --- derived objects -------------------------------------------------
 
@@ -118,6 +119,14 @@ class ExperimentConfig:
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "sources"}
 
 
+def _broken(message, *keys):
+    """The `ConfigError` of a rule that reads the fields `keys`;
+    `parse_config` names the last line that set one of them."""
+    error = ConfigError(message)
+    error.keys = keys
+    return error
+
+
 def _rescaled(k, kappa):
     k = np.array(k, dtype=float)
     return tuple(k * (kappa / np.linalg.norm(k)))
@@ -147,9 +156,11 @@ _DIM2_DEFAULTS = {
 
 
 def parse_config(text):
-    """Parse config text; unset keys default to the reference experiment."""
+    """Parse config text; unset keys default to the reference experiment.
+    An error names its line (for a domain rule, see `_broken`)."""
     entries = {}
     sources = []
+    lines = {}  # the last line that set each field
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -159,6 +170,7 @@ def parse_config(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        lines["sources" if key == "source" else key] = line_no
         if key == "source":
             parts = _parse_vector(value, line_no)
             if len(parts) < 3:
@@ -191,4 +203,8 @@ def parse_config(text):
         # keep k collinear with the default when only the wavenumber is set
         entries["k"] = _rescaled(defaults.get("k", ExperimentConfig.k),
                                  entries["kappa"])
-    return ExperimentConfig(**{**defaults, **entries})
+    try:
+        return ExperimentConfig(**{**defaults, **entries})
+    except ConfigError as exc:
+        line = max((lines[key] for key in exc.keys if key in lines), default=None)
+        raise ConfigError(str(exc), line=line) from None

@@ -1,6 +1,9 @@
 """Intensity synthesis on the measurement plane.
 
-The hologram is I = |psi0 + psi1|^2 sampled on the grid patch.
+The hologram is I = |psi0 + psi1|^2 sampled on the grid patch. Sampling,
+noise and both writers walk the grid's node blocks (`node_blocks`), as the
+reconstruction does, so a sampled run holds only the hologram's values,
+and its noisy copy, whole.
 """
 
 import itertools
@@ -36,8 +39,11 @@ def intensity(field, params, x):
 
 
 def sample_hologram(field, params, spec):
-    """Evaluate the intensity at every grid node, row-major order."""
-    values = intensity(field, params, grid_points(spec))
+    """Evaluate the intensity at every grid node, row-major order, a node
+    block at a time on the block's points, as `recon` evaluates them."""
+    values = np.empty(spec.size)
+    for b in node_blocks(spec.size):
+        values[b] = intensity(field, params, grid_points(spec, b))
     return Hologram(spec=spec, values=values)
 
 
@@ -101,14 +107,17 @@ def intensity_at(data, y, field=None, params=None):
 
 def add_noise(holo, relative_level, seed):
     """Multiplicative uniform noise: values * (1 + level * u), u ~ U[-1, 1]
-    from a seeded generator; clamped at zero."""
+    from one seeded generator; clamped at zero. Each node block draws its
+    u in turn, so the nodes get the draws of one whole-grid call."""
     if relative_level < 0:
         raise ValueError("relative_level must be nonnegative")
     if relative_level == 0:
         return holo
     rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, size=holo.values.shape)
-    noisy = np.maximum(holo.values * (1.0 + relative_level * u), 0.0)
+    noisy = np.empty(holo.spec.size)
+    for b in node_blocks(holo.spec.size):
+        u = rng.uniform(-1.0, 1.0, size=b.stop - b.start)
+        noisy[b] = np.maximum(holo.values[b] * (1.0 + relative_level * u), 0.0)
     return Hologram(spec=holo.spec, values=noisy)
 
 
@@ -120,13 +129,14 @@ def hologram_to_csv(holo, path):
 
 
 def hologram_to_pgm(holo, path):
-    """Write a binary P5 8-bit PGM, intensity linearly scaled min->0, max->255."""
+    """Write a binary P5 8-bit PGM, intensity linearly scaled min->0, max->255
+    over the whole grid, the pixels a node block at a time."""
     spec = holo.spec
     vals = holo.values
     lo, hi = float(vals.min()), float(vals.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    pixels = np.round((vals - lo) * scale).astype(np.uint8)
     h, w = ((1,) + spec.shape)[-2:]  # an image row per first-axis value
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        for b in node_blocks(spec.size):
+            fh.write(np.round((vals[b] - lo) * scale).astype(np.uint8).tobytes())

@@ -73,7 +73,8 @@ class TestValidation:
 
 
 # One config per rule that a domain object owns, with the text of its error
-# (the last row is the parser's boolean rule).
+# (the last row is the parser's boolean rule). In each text the last line
+# breaks the rule.
 DOMAIN_RULES = [
     ("kappa = -1", "kappa must be positive"),
     ("kappa = 4\nk = 3, 0, 0", r"\|k\| must equal kappa"),
@@ -116,17 +117,38 @@ class TestConstruction:
         rc = main(["--config", str(cfg_path), "--out", str(out), "reconstruct"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: line {text.count(chr(10)) + 1}: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line", [
+        ("n = 5\nh = 3\nomega = 2, 0, 0", 3),
+        ("omega = 2, 0, 0\nn = 50", 1),
+        ("h = 0\nomega = 0.6, 0.8, 0", 1),
+        ("kappa = 4\nk = 3, 0, 0\nmode = analytic", 2),
+        ("k = 4, 0\nn = 50", 1),
+        ("dim = 2\nn = 50\nk = 4, 0, 0", 3),
+        ("source = 1, 0, 0, 2.5, 0\nn = 5\nsource = 1, 0, 0, 2.5, 0", 3),
+        ("kappa = 0.04\nn = 50", 1),
+        ("dim = 2\nfallback_axis = 1\nn = 50", 2),
+    ])
+    def test_domain_rule_names_the_last_line_of_its_keys(self, text, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
+
+    # A config built without text names no line.
     def test_direct_instance_checked(self):
-        with pytest.raises(ConfigError, match="at least 2 points"):
+        with pytest.raises(ConfigError, match="^grid needs at least 2 points") as exc:
             ExperimentConfig(n=1)
+        assert exc.value.line is None
 
     def test_replaced_instance_checked(self):
-        with pytest.raises(ConfigError, match="plane distance s"):
+        with pytest.raises(ConfigError, match="^plane distance s") as exc:
             replace(ExperimentConfig(), s=-1)
+        assert exc.value.line is None
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field, build", [

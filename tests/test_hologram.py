@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from holoplane.errors import OutOfPatchError
 from holoplane.fields import PointSource, RadiationField, WaveParams
-from holoplane.geometry import GridSpec, grid_coords, grid_points, make_frame
+from holoplane.geometry import GridSpec, grid_coords, grid_points, make_frame, node_blocks
 from holoplane.hologram import (
     Hologram,
     add_noise,
@@ -30,15 +30,22 @@ def spec3(s=100.0, h=20.0, n=100):
     return GridSpec(frame=make_frame(np.array([1.0, 0.0, 0.0]), s), half_width=h, n=n)
 
 
-def sampled_d(dim, n):
-    """The reference hologram in `dim` dimensions, n nodes per patch side."""
+def reference_d(dim, n, omega=None):
+    """The reference experiment's field, wave and grid in `dim` dimensions,
+    n nodes per patch side, on the plane with normal `omega` (default e1)."""
     x0 = np.zeros(dim)
     x0[1] = 2.5
     k = np.zeros(dim)
     k[0] = 4.0
     field = RadiationField(dim, (PointSource(c=1.0 + 0j, x0=x0),))
-    spec = GridSpec(frame=make_frame(np.eye(dim)[0], 100.0), half_width=20.0, n=n)
-    return sample_hologram(field, WaveParams(4.0, k), spec)
+    omega = np.eye(dim)[0] if omega is None else np.array(omega)
+    spec = GridSpec(frame=make_frame(omega, 100.0), half_width=20.0, n=n)
+    return field, WaveParams(4.0, k), spec
+
+
+def sampled_d(dim, n):
+    """The reference hologram in `dim` dimensions, n nodes per patch side."""
+    return sample_hologram(*reference_d(dim, n))
 
 
 class TestIntensity:
@@ -279,3 +286,38 @@ class TestExport:
         hologram_to_pgm(holo, str(p1))
         hologram_to_pgm(holo, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestBlockWalk:
+    """Sampling, noise and the PGM writer walk the node blocks, and give the
+    bits of the whole-grid formulas written out here."""
+
+    @pytest.fixture(scope="class", params=[(3, 101, None), (3, 101, (0.8, 0.6, 0.0)),
+                                           (2, 9001, None)],
+                    ids=["3d-n101", "3d-tilted-n101", "2d-n9001"])
+    def case(self, request):
+        field, params, spec = reference_d(*request.param)
+        assert len(node_blocks(spec.size)) == 3
+        return field, params, spec
+
+    def test_sample_hologram_matches_whole_grid(self, case):
+        field, params, spec = case
+        whole = intensity(field, params, grid_points(spec))
+        assert sample_hologram(field, params, spec).values.tobytes() == whole.tobytes()
+
+    def test_add_noise_matches_whole_grid(self, case):
+        holo = sample_hologram(*case)
+        v, level, seed = holo.values, 0.01, 5
+        whole = np.maximum(
+            v * (1 + level * np.random.default_rng(seed).uniform(-1, 1, v.shape)), 0)
+        assert add_noise(holo, level, seed).values.tobytes() == whole.tobytes()
+
+    def test_pgm_matches_whole_grid(self, case, tmp_path):
+        holo = sample_hologram(*case)
+        v = holo.values
+        lo, hi = float(v.min()), float(v.max())
+        image = np.round((v - lo) * (255.0 / (hi - lo))).astype(np.uint8)
+        h, w = ((1,) + holo.spec.shape)[-2:]
+        path = tmp_path / "holo.pgm"
+        hologram_to_pgm(holo, str(path))
+        assert path.read_bytes() == f"P5\n{w} {h}\n255\n".encode("ascii") + image.tobytes()

@@ -10,8 +10,12 @@ true intensity, so the bounds stay as strict as they were. Any one
 whole-grid float or index array would take more than 12 % of the record
 at this size. `cli.run_reconstruct` consumes each block's record before
 the next one is made, so the traced peak of a whole run does not grow
-with the grid. tracemalloc sees numpy's buffers, so a traced peak is what
-a stage allocates.
+with the grid. A sampled run (`simulate`, or `reconstruct` with noise or
+`mode = bilinear`) holds the hologram's values whole, for the bilinear
+lookup, and samples it, adds its noise and writes its image a node block
+at a time, so its traced peak grows with the grid only by those values.
+tracemalloc sees numpy's buffers, so a traced peak is what a stage
+allocates.
 """
 
 import tracemalloc
@@ -19,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holoplane.cli import _reconstruct, compute_metrics, run_reconstruct
+from holoplane.cli import _reconstruct, compute_metrics, run_reconstruct, run_simulate
 from holoplane.config import parse_config
 from holoplane.recon import recon_to_csv, reconstruct_grid
 
@@ -31,6 +35,8 @@ RECORD_FIELDS = ("points", "psi1", "zeta", "D", "f11", "psi1_rec",
 # the profile and the axis tables grow with n, by 23 kB; one whole-grid
 # float array at n = 300 takes 720 kB.
 MARGIN = 64 * 2**10
+# The growth of a sampled run's hologram values from n = 100 to n = 300.
+HOLOGRAM_GROWTH = 8 * (300**2 - 100**2)
 
 
 def record_bytes(records):
@@ -107,3 +113,17 @@ def test_run_reconstruct_peak_does_not_grow_with_the_grid(tmp_path, capsys):
 
     peak(16)  # the writer's lookup tables are built once
     assert peak(300) <= peak(100) + MARGIN
+
+
+@pytest.mark.parametrize("run, text", [
+    (run_simulate, ""),
+    (run_reconstruct, "noise_level = 0.01\n"),
+    (run_reconstruct, "mode = bilinear\n"),
+], ids=["simulate", "noisy-reconstruct", "bilinear-reconstruct"])
+def test_sampled_run_peak_grows_only_by_the_hologram(tmp_path, capsys, run, text):
+    def peak(n):
+        cfg = parse_config(f"{text}n = {n}\n")
+        return traced_peak(lambda: run(cfg, str(tmp_path / str(n))))
+
+    peak(16)  # the writer's lookup tables are built once
+    assert peak(300) <= peak(100) + HOLOGRAM_GROWTH + MARGIN

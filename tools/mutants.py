@@ -108,6 +108,12 @@ MUTANTS = [
     ("src/holoplane/recon.py", "psi0 = plane_wave(pts, params)",
      "psi0 = plane_wave(grid_points(spec, slice(0, len(pts))), params)",
      "psi0 of a block taken from the first block's nodes"),
+    ("src/holoplane/hologram.py", "u = rng.uniform(-1.0, 1.0, size=b.stop - b.start)",
+     "u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=b.stop - b.start)",
+     "noise generator re-seeded in each node block of hologram.add_noise"),
+    ("src/holoplane/hologram.py", "np.round((vals[b] - lo) * scale)",
+     "np.round((vals[b] - vals[b].min()) * (255.0 / np.ptp(vals[b])))",
+     "PGM pixels scaled by each node block's own min and max"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

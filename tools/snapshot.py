@@ -51,6 +51,9 @@ CONFIGS = {
     "tilted-omega-noise-n41": ("omega = 0.8, 0.6, 0\nmode = bilinear\nn = 41\n"
                                "noise_level = 0.01\n"),
     "2d-noise-n301": "dim = 2\nnoise_level = 0.01\nn = 301\n",
+    # The sampled path over three node blocks: noise-free in d=3, noisy in d=2.
+    "bilinear-n101": "mode = bilinear\nn = 101\n",
+    "2d-noise-n9001": "dim = 2\nnoise_level = 0.01\nn = 9001\n",
     # d=2 over three node blocks: the profile excerpt spans block bounds.
     "2d-n9001": "dim = 2\nn = 9001\n",
     "2d-tilted-bilinear-hybrid-n501": ("dim = 2\nomega = 0.6, 0.8\nmode = bilinear\n"
