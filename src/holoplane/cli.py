@@ -199,7 +199,7 @@ def run_rates(cfg, outdir):
     """Convergence-rate study: error vs s for each offset strategy."""
     os.makedirs(outdir, exist_ok=True)
     bounded = BoundedOffset(cfg.alpha, cfg.eps)
-    studies = [("sqrt", SqrtScaled(-abs(cfg.alpha), cfg.fallback_axis), False),
+    studies = [("sqrt", SqrtScaled(-abs(cfg.alpha)), False),
                ("bounded", bounded, False)]
     if cfg.dim == 2:
         # The refinement's improved order is stated for bounded offsets,

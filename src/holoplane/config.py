@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .fields import PointSource, RadiationField, WaveParams
 from .geometry import GridSpec, make_frame
 from .recon import BoundedOffset, HybridStrategy, SqrtScaled
@@ -39,7 +39,6 @@ class ExperimentConfig:
     strategy: str = "sqrt"  # sqrt | bounded | hybrid
     alpha: float = -0.5
     eps: float = 0.1
-    fallback_axis: int = 0
     mode: str = "analytic"
     refine2d: bool = False
     noise_level: float = 0.0
@@ -54,33 +53,31 @@ class ExperimentConfig:
             numbers += [(f"source {i} c", "sources", c), (f"source {i} x0", "sources", x0)]
         for name, key, value in numbers:
             if not np.all(np.isfinite(value)):
-                raise _broken(f"{name} must be finite", key)
+                raise ConfigError(f"{name} must be finite", key)
         if self.dim not in (2, 3):
-            raise _broken("dim must be 2 or 3", "dim")
+            raise ConfigError("dim must be 2 or 3", "dim")
         if len(self.k) != self.dim or len(self.omega) != self.dim:
-            raise _broken("k and omega must have `dim` components", "dim", "k", "omega")
+            raise ConfigError("k and omega must have `dim` components", "dim", "k", "omega")
         if self.strategy not in ("sqrt", "bounded", "hybrid"):
-            raise _broken(f"unknown strategy {self.strategy!r}", "strategy")
-        derived = ((self.wave_params, ("kappa", "k")), (self.frame, ("omega", "s")),
-                   (self.grid_spec, ("h", "n")), (self.radiation_field, ("dim", "sources")),
-                   (self.zeta_strategy, ("strategy", "alpha", "eps", "fallback_axis")))
-        for build, keys in derived:
+            raise ConfigError(f"unknown strategy {self.strategy!r}", "strategy")
+        for build in (self.wave_params, self.frame, self.grid_spec, self.radiation_field,
+                      self.zeta_strategy):
             try:
                 build()
-            except ValueError as exc:
-                raise _broken(str(exc), *keys) from exc
+            except DomainError as exc:
+                # the grid's half_width is the key h
+                keys = ("h" if key == "half_width" else key for key in exc.keys)
+                raise ConfigError(str(exc), *keys) from exc
         if not 0 < self.eps < 2 * self.kappa:
-            raise _broken("eps must lie in (0, 2*kappa)", "eps", "kappa")
-        if not 0 <= self.fallback_axis < self.dim - 1:
-            raise _broken("fallback_axis out of range", "fallback_axis", "dim")
+            raise ConfigError("eps must lie in (0, 2*kappa)", "eps", "kappa")
         if self.mode not in ("analytic", "bilinear"):
-            raise _broken(f"unknown lookup mode {self.mode!r}", "mode")
+            raise ConfigError(f"unknown lookup mode {self.mode!r}", "mode")
         if self.noise_level < 0:
-            raise _broken("noise_level must be nonnegative", "noise_level")
+            raise ConfigError("noise_level must be nonnegative", "noise_level")
         if self.noise_seed < 0:
-            raise _broken("noise_seed must be nonnegative", "noise_seed")
+            raise ConfigError("noise_seed must be nonnegative", "noise_seed")
         if self.region_halfwidth <= 0:
-            raise _broken("region_halfwidth must be positive", "region_halfwidth")
+            raise ConfigError("region_halfwidth must be positive", "region_halfwidth")
 
     # --- derived objects -------------------------------------------------
 
@@ -103,10 +100,10 @@ class ExperimentConfig:
         if self.strategy == "bounded":
             return BoundedOffset(alpha=self.alpha, eps=self.eps)
         if self.strategy == "sqrt":
-            return SqrtScaled(alpha=self.alpha, fallback_axis=self.fallback_axis)
+            return SqrtScaled(alpha=self.alpha)
         return HybridStrategy(
             bounded=BoundedOffset(alpha=self.alpha, eps=self.eps),
-            sqrt=SqrtScaled(alpha=self.alpha, fallback_axis=self.fallback_axis),
+            sqrt=SqrtScaled(alpha=self.alpha),
         )
 
     def with_kappa(self, kappa):
@@ -117,14 +114,6 @@ class ExperimentConfig:
 # The type of each config-file key, read off the dataclass; `source` lines
 # build `sources`.
 _KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig) if f.name != "sources"}
-
-
-def _broken(message, *keys):
-    """The `ConfigError` of a rule that reads the fields `keys`;
-    `parse_config` names the last line that set one of them."""
-    error = ConfigError(message)
-    error.keys = keys
-    return error
 
 
 def _rescaled(k, kappa):
@@ -157,7 +146,7 @@ _DIM2_DEFAULTS = {
 
 def parse_config(text):
     """Parse config text; unset keys default to the reference experiment.
-    An error names its line (for a domain rule, see `_broken`)."""
+    An error names its line; a rule's, the last that set a key the rule reads."""
     entries = {}
     sources = []
     lines = {}  # the last line that set each field

@@ -34,10 +34,20 @@ class UndefinedDenominatorError(HoloplaneError):
 
 
 class ConfigError(HoloplaneError):
-    """Malformed or inconsistent experiment configuration."""
+    """Malformed or inconsistent experiment configuration; `keys` names the
+    config keys the broken rule reads, and `line` the line blamed for it."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, *keys, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+        self.keys = keys
         self.line = line
+
+
+class DomainError(ValueError):
+    """A parameter out of its domain; `keys` names the parameters the rule reads."""
+
+    def __init__(self, message, *keys):
+        super().__init__(message)
+        self.keys = keys

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import hankel0_first_kind
-from .errors import SingularEvaluationError
+from .errors import DomainError, SingularEvaluationError
 from .geometry import row_norm
 
 _SOURCE_TOL = 1e-12
@@ -31,9 +31,9 @@ class WaveParams:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "kappa", float(self.kappa))
         if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+            raise DomainError("kappa must be positive", "kappa")
         if abs(np.linalg.norm(k) - self.kappa) > 1e-9 * self.kappa:
-            raise ValueError("|k| must equal kappa")
+            raise DomainError("|k| must equal kappa", "kappa", "k")
 
     @property
     def dim(self):
@@ -61,16 +61,16 @@ class RadiationField:
 
     def __post_init__(self):
         if self.dim not in (2, 3):
-            raise ValueError("only d=2 and d=3 are supported")
+            raise DomainError("only d=2 and d=3 are supported", "dim")
         sources = tuple(self.sources)
         if not sources:
-            raise ValueError("at least one source is required")
+            raise DomainError("at least one source is required", "sources")
         for i, a in enumerate(sources):
             if a.x0.shape != (self.dim,):
-                raise ValueError("source location dimension mismatch")
+                raise DomainError("source location dimension mismatch", "dim", "sources")
             for b in sources[:i]:
                 if np.linalg.norm(a.x0 - b.x0) < _SOURCE_TOL:
-                    raise ValueError("source points must be distinct")
+                    raise DomainError("source points must be distinct", "sources")
         object.__setattr__(self, "sources", sources)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfHalfspaceError
+from .errors import DomainError, OutOfHalfspaceError
 
 _UNIT_TOL = 1e-9
 
@@ -26,9 +26,9 @@ def _as_unit(v, name="vector"):
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
     if n < 1e-14:
-        raise ValueError(f"{name} must be nonzero")
+        raise DomainError(f"{name} must be nonzero", name)
     if abs(n - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector (|{name}| = {float(n)!r})")
+        raise DomainError(f"{name} must be a unit vector (|{name}| = {float(n)!r})", name)
     return v / n
 
 
@@ -67,10 +67,10 @@ def make_frame(omega, s):
     omega = _as_unit(omega, "omega")
     s = float(s)
     if s <= 0:
-        raise ValueError("plane distance s must be positive")
+        raise DomainError("plane distance s must be positive", "s")
     d = omega.shape[0]
     if d < 2:
-        raise ValueError("dimension must be at least 2")
+        raise DomainError("dimension must be at least 2", "omega")
 
     rows = [omega]
     for i in range(d):
@@ -133,9 +133,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+            raise DomainError("half_width must be positive", "half_width")
         if self.n < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+            raise DomainError("grid needs at least 2 points per axis", "n")
 
     @property
     def coords(self):

@@ -12,7 +12,9 @@ Two offset choices are implemented:
     set where kappa theta_par is close to k_par;
   * sqrt-scaled: |zeta| grows like sqrt(|x|) and the step beta solves a
     quadratic so the second-order phase equals alpha; valid everywhere on
-    the half-sphere.
+    the half-sphere.  On the singular direction kappa theta_par = k_par,
+    where any direction would do, it runs along the frame's first in-plane
+    basis vector.
 
 Each formula (mismatch, offsets, beta, D, phase factor, estimator,
 refinement) is written once, as a private function that takes one point or
@@ -28,7 +30,8 @@ record of several blocks splits itself into them (`ReconGridResult.blocks`),
 so every stage after the kernel sees one block at a time. A block forms
 psi0, psi1 and the true intensity |psi0 + psi1|^2 at its nodes once; the
 record carries them for scoring, and without a hologram the kernel reads
-that intensity at the nodes.
+that intensity at the nodes. The record does not keep the block's points;
+`grid_points(record.spec, record.rows)` forms them.
 The public point helpers (`zeta_bounded`, `zeta_sqrt`, `beta_solve`,
 `determinant`) wrap the offset and determinant formulas and raise on the
 failures a batch only records.
@@ -40,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ExceptionalDirectionError, InfeasibleParametersError
+from .errors import DomainError, ExceptionalDirectionError, InfeasibleParametersError
 from .csvrows import grid_columns, write_csv
 from .fields import eval_radiation, plane_wave
 from .geometry import grid_points, node_blocks, row_norm
@@ -49,7 +52,7 @@ from .hologram import intensity_lookup
 DET_FLOOR = 1e-6
 
 # Below this relative size kappa*theta_par - k_par is treated as exactly
-# singular and the sqrt-scaled offset uses the fallback axis.
+# singular and the sqrt-scaled offset uses the frame's first basis vector.
 _SINGULAR_TOL = 1e-12
 
 
@@ -62,9 +65,9 @@ class BoundedOffset:
 
     def __post_init__(self):
         if self.alpha == 0 or math.sin(self.alpha) == 0:
-            raise ValueError("alpha must have sin(alpha) != 0")
+            raise DomainError("alpha must have sin(alpha) != 0", "alpha")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise DomainError("eps must be positive", "eps")
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,10 @@ class SqrtScaled:
     """Offset with |zeta| = O(sqrt(|x|)), valid on the whole half-sphere."""
 
     alpha: float
-    fallback_axis: int = 0
 
     def __post_init__(self):
         if self.alpha >= 0 or math.sin(self.alpha) == 0:
-            raise ValueError("alpha must be negative with sin(alpha) != 0")
+            raise DomainError("alpha must be negative with sin(alpha) != 0", "alpha")
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,12 @@ def _beta(alpha, kappa, r, mn, t2):
         return 2.0 * alpha / (mn + np.sqrt(disc))
 
 
-def _sqrt_offset(theta_par, m, mn, r, kappa, alpha, fallback):
-    """zeta = beta zeta_hat with zeta_hat = -m/|m|, or the `fallback` basis
-    vector on the singular direction, where m has no direction."""
+def _sqrt_offset(theta_par, m, mn, r, kappa, alpha, frame):
+    """zeta = beta zeta_hat with zeta_hat = -m/|m|, or the frame's first
+    in-plane basis vector on the singular direction, where m has no direction."""
     sing = mn < _SINGULAR_TOL * kappa
     zeta_hat = np.where(
-        sing[..., None], fallback, -m / np.where(sing, 1.0, mn)[..., None]
+        sing[..., None], frame.basis[0], -m / np.where(sing, 1.0, mn)[..., None]
     )
     t2 = np.einsum("...i,...i->...", theta_par, zeta_hat) ** 2
     return _beta(alpha, kappa, r, mn, t2)[..., None] * zeta_hat
@@ -129,8 +131,7 @@ def _offsets(strategy, x, r, params, frame):
     theta_par, m, mn = _mismatch(x / r[..., None], params, frame)
 
     def sqrt_offset(s):
-        return _sqrt_offset(theta_par, m, mn, r, params.kappa, s.alpha,
-                            frame.basis[s.fallback_axis])
+        return _sqrt_offset(theta_par, m, mn, r, params.kappa, s.alpha, frame)
 
     if isinstance(strategy, HybridStrategy):
         b = strategy.bounded
@@ -199,18 +200,17 @@ def beta_solve(alpha, kappa, r, theta_par, k_par, zeta_hat):
     return beta
 
 
-def zeta_sqrt(theta, params, frame, alpha, r, fallback_axis=0):
+def zeta_sqrt(theta, params, frame, alpha, r):
     """Sqrt-scaled offset, defined for every direction in the half-sphere.
 
     Away from the singular direction the offset points along
-    kappa theta_par - k_par; on it the frame basis vector `fallback_axis`
+    kappa theta_par - k_par; on it the frame's first in-plane basis vector
     is used (the direction there is arbitrary).
     """
     if alpha >= 0:
         raise ValueError("alpha must be negative")
     theta_par, m, mn = _mismatch(theta, params, frame)
-    zeta = _sqrt_offset(theta_par, m, mn, r, params.kappa, alpha,
-                        frame.basis[fallback_axis])
+    zeta = _sqrt_offset(theta_par, m, mn, r, params.kappa, alpha, frame)
     if np.isnan(zeta).any():
         raise InfeasibleParametersError(
             "negative discriminant in the step-size quadratic"
@@ -246,7 +246,6 @@ class ReconGridResult:
 
     spec: object
     rows: slice  # the node range, start and stop set
-    points: np.ndarray  # (m, d)
     psi0: np.ndarray  # complex (m,), the reference wave
     psi1: np.ndarray  # complex (m,), the true field the run is scored against
     intensity: np.ndarray  # (m,), the true intensity |psi0 + psi1|^2
@@ -365,8 +364,8 @@ def _reconstruct_block(spec, rows, lookup, field, params, strategy, refine2d, ho
     i_x = intensity if hologram is None else hologram.values[rows]
     zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
         pts, i_x, lookup, params, spec.frame, strategy, refine2d)
-    return ReconGridResult(spec, rows, pts, psi0, psi1, intensity, zeta, D, f11_vals,
-                           psi1_rec, flag_exceptional=mn < flag_eps,
+    return ReconGridResult(spec, rows, psi0, psi1, intensity, zeta, D, f11_vals, psi1_rec,
+                           flag_exceptional=mn < flag_eps,
                            flag_small_d=np.abs(D) <= DET_FLOOR)
 
 

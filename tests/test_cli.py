@@ -108,7 +108,7 @@ class TestReconstruct:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("config", [
-        "n = 101\nk = 3.2, 2.4, 0\nfallback_axis = 1\n",
+        "n = 101\nk = 3.2, 2.4, 0\n",
         "dim = 2\nn = 9001\nnoise_level = 0.01\n",
     ])
     def test_outputs_independent_of_node_block(self, tmp_path, monkeypatch, config):
@@ -271,11 +271,11 @@ class TestForwardModelPasses:
     def test_two_points_per_node(self, monkeypatch, config):
         cfg = parse_config(config)
         counts = self.count_points(monkeypatch)
-        psi1, points = joined(cfg, "psi1", "points")
+        (psi1,) = joined(cfg, "psi1")
         assert sum(counts) == 2 * cfg.grid_spec().size
         monkeypatch.undo()
-        np.testing.assert_array_equal(
-            psi1, fields.eval_radiation(cfg.radiation_field(), cfg.kappa, points))
+        np.testing.assert_array_equal(psi1, fields.eval_radiation(
+            cfg.radiation_field(), cfg.kappa, grid_points(cfg.grid_spec())))
 
 
 class TestEmptyRegion:
@@ -372,7 +372,7 @@ def scalar_probe(cfg, strategy_name, refine2d=False):
             zeta = zeta_bounded(theta, params, frame, cfg.alpha, cfg.eps)
         else:
             zeta = zeta_sqrt(theta, params, frame, -abs(cfg.alpha),
-                             float(np.linalg.norm(x)), cfg.fallback_axis)
+                             float(np.linalg.norm(x)))
         est = two_point_f11(field, params, x, x + zeta, refine2d)
         rows.append((s, abs(est - f1)))
     return rows
@@ -387,14 +387,14 @@ class TestProbe:
         ("dim = 2\n", "bounded", True),
         ("strategy = bounded\nalpha = 0.7\n", "sqrt", False),
         ("strategy = bounded\nalpha = 0.7\n", "bounded", False),
-        ("k = 3.2, 2.4, 0\nfallback_axis = 1\n", "sqrt", False),
+        ("k = 3.2, 2.4, 0\n", "sqrt", False),
     ])
     def test_batch_matches_scalar_chain(self, config, name, refine2d):
         cfg = parse_config(config)
         if name == "bounded":
             strategy = BoundedOffset(cfg.alpha, cfg.eps)
         else:
-            strategy = SqrtScaled(-abs(cfg.alpha), cfg.fallback_axis)
+            strategy = SqrtScaled(-abs(cfg.alpha))
         got = probe_errors(cfg, strategy, refine2d=refine2d)
         want = scalar_probe(cfg, name, refine2d)
         assert [s for s, _ in got] == list(RATE_S_LADDER)

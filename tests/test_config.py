@@ -92,7 +92,6 @@ DOMAIN_RULES = [
     ("dim = 4", "dim must be 2 or 3"),
     ("k = 4, 0, 0, 0", "k and omega must have `dim` components"),
     ("strategy = foo", "unknown strategy 'foo'"),
-    ("fallback_axis = 2", "fallback_axis out of range"),
     ("mode = cubic", "unknown lookup mode 'cubic'"),
     ("noise_level = -0.1", "noise_level must be nonnegative"),
     ("region_halfwidth = 0", "region_halfwidth must be positive"),
@@ -131,7 +130,12 @@ class TestConstruction:
         ("dim = 2\nn = 50\nk = 4, 0, 0", 3),
         ("source = 1, 0, 0, 2.5, 0\nn = 5\nsource = 1, 0, 0, 2.5, 0", 3),
         ("kappa = 0.04\nn = 50", 1),
-        ("dim = 2\nfallback_axis = 1\nn = 50", 2),
+        # a later line sets another field of the same domain object
+        ("omega = 2, 0, 0\ns = 50", 1),
+        ("alpha = 0.5\neps = 0.2", 1),
+        ("h = -1\nn = 5", 1),
+        ("kappa = -1\nk = 4, 0, 0", 1),
+        ("n = 1\nh = 3", 1),
     ])
     def test_domain_rule_names_the_last_line_of_its_keys(self, text, line):
         with pytest.raises(ConfigError) as exc:
@@ -164,7 +168,6 @@ class TestConstruction:
         ("n", lambda x: {"n": x}),
         ("alpha", lambda x: {"alpha": x}),
         ("eps", lambda x: {"eps": x}),
-        ("fallback_axis", lambda x: {"fallback_axis": x}),
         ("noise_level", lambda x: {"noise_level": x}),
         ("noise_seed", lambda x: {"noise_seed": x}),
         ("region_halfwidth", lambda x: {"region_halfwidth": x}),

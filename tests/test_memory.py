@@ -4,16 +4,18 @@ The metrics, the CSV writer and `max_zeta` work on the node blocks of
 `geometry.node_blocks` (`ReconGridResult.blocks`) or on CHUNK_BYTES of CSV
 slots at a time, whether they are given one whole-grid `ReconGridResult`
 record or the node-block records of a `reconstruct` run, so their traced
-peaks are held against the size of the record. That size
-is counted over the fields the record held before it carried psi0 and the
-true intensity, so the bounds stay as strict as they were. Any one
-whole-grid float or index array would take more than 12 % of the record
-at this size. `cli.run_reconstruct` consumes each block's record before
+peaks are held against the size of the record. That size is counted over
+the fields the record held before it carried psi0 and the true intensity,
+and with the (m, d) node points it held then, so the bounds stay as strict
+as they were. Any one whole-grid float or index array would take more
+than 12 % of the record at this size. `cli.run_reconstruct` consumes each block's record before
 the next one is made, so the traced peak of a whole run does not grow
 with the grid. A sampled run (`simulate`, or `reconstruct` with noise or
 `mode = bilinear`) holds the hologram's values whole, for the bilinear
 lookup, and samples it, adds its noise and writes its image a node block
 at a time, so its traced peak grows with the grid only by those values.
+A whole-grid `reconstruct_grid` holds little more than the record it
+returns, which does not keep the node points.
 tracemalloc sees numpy's buffers, so a traced peak is what a stage
 allocates.
 """
@@ -28,9 +30,12 @@ from holoplane.config import parse_config
 from holoplane.recon import recon_to_csv, reconstruct_grid
 
 BOUND = 0.12
-# The per-node fields the bounds are held against.
-RECORD_FIELDS = ("points", "psi1", "zeta", "D", "f11", "psi1_rec",
-                 "flag_exceptional", "flag_small_d")
+# The per-node fields the bounds are held against, with 8 d bytes a node
+# for the points.
+RECORD_FIELDS = ("psi1", "zeta", "D", "f11", "psi1_rec", "flag_exceptional",
+                 "flag_small_d")
+# Every field of a whole-grid record.
+KEPT_FIELDS = ("psi0", "intensity") + RECORD_FIELDS
 # Peak growth allowed from n = 100 to n = 300, against a peak of 1.2 MB:
 # the profile and the axis tables grow with n, by 23 kB; one whole-grid
 # float array at n = 300 takes 720 kB.
@@ -39,8 +44,13 @@ MARGIN = 64 * 2**10
 HOLOGRAM_GROWTH = 8 * (300**2 - 100**2)
 
 
+def field_bytes(records, names):
+    return sum(getattr(r, name).nbytes for r in records for name in names)
+
+
 def record_bytes(records):
-    return sum(getattr(r, name).nbytes for r in records for name in RECORD_FIELDS)
+    points = sum(8 * r.spec.frame.dim * (r.rows.stop - r.rows.start) for r in records)
+    return field_bytes(records, RECORD_FIELDS) + points
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +78,15 @@ def traced_peak(stage):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_reconstruct_grid_peak_is_the_record(run300):
+    # the fixture's run is the warm-up; past the record, the run holds one
+    # node block's temporaries
+    cfg, result, _ = run300
+    args = (cfg.radiation_field(), cfg.wave_params(), cfg.grid_spec(), cfg.zeta_strategy())
+    peak = traced_peak(lambda: reconstruct_grid(*args, flag_eps=cfg.eps))
+    assert peak < field_bytes([result], KEPT_FIELDS) + 2 * 2**20
 
 
 def test_compute_metrics_peak(run300):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from holoplane.cli import _reconstruct, compute_metrics
 from holoplane.config import parse_config
 from holoplane.errors import UndefinedDenominatorError
-from holoplane.geometry import NODE_BLOCK, GridSpec, grid_coords, make_frame, node_blocks
+from holoplane.geometry import (NODE_BLOCK, GridSpec, grid_coords, grid_points, make_frame,
+                                node_blocks)
 from holoplane.metrics import (Scores, box_axis, discrepancy, in_box, l2_ratio, l2_sums,
                                l2_terms, rel_l2, slope_estimate)
 
@@ -151,7 +152,7 @@ def test_compute_metrics_matches_whole_grid_formula(preset_run):
     cfg, result = preset_run
     assert result.spec.size % NODE_BLOCK
     metrics = compute_metrics(cfg, _reconstruct(cfg))
-    psi0 = np.exp(1j * (result.points @ cfg.wave_params().k))
+    psi0 = np.exp(1j * (grid_points(result.spec) @ cfg.wave_params().k))
     i_true = np.abs(psi0 + result.psi1) ** 2 - 1
     i_rec = np.abs(psi0 + result.psi1_rec) ** 2 - 1
     inside = in_box(result.spec, box_axis(result.spec, cfg.region_halfwidth))

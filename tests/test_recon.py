@@ -14,7 +14,7 @@ from holoplane.fields import (
     far_field,
     plane_wave,
 )
-from holoplane.geometry import GridSpec, grid_coords, make_frame, point_on_plane
+from holoplane.geometry import GridSpec, grid_coords, grid_points, make_frame, point_on_plane
 from holoplane.hologram import intensity_lookup, sample_hologram
 from holoplane.metrics import rel_l2, slope_estimate
 from holoplane.recon import (
@@ -155,7 +155,7 @@ class TestBetaSolve:
 class TestZetaSqrt:
     def test_singular_direction_uses_fallback(self):
         frame = make_frame(E1, 100.0)
-        zeta = zeta_sqrt(E1, params_d(3), frame, -0.5, 100.0, fallback_axis=0)
+        zeta = zeta_sqrt(E1, params_d(3), frame, -0.5, 100.0)
         np.testing.assert_allclose(np.abs(zeta), [0.0, 5.0, 0.0], atol=1e-12)
         assert np.linalg.norm(zeta) == pytest.approx(5.0)
 
@@ -164,7 +164,7 @@ class TestZetaSqrt:
         p = params_d(3)
         theta = unit([1.0, 0.3, -0.2])
         zb = zeta_bounded(theta, p, frame, -0.5, 0.1)
-        zs = zeta_sqrt(theta, p, frame, -0.5, 1e9, fallback_axis=0)
+        zs = zeta_sqrt(theta, p, frame, -0.5, 1e9)
         np.testing.assert_allclose(zs, zb, atol=1e-6)
 
     def test_planarity(self):
@@ -413,7 +413,7 @@ class TestReconstructGrid:
 
     def test_field_relation_exact(self, preset_run):
         _, result = preset_run
-        r = np.linalg.norm(result.points, axis=1)
+        r = np.linalg.norm(grid_points(result.spec), axis=1)
         expected = np.exp(1j * 4.0 * r) / r * result.f11
         np.testing.assert_allclose(result.psi1_rec, expected, rtol=1e-12)
 
@@ -467,7 +467,7 @@ def recon_csv_reference(result):
     uv = grid_coords(spec)
     zn = np.linalg.norm(result.zeta, axis=1)
     rows = []
-    for idx in range(result.points.shape[0]):
+    for idx in range(spec.size):
         ex, rec, f = result.psi1[idx], result.psi1_rec[idx], result.f11[idx]
         tail = (
             f"{ex.real:.10g},{ex.imag:.10g},{rec.real:.10g},{rec.imag:.10g},"
@@ -507,7 +507,7 @@ class TestCsvBytes:
                                hologram=holo)
         # rows past a chunk boundary, a partial last chunk, NaN rows both
         # out of the patch and in the exceptional set, and both flags
-        nodes = res.points.shape[0]
+        nodes = spec.size
         nan_rows = np.isnan(res.f11)
         assert (nan_rows & ~res.flag_exceptional).any()
         assert res.flag_exceptional.any() and res.flag_small_d.any()
@@ -529,18 +529,19 @@ class TestGridMatchesClosedForm:
     def test_sampled_preset_nodes(self, preset_run):
         cfg, result = preset_run
         field, p, frame = cfg.radiation_field(), cfg.wave_params(), cfg.frame()
-        nodes = list(range(0, result.points.shape[0], 997))
+        points = grid_points(result.spec)
+        nodes = list(range(0, result.spec.size, 997))
         nodes += list(np.flatnonzero(result.flag_exceptional)[::17])
         assert result.flag_exceptional[nodes].any()
         for i in nodes:
-            x = result.points[i]
+            x = points[i]
             r = np.linalg.norm(x)
-            zeta = zeta_sqrt(x / r, p, frame, cfg.alpha, r, cfg.fallback_axis)
+            zeta = zeta_sqrt(x / r, p, frame, cfg.alpha, r)
             np.testing.assert_allclose(zeta, result.zeta[i], rtol=1e-12, atol=1e-12)
             D = determinant(x, zeta, p)
             assert D == pytest.approx(result.D[i], rel=1e-12)
         # the estimator at every node, on the grid's own offsets
-        est = two_point_f11(field, p, result.points, result.points + result.zeta)
+        est = two_point_f11(field, p, points, points + result.zeta)
         np.testing.assert_allclose(est, result.f11, rtol=1e-9, atol=1e-12)
 
     def test_node_blocks_leave_the_grid_unchanged(self, monkeypatch):
@@ -557,8 +558,8 @@ class TestGridMatchesClosedForm:
             monkeypatch.setattr(geometry, "NODE_BLOCK", 37)
             blocks = reconstruct_grid(field, p, spec, strategy, hologram=holo)
             assert blocks.max_zeta == whole.max_zeta
-            for name in ("points", "psi0", "psi1", "intensity", "zeta", "D", "f11",
-                         "psi1_rec", "flag_exceptional", "flag_small_d"):
+            for name in ("psi0", "psi1", "intensity", "zeta", "D", "f11", "psi1_rec",
+                         "flag_exceptional", "flag_small_d"):
                 np.testing.assert_array_equal(getattr(blocks, name), getattr(whole, name))
 
     def test_node_range_is_a_slice_of_the_grid(self):
@@ -606,9 +607,12 @@ class TestGridMatchesClosedForm:
         spec = small_spec(21)
         res = reconstruct_grid(preset_field(), p, spec, SqrtScaled(alpha=-0.5))
         center = 10 * 21 + 10
-        np.testing.assert_array_equal(res.points[center], 100.0 * E1)
+        np.testing.assert_array_equal(grid_points(spec)[center], 100.0 * E1)
+        zeta = res.zeta[center]
         expected = zeta_sqrt(E1, p, spec.frame, -0.5, 100.0)
-        np.testing.assert_allclose(res.zeta[center], expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(zeta, expected, rtol=0, atol=1e-12)
+        # where any direction would do, the offset runs along the first basis vector
+        assert abs(zeta @ spec.frame.basis[0]) == pytest.approx(np.linalg.norm(zeta))
         assert np.isfinite(res.f11[center])
 
     def test_refined_2d_nodes(self):
@@ -616,6 +620,6 @@ class TestGridMatchesClosedForm:
         strategy = BoundedOffset(alpha=-0.5, eps=0.1)
         res = reconstruct_grid(field, p, spec, strategy, refine2d=True)
         ok = ~res.flag_exceptional
-        x = res.points[ok]
+        x = grid_points(spec)[ok]
         refined = two_point_f11(field, p, x, x + res.zeta[ok], refine2d=True)
         np.testing.assert_allclose(refined, res.f11[ok], rtol=1e-9, atol=1e-12)

@@ -114,6 +114,9 @@ MUTANTS = [
     ("src/holoplane/hologram.py", "np.round((vals[b] - lo) * scale)",
      "np.round((vals[b] - vals[b].min()) * (255.0 / np.ptp(vals[b])))",
      "PGM pixels scaled by each node block's own min and max"),
+    ("src/holoplane/recon.py", "sing[..., None], frame.basis[0],",
+     "sing[..., None], frame.basis[-1],",
+     "last in-plane basis vector for the first on the sqrt offset's singular direction"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -39,7 +39,7 @@ CONFIGS = {
     "bounded-alpha0.7": "strategy = bounded\nalpha = 0.7\n",
     "2d-hybrid-two-sources": ("dim = 2\nstrategy = hybrid\n"
                               "source = 1, 0, 0, 2.5\nsource = 0.5, 0.5, 1, -1\n"),
-    "tilted-k": "k = 3.2, 2.4, 0\nfallback_axis = 1\n",
+    "tilted-k": "k = 3.2, 2.4, 0\n",
     "bilinear-noise-hybrid-n37": ("mode = bilinear\nnoise_level = 0.02\n"
                                   "strategy = hybrid\nn = 37\n"),
     "2d-bounded-refine-n401": ("dim = 2\nstrategy = bounded\nrefine2d = true\n"
