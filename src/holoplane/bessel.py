@@ -6,10 +6,10 @@ Both are accurate to better than 1e-7 absolute over their ranges and agree
 near the switch point.
 
 Both branches are numpy code over the whole argument array. The series is
-one masked recurrence that each element leaves at its own stopping point,
-where a term-by-term loop over that element alone would stop; the
-asymptotic terms are tabulated per argument and summed in order. Either way
-an element's value does not depend on the other elements. Scalars go
+one in-place recurrence in which an element stops where a term-by-term
+loop over it alone would stop, and then adds only signed zeros; the
+asymptotic terms are tabulated per argument and summed in order. Either
+way an element's value does not depend on the other elements. Scalars go
 through the same code as one-element arrays.
 """
 
@@ -33,33 +33,24 @@ def _series(z):
     """Ascending series for a 1-d array z: J0 + i*Y0 with
     J0(z) = sum (-1)^m q^m / (m!)^2,        q = z^2/4,
     Y0(z) = (2/pi) [(ln(z/2) + gamma) J0 + sum (-1)^{m+1} H_m q^m / (m!)^2].
-    An element stops once |term| < 1e-18 (1 + |J0|).
+    One recurrence over all of z: an element stops once |term| < 1e-18
+    (1 + |J0|), after adding that term, and from then on adds signed zeros.
     """
-    j0 = np.empty_like(z)
-    ysum = np.empty_like(z)
-    # Running sums of the elements still summing, compacted to `live`.
-    live = np.arange(z.size)
     q = 0.25 * z * z
     term = np.ones_like(z)
-    lj0 = np.ones_like(z)
-    lysum = np.zeros_like(z)
+    j0 = np.ones_like(z)
+    ysum = np.zeros_like(z)
     harmonic = 0.0
     for m in range(1, _SERIES_TERMS):
-        if not live.size:
-            break
         term *= -q / (m * m)
         harmonic += 1.0 / m
-        lj0 += term
-        lysum -= term * harmonic
-        done = np.abs(term) < 1e-18 * (1.0 + np.abs(lj0))
-        if np.count_nonzero(done):
-            j0[live[done]] = lj0[done]
-            ysum[live[done]] = lysum[done]
-            keep = ~done
-            live, q, term, lj0, lysum = (
-                live[keep], q[keep], term[keep], lj0[keep], lysum[keep])
-    j0[live] = lj0
-    ysum[live] = lysum
+        j0 += term
+        ysum -= term * harmonic
+        done = np.abs(term) < 1e-18 * (1.0 + np.abs(j0))
+        if np.count_nonzero(done) == z.size:
+            break
+        # neither sum is ever -0, so adding a signed zero changes no bit
+        term[done] = 0.0
     y0 = (2.0 / math.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * j0 + ysum)
     out = np.empty(z.shape, dtype=complex)
     out.real = j0
@@ -142,6 +133,6 @@ def hankel0_first_kind(z):
         if mask.any():
             out[mask] = branch(flat[mask])
     out = out.reshape(z_arr.shape)
-    if np.isscalar(z) or z_arr.ndim == 0:
+    if z_arr.ndim == 0:
         return complex(out.reshape(())[()])
     return out

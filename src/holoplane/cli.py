@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, _parse_number, parse_config
-from .errors import DegenerateDeterminantError, ExceptionalDirectionError, HoloplaneError
+from .errors import (ConfigError, DegenerateDeterminantError, ExceptionalDirectionError,
+                     HoloplaneError)
 from .fields import far_field
 from .geometry import node_blocks, point_on_plane
 from .hologram import (add_noise, hologram_to_csv, hologram_to_pgm, intensity_lookup,
@@ -36,7 +37,11 @@ def _load_config(path):
     if path is None:
         return ExperimentConfig()
     with open(path) as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return parse_config(text)
 
 
 def _sampled_hologram(cfg):
@@ -210,6 +215,10 @@ def run_rates(cfg, outdir):
     table = {}
     for name, strategy, refined in studies:
         rows = probe_errors(cfg, strategy, refine2d=refined)
+        for s, err in rows:
+            if err == 0:  # as on a zero field: log(error) is undefined
+                raise HoloplaneError(
+                    f"{name} probe error is 0 at s = {s:g}: no convergence rate")
         table[name] = (rows, slope_estimate(rows))
     with open(os.path.join(outdir, "rates.csv"), "w", newline="") as fh:
         fh.write("strategy,s,error\n")
@@ -297,7 +306,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except HoloplaneError as exc:
+    except (HoloplaneError, OSError) as exc:  # OSError: an unreadable --config or --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

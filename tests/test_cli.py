@@ -357,6 +357,16 @@ class TestRates:
         strategies = {line.split(",")[0] for line in lines[1:]}
         assert strategies == {"sqrt", "bounded", "bounded_refined"}
 
+    @pytest.mark.parametrize("config", ["source = 0, 0, 0, 2.5, 0\n",
+                                        "dim = 2\nsource = 0, 0, 0, 0.5\n"])
+    def test_zero_field_fails_cleanly(self, tmp_path, capsys, config):
+        # every probe error is exactly 0, so no slope can be fitted
+        rc, out = run(tmp_path, ["rates"], config=SMALL + config)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: sqrt probe error is 0 at s = 50: no convergence rate\n"
+        assert list(out.iterdir()) == []
+
 
 def scalar_probe(cfg, strategy_name, refine2d=False):
     """The rates probe one s at a time through the offset helpers and the
@@ -464,6 +474,24 @@ class TestParser:
         rc = main(["--config", str(cfg_path), "simulate"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-file"])
+    def test_unreadable_path_fails_cleanly(self, tmp_path, capsys, case):
+        cfg_path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        if case == "directory":
+            cfg_path.mkdir()
+        elif case == "not-utf8":
+            cfg_path.write_bytes(b"\xff\xfen = 16\n")
+        elif case == "out-is-file":
+            cfg_path.write_text(SMALL)
+            out.write_text("")
+        rc = main(["--config", str(cfg_path), "--out", str(out), "rates"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        # no output directory is made, and a file in its place is left alone
+        assert out.read_text() == "" if case == "out-is-file" else not out.exists()
 
     @pytest.mark.parametrize("line", ["n = inf", "n = nan", "s = nan", "h = inf"])
     def test_non_finite_number_fails_cleanly(self, tmp_path, capsys, line):

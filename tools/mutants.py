@@ -103,6 +103,20 @@ MUTANTS = [
      "pairwise sum(axis=0) for the in-order asymptotic sum"),
     ("src/holoplane/bessel.py", "_BLOCK = 1024", "_BLOCK = 10**6",
      "one asymptotic term table for the whole argument array"),
+    ("src/holoplane/bessel.py", "term[done] = 0.0", "pass",
+     "stopped series term not zeroed: a stopped element keeps adding its terms"),
+    ("src/holoplane/bessel.py",
+     "        j0 += term\n"
+     "        ysum -= term * harmonic\n"
+     "        done = np.abs(term) < 1e-18 * (1.0 + np.abs(j0))\n",
+     "        done = np.abs(term) < 1e-18 * (1.0 + np.abs(j0 + term))\n"
+     "        term[done] = 0.0\n"
+     "        j0 += term\n"
+     "        ysum -= term * harmonic\n",
+     "series stop rule applied before the term is added: a stopping element "
+     "loses its last term"),
+    ("src/holoplane/bessel.py", "1e-18 * (1.0 + np.abs(j0))", "1e-19 * (1.0 + np.abs(j0))",
+     "1e-19 for 1e-18 in the series stop rule"),
     ("src/holoplane/recon.py", "a[b.start - start:b.stop - start]", "a[b.start:b.stop]",
      "views of a record's node blocks not offset by its first node"),
     ("src/holoplane/recon.py", "psi0 = plane_wave(pts, params)",

@@ -61,6 +61,17 @@ CONFIGS = {
     # Coordinates whose texts fill three slot words, e.g. -0.0009327846365.
     "fine-h-n37-3d": "h = 0.000987654321\nn = 37\nregion_halfwidth = 0.0005\n",
     "fine-h-n37-2d": "dim = 2\nh = 0.000987654321\nn = 37\nregion_halfwidth = 0.0005\n",
+    # Near field in d=2, where H0 sums its ascending series (kappa |x - x0|
+    # <= Z_SWITCH): at every node, at the nodes on one side of Z_SWITCH,
+    # and in a sampled run.
+    "2d-series-n9001": ("dim = 2\nkappa = 0.5\ns = 10\nh = 8\nn = 9001\n"
+                        "source = 1, 0, 0, 0.5\n"),
+    "2d-series-switch-n9001": "dim = 2\nkappa = 1\ns = 16\nn = 9001\n",
+    "2d-series-bilinear-noise-n501": ("dim = 2\nkappa = 1\ns = 6\nh = 5\nn = 501\n"
+                                      "mode = bilinear\nnoise_level = 0.01\n"),
+    # A zero field: reconstruct and rates fail, simulate runs.
+    "zero-source-3d": "source = 0, 0, 0, 2.5, 0\n",
+    "zero-source-2d": "dim = 2\nsource = 0, 0, 0, 0.5\n",
     # Failing runs: an empty error region, and a source on a grid node, in
     # the only node block or in the second one, after the first block's
     # rows are written.
