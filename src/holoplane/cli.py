@@ -7,6 +7,7 @@ All outputs are deterministic CSV/PGM files for a fixed config and seed.
 import argparse
 import contextlib
 import os
+import pickle
 import sys
 from dataclasses import replace
 
@@ -24,6 +25,9 @@ from .recon import (DET_FLOOR, BoundedOffset, SqrtScaled, recon_to_csv, reconstr
                     reconstruct_points)
 
 RATE_S_LADDER = (50.0, 100.0, 200.0, 400.0, 800.0)
+# Node blocks from which `run_reconstruct` splits its pass over two
+# processes (`_split_pass`), measured on a 2-core machine (README).
+SPLIT_MIN_BLOCKS = 4
 # The reference experiment's parameter sweeps, in run order.
 REFERENCE_SWEEPS = {
     "s": (5, 10, 100, 200),
@@ -58,18 +62,27 @@ def run_simulate(cfg, outdir):
     return holo
 
 
-def _reconstruct(cfg):
-    """The records of the node blocks of `cfg`'s grid, in node order, one
-    `reconstruct_grid` call per block, each made when the caller asks for
-    it. A sampled hologram is sampled once, before the first block."""
+def _block_records(cfg):
+    """Sample `cfg`'s hologram if the run reads one, and return the function
+    from node blocks of `cfg`'s grid (`node_blocks`) to their records: a
+    generator of one `reconstruct_grid` call per block, in the given order,
+    each made when the caller asks for it."""
     # Noisy data can only be consumed through the sampled hologram.
     sampled = cfg.mode == "bilinear" or cfg.noise_level > 0
     holo = _sampled_hologram(cfg) if sampled else None
     field, params, spec = cfg.radiation_field(), cfg.wave_params(), cfg.grid_spec()
     strategy = cfg.zeta_strategy()
-    for rows in node_blocks(spec.size):
-        yield reconstruct_grid(field, params, spec, strategy, refine2d=cfg.refine2d,
-                               hologram=holo, flag_eps=cfg.eps, rows=rows)
+    return lambda blocks: (
+        reconstruct_grid(field, params, spec, strategy, refine2d=cfg.refine2d,
+                         hologram=holo, flag_eps=cfg.eps, rows=rows)
+        for rows in blocks)
+
+
+def _reconstruct(cfg):
+    """The records of the node blocks of `cfg`'s grid, in node order, one
+    `reconstruct_grid` call per block, each made when the caller asks for
+    it. A sampled hologram is sampled once, before the first block."""
+    yield from _block_records(cfg)(node_blocks(cfg.grid_spec().size))
 
 
 def compute_metrics(cfg, records):
@@ -85,23 +98,32 @@ def compute_metrics(cfg, records):
 def run_reconstruct(cfg, outdir):
     """Full-grid reconstruction; writes recon.csv, profile.csv, metrics.csv.
 
-    One pass over the node blocks (`_reconstruct`): `recon_to_csv` writes
+    One pass over the node blocks (`_block_records`): `recon_to_csv` writes
     each block's rows as it takes the block, with the profile
     (`_write_profile`) as an excerpt of them, and `Scores.add` adds the
-    block to the metric sums and max |zeta|. A run that fails leaves no
-    file: the empty-region check runs before the pass, and recon.csv and
-    profile.csv are written under temporary names and moved into place
-    once every metric has its value. Returns the metrics and max |zeta|."""
+    block to the metric sums and max |zeta|. A grid of SPLIT_MIN_BLOCKS
+    node blocks or more, in a process allowed two CPUs or more, makes the
+    pass in two processes (`_split_pass`), with the same files and metric
+    bits. A run that fails leaves no file: the empty-region check runs
+    before the pass, and recon.csv and profile.csv are written under
+    temporary names and moved into place once every metric has its value.
+    Returns the metrics and max |zeta|."""
     os.makedirs(outdir, exist_ok=True)
     spec = cfg.grid_spec()
     scores = Scores(spec, cfg.region_halfwidth)
     names = ("recon.csv", "profile.csv")
     staged = [os.path.join(outdir, f".{name}.part") for name in names]
+    records, blocks = _block_records(cfg), node_blocks(spec.size)
+    excerpt = _write_profile(spec, staged[1])
     try:
-        # map keeps no reference to a block it is done with, so the writer
-        # lets each block go before the next one is made
-        recon_to_csv(map(scores.add, _reconstruct(cfg)), staged[0],
-                     excerpt=_write_profile(spec, staged[1]))
+        # a platform without sched_getaffinity (macOS, Windows) runs serially
+        if (len(blocks) >= SPLIT_MIN_BLOCKS and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2):
+            _split_pass(records, blocks, scores, staged[0], excerpt)
+        else:
+            # map keeps no reference to a block it is done with, so the
+            # writer lets each block go before the next one is made
+            recon_to_csv(map(scores.add, records(blocks)), staged[0], excerpt=excerpt)
         metrics = scores.ratios()
         for path, name in zip(staged, names):
             os.replace(path, os.path.join(outdir, name))
@@ -116,6 +138,76 @@ def run_reconstruct(cfg, outdir):
             print(f"{metric},{region},{value:.6g}")
     print(f"max_zeta,,{scores.max_zeta:.6g}")
     return metrics, float(scores.max_zeta)
+
+
+def _split_pass(records, blocks, scores, path, excerpt):
+    """`run_reconstruct`'s pass over `records(blocks)` in two processes,
+    with the files and `scores` of the serial pass. A forked child takes
+    the second half of `blocks`: it writes their rows to part files of its
+    own (`path` and the excerpt's path with `2` appended), the excerpt's
+    rows shifted by minus its first node, and sends back each record's
+    `Scores.block_sums` and max |zeta|, pickled, over a pipe. This process
+    takes the first half, merges the child's sums after its own, in block
+    order, and appends each part file after its header line. A failure in
+    either half raises here, and the child is reaped on every path."""
+    half = len(blocks) // 2
+    first = blocks[half].start
+    xpath, names, rows = excerpt
+    parts = [f"{path}2", f"{xpath}2"]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: it leaves only through os._exit
+        code = 1
+        try:
+            os.close(read)
+            sums = []
+
+            def tally(record):
+                sums.append(([scores.block_sums(b) for b in record.blocks()],
+                             record.max_zeta))
+                return record
+
+            try:
+                recon_to_csv(map(tally, records(blocks[half:])), parts[0], excerpt=(
+                    parts[1], names, slice(rows.start - first, rows.stop - first)))
+                result = sums
+            except BaseException as exc:  # raised again by this process's parent
+                result = exc
+            with os.fdopen(write, "wb") as fh:
+                pickle.dump(result, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as fh:
+            try:
+                recon_to_csv(map(scores.add, records(blocks[:half])), path, excerpt=excerpt)
+                data = fh.read()  # before the reaping: the child may wait on the pipe
+            except BaseException:
+                import signal  # here alone: importing numpy does not load it
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise ChildProcessError(f"the process of the second half of the grid exited "
+                                    f"with {status} and sent no result")
+        result = pickle.loads(data)
+        if isinstance(result, BaseException):
+            raise result
+        for block_sums, max_zeta in result:
+            scores.merge(block_sums, max_zeta)
+        for dst, part in zip((path, xpath), parts):
+            with open(part, "rb") as src, open(dst, "r+b") as out:
+                offset, size = len(src.readline()), os.fstat(src.fileno()).st_size
+                out.seek(0, os.SEEK_END)
+                while offset < size:
+                    offset += os.sendfile(out.fileno(), src.fileno(), offset, size - offset)
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
 
 
 def _write_profile(spec, path):

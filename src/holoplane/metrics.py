@@ -95,15 +95,27 @@ class Scores:
     def add(self, record):
         """Add the sums of a record's node blocks (one block for a record
         of `cli._reconstruct`), and return the record."""
-        for b in record.blocks():
-            terms = {"E": l2_terms(b.psi1_rec, b.psi1), "E_dis": discrepancy(b)}
-            inside = in_box(self.spec, self.axis, b.rows)
-            for name, selected in zip(self.REGIONS, (None, inside, ~inside)):
-                for metric, t in terms.items():
-                    self.sums[metric, name] += l2_sums(t, selected)
-        # fmax skips a record whose nodes all have no offset
-        self.max_zeta = np.fmax(self.max_zeta, record.max_zeta)
+        self.merge(map(self.block_sums, record.blocks()), record.max_zeta)
         return record
+
+    def block_sums(self, b):
+        """The `l2_sums` of the one-block record `b`, by (metric, region)."""
+        terms = {"E": l2_terms(b.psi1_rec, b.psi1), "E_dis": discrepancy(b)}
+        inside = in_box(self.spec, self.axis, b.rows)
+        return {(metric, name): l2_sums(t, selected)
+                for name, selected in zip(self.REGIONS, (None, inside, ~inside))
+                for metric, t in terms.items()}
+
+    def merge(self, block_sums, max_zeta):
+        """Add `block_sums`, the `block_sums` of consecutive node blocks in
+        block order, to the totals, and fold in `max_zeta`, their max |zeta|.
+        Sums added a block at a time in block order have the bits of a
+        serial pass, wherever they were made."""
+        for sums in block_sums:
+            for key, s in sums.items():
+                self.sums[key] += s
+        # fmax skips a record whose nodes all have no offset
+        self.max_zeta = np.fmax(self.max_zeta, max_zeta)
 
     def ratios(self):
         """{(metric, region): value}; raises where a reference vanishes."""

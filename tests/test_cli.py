@@ -1,3 +1,6 @@
+import os
+import pickle
+import subprocess
 import sys
 
 import numpy as np
@@ -192,6 +195,128 @@ class TestProfileBytes:
 
         self.check(tmp_path, self.BILINEAR + "dim = 2\nn = 301\n", line,
                    "x2,re_psi1,im_psi1,re_psi1rec,im_psi1rec\n", steps)
+
+
+class TestSplit:
+    """A `reconstruct` of SPLIT_MIN_BLOCKS node blocks or more makes its
+    pass in two processes (`cli._split_pass`), with the bytes and metric
+    bits of the serial pass. Small node blocks force the split on small
+    grids, and a stub affinity of two CPUs makes it independent of the
+    machine. The profile of the 21 x 21 grid is nodes 210-230: blocks of
+    60 cut the grid at node 240 (8 blocks, the excerpt in the first half),
+    of 110 at node 220 (5 blocks, across the cut), of 50 at node 200
+    (9 blocks, in the second half); blocks of 64 cut the 301-node d = 2
+    line, all of it the profile, at node 128."""
+
+    @staticmethod
+    def split(monkeypatch, block, cpus=(0, 1)):
+        """Force the split at `block` nodes a block; return the list that
+        gets an entry per fork of this process."""
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(geometry, "NODE_BLOCK", block)
+        monkeypatch.setattr(cli, "SPLIT_MIN_BLOCKS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    @staticmethod
+    def outputs(tmp_path, config, capsys):
+        out = tmp_path / "out"
+        metrics, max_zeta = cli.run_reconstruct(parse_config(config), str(out))
+        files = {name: (out / name).read_bytes()
+                 for name in ("recon.csv", "profile.csv", "metrics.csv")}
+        assert sorted(os.listdir(out)) == sorted(files)
+        bits = [(key, repr(value)) for key, value in metrics.items()], repr(max_zeta)
+        return files, bits, capsys.readouterr().out
+
+    @pytest.mark.parametrize("config, block", [
+        ("n = 21\n", 60),
+        ("n = 21\n", 110),
+        ("n = 21\n", 50),
+        ("n = 21\nnoise_level = 0.01\n", 110),
+        ("n = 21\nmode = bilinear\n", 50),
+        ("dim = 2\nn = 301\nnoise_level = 0.01\n", 64),
+    ], ids=["3d-excerpt-first-half", "3d-excerpt-across", "3d-excerpt-second-half",
+            "3d-noisy", "3d-bilinear", "2d-noisy"])
+    def test_matches_serial_run(self, tmp_path, monkeypatch, capsys, config, block):
+        monkeypatch.setattr(geometry, "NODE_BLOCK", block)
+        monkeypatch.setattr(cli, "SPLIT_MIN_BLOCKS", 10**9)
+        serial = self.outputs(tmp_path / "serial", config, capsys)
+        forks = self.split(monkeypatch, block)
+        split = self.outputs(tmp_path / "split", config, capsys)
+        assert forks == [1]
+        assert split == serial
+        lines = split[2].splitlines()
+        assert len(lines) == len(set(lines)) == 7  # six metrics and max_zeta
+
+    @pytest.mark.parametrize("block", [1000, 9200], ids=["second-half", "first-half"])
+    def test_failure_in_either_half_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                                   block):
+        # the source-on-node case of test_failure_after_the_profile_leaves_no_file:
+        # node 9140 fails, in the child's half at a cut at node 5000 (11
+        # blocks), in this process's at a cut at node 9200 (2 blocks)
+        forks = self.split(monkeypatch, block)
+        rc, out = run(tmp_path, ["reconstruct"], config="n = 101\nsource = 1, 0, 100, 16, 0\n")
+        assert forks == [1]
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: evaluation point at (100.0, 16.0, 0.0) coincides with a source\n")
+        assert list(out.iterdir()) == []
+        assert not list(tmp_path.rglob("*.part*"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_without_result_fails_loudly(self, tmp_path, monkeypatch, capsys):
+        # the child exits before it sends its result; this process never
+        # calls pickle.dump
+        self.split(monkeypatch, 100)
+        monkeypatch.setattr(pickle, "dump", lambda *args: os._exit(3))
+        rc, out = run(tmp_path, ["reconstruct"], config="n = 21\n")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the process of the second half of the grid exited with 3 "
+            "and sent no result\n")
+        assert list(out.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_cpu_runs_serially(self, tmp_path, monkeypatch, capsys):
+        forks = self.split(monkeypatch, 50, cpus=(0,))
+        self.outputs(tmp_path, "n = 21\n", capsys)
+        assert forks == []
+
+    def test_fork_with_blas_threads(self, tmp_path):
+        # a fresh interpreter with BLAS and OpenMP threads left to their
+        # defaults writes the same bytes split and serial
+        script = ("import os, sys\n"
+                  "from holoplane import cli, geometry\n"
+                  "geometry.NODE_BLOCK = 1000\n"
+                  "cli.SPLIT_MIN_BLOCKS = int(sys.argv[1])\n"
+                  "forks, fork = [], os.fork\n"
+                  "os.fork = lambda: forks.append(1) or fork()\n"
+                  "code = cli.main(sys.argv[2:])\n"
+                  "print(f'forks {len(forks)}')\n"
+                  "sys.exit(code)\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("n = 101\nk = 3.2, 2.4, 0\n")
+        outs = []
+        for threshold, forks in ((2, 1), (10**9, 0)):
+            out = tmp_path / str(threshold)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(threshold), "--config", str(cfg_path),
+                 "--out", str(out), "reconstruct"],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == f"forks {forks}"
+            outs.append((proc.stdout.splitlines()[:-1],
+                         {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert outs[0] == outs[1]
+        assert sorted(outs[0][1]) == ["metrics.csv", "profile.csv", "recon.csv"]
+
 
 class TestSweep:
     def test_sweep_table(self, tmp_path):

@@ -69,17 +69,26 @@ CONFIGS = {
     "2d-series-switch-n9001": "dim = 2\nkappa = 1\ns = 16\nn = 9001\n",
     "2d-series-bilinear-noise-n501": ("dim = 2\nkappa = 1\ns = 6\nh = 5\nn = 501\n"
                                       "mode = bilinear\nnoise_level = 0.01\n"),
+    # reconstruct splits a grid of cli.SPLIT_MIN_BLOCKS node blocks or more
+    # over two processes. In d=2 the profile is the whole line, so it
+    # crosses the cut: 4 blocks, and 5 with noise (the last block 1 node).
+    "2d-split-n16384": "dim = 2\nn = 16384\n",
+    "2d-split-noise-n16385": "dim = 2\nnoise_level = 0.01\nn = 16385\n",
     # A zero field: reconstruct and rates fail, simulate runs.
     "zero-source-3d": "source = 0, 0, 0, 2.5, 0\n",
     "zero-source-2d": "dim = 2\nsource = 0, 0, 0, 0.5\n",
     # Failing runs: an empty error region, and a source on a grid node, in
     # the only node block or in the second one, after the first block's
-    # rows are written.
+    # rows are written, or in either half of a split run.
     "empty-D-n2": "n = 2\n",
     "empty-D-box0.1": "region_halfwidth = 0.1\n",
     "empty-GminusD-box50": "region_halfwidth = 50\n",
     "source-on-node-n3": "n = 3\nsource = 1, 0, 100, 0, 0\n",
     "source-on-node-n101": "n = 101\nsource = 1, 0, 100, 0, 0\n",
+    # A split run (5 blocks, cut at node 8192) whose source lies on node
+    # 10384, in the second process's half, or on node 2644, in the first's.
+    "source-on-node-split-second-half": "n = 129\nh = 64\nsource = 1, 0, 100, 16, 0\n",
+    "source-on-node-split-first-half": "n = 129\nh = 64\nsource = 1, 0, 100, -44, 0\n",
 }
 
 SMALL = "n = 16\n"
