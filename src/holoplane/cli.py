@@ -145,11 +145,12 @@ def _split_pass(records, blocks, scores, path, excerpt):
     with the files and `scores` of the serial pass. A forked child takes
     the second half of `blocks`: it writes their rows to part files of its
     own (`path` and the excerpt's path with `2` appended), the excerpt's
-    rows shifted by minus its first node, and sends back each record's
-    `Scores.block_sums` and max |zeta|, pickled, over a pipe. This process
-    takes the first half, merges the child's sums after its own, in block
-    order, and appends each part file after its header line. A failure in
-    either half raises here, and the child is reaped on every path."""
+    rows shifted by minus its first node, and sends back its copy of
+    `scores`, empty at the fork, pickled, over a pipe. This process takes
+    the first half, merges the child's `Scores` after its own
+    (`Scores.merge`), and appends each part file after its header line. A
+    failure in either half raises here, and the child is reaped on every
+    path."""
     half = len(blocks) // 2
     first = blocks[half].start
     xpath, names, rows = excerpt
@@ -160,17 +161,10 @@ def _split_pass(records, blocks, scores, path, excerpt):
         code = 1
         try:
             os.close(read)
-            sums = []
-
-            def tally(record):
-                sums.append(([scores.block_sums(b) for b in record.blocks()],
-                             record.max_zeta))
-                return record
-
             try:
-                recon_to_csv(map(tally, records(blocks[half:])), parts[0], excerpt=(
+                recon_to_csv(map(scores.add, records(blocks[half:])), parts[0], excerpt=(
                     parts[1], names, slice(rows.start - first, rows.stop - first)))
-                result = sums
+                result = scores
             except BaseException as exc:  # raised again by this process's parent
                 result = exc
             with os.fdopen(write, "wb") as fh:
@@ -196,8 +190,7 @@ def _split_pass(records, blocks, scores, path, excerpt):
         result = pickle.loads(data)
         if isinstance(result, BaseException):
             raise result
-        for block_sums, max_zeta in result:
-            scores.merge(block_sums, max_zeta)
+        scores.merge(result)
         for dst, part in zip((path, xpath), parts):
             with open(part, "rb") as src, open(dst, "r+b") as out:
                 offset, size = len(src.readline()), os.fstat(src.fileno()).st_size

@@ -70,17 +70,19 @@ def discrepancy(b):
 
 
 class Scores:
-    """Running sums of the reconstruction error E and the intensity
-    discrepancy E_dis on G, D and G\\D, and max |zeta|, over records that
-    cover the grid `spec` in node order.
+    """The sums of the reconstruction error E and the intensity discrepancy
+    E_dis on G, D and G\\D, and max |zeta|, over records that cover the
+    grid `spec` in node order.
 
-    Each block's `l2_terms` of both measures are added, as `l2_sums`, to
-    every region's totals, in the block order of `rel_l2`. G holds every
-    node, so its sums take the whole block (mask None), and D's block mask
-    comes from `in_box`. Whether D or G\\D holds no node depends on the
-    grid alone, so it is checked up front."""
+    Each node block's `l2_terms` of both measures give its `l2_sums` over
+    every region, kept per block in the order the blocks were added; G
+    holds every node, so its sums take the whole block (mask None), and
+    D's block mask comes from `in_box`. `ratios` totals the blocks in that
+    order, the block order of `rel_l2`, so a pass split at a block bound
+    and joined by `merge` has the bits of a serial one. Whether D or G\\D
+    holds no node depends on the grid alone, so it is checked up front."""
 
-    REGIONS = ("G", "D", "G\\D")
+    KEYS = [(metric, name) for name in ("G", "D", "G\\D") for metric in ("E", "E_dis")]
 
     def __init__(self, spec, box_half_width):
         self.spec = spec
@@ -88,38 +90,32 @@ class Scores:
         for name, occupied in (("D", self.axis.any()), ("G\\D", not self.axis.all())):
             if not occupied:
                 raise UndefinedDenominatorError(f"region {name} holds no grid node")
-        self.sums = {(metric, name): np.zeros(2)
-                     for name in self.REGIONS for metric in ("E", "E_dis")}
+        self.blocks = []  # per node block, the `l2_sums` of each of KEYS
         self.max_zeta = np.nan
 
     def add(self, record):
         """Add the sums of a record's node blocks (one block for a record
-        of `cli._reconstruct`), and return the record."""
-        self.merge(map(self.block_sums, record.blocks()), record.max_zeta)
+        of `cli._reconstruct`) and its max |zeta|, and return the record."""
+        for b in record.blocks():
+            terms = l2_terms(b.psi1_rec, b.psi1), discrepancy(b)
+            inside = in_box(self.spec, self.axis, b.rows)
+            self.blocks.append(np.array([l2_sums(t, selected)
+                                         for selected in (None, inside, ~inside)
+                                         for t in terms]))
+        # fmax skips a record whose nodes all have no offset
+        self.max_zeta = np.fmax(self.max_zeta, record.max_zeta)
         return record
 
-    def block_sums(self, b):
-        """The `l2_sums` of the one-block record `b`, by (metric, region)."""
-        terms = {"E": l2_terms(b.psi1_rec, b.psi1), "E_dis": discrepancy(b)}
-        inside = in_box(self.spec, self.axis, b.rows)
-        return {(metric, name): l2_sums(t, selected)
-                for name, selected in zip(self.REGIONS, (None, inside, ~inside))
-                for metric, t in terms.items()}
-
-    def merge(self, block_sums, max_zeta):
-        """Add `block_sums`, the `block_sums` of consecutive node blocks in
-        block order, to the totals, and fold in `max_zeta`, their max |zeta|.
-        Sums added a block at a time in block order have the bits of a
-        serial pass, wherever they were made."""
-        for sums in block_sums:
-            for key, s in sums.items():
-                self.sums[key] += s
-        # fmax skips a record whose nodes all have no offset
-        self.max_zeta = np.fmax(self.max_zeta, max_zeta)
+    def merge(self, other):
+        """Add `other`, the `Scores` of the node blocks that follow this
+        one's, after this one's blocks, and fold in its max |zeta|."""
+        self.blocks += other.blocks
+        self.max_zeta = np.fmax(self.max_zeta, other.max_zeta)
 
     def ratios(self):
         """{(metric, region): value}; raises where a reference vanishes."""
-        return {key: l2_ratio(sums) for key, sums in self.sums.items()}
+        totals = sum(self.blocks, np.zeros((len(self.KEYS), 2)))
+        return {key: l2_ratio(sums) for key, sums in zip(self.KEYS, totals)}
 
 
 def slope_estimate(samples):

@@ -282,8 +282,14 @@ class TestSplit:
             os.waitpid(-1, os.WNOHANG)
 
     def test_one_cpu_runs_serially(self, tmp_path, monkeypatch, capsys):
+        # so does a platform without sched_getaffinity (macOS, Windows)
+        monkeypatch.setattr(geometry, "NODE_BLOCK", 50)
+        monkeypatch.setattr(cli, "SPLIT_MIN_BLOCKS", 10**9)
+        serial = self.outputs(tmp_path / "serial", "n = 21\n", capsys)
         forks = self.split(monkeypatch, 50, cpus=(0,))
-        self.outputs(tmp_path, "n = 21\n", capsys)
+        assert self.outputs(tmp_path / "one-cpu", "n = 21\n", capsys) == serial
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert self.outputs(tmp_path / "no-affinity", "n = 21\n", capsys) == serial
         assert forks == []
 
     def test_fork_with_blas_threads(self, tmp_path):

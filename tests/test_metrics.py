@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -171,3 +172,34 @@ def test_scores_fold_returns_each_record(preset_run):
     assert np.isnan(scores.max_zeta)
     assert all(scores.add(b) is b for b in _reconstruct(cfg))
     assert scores.max_zeta == result.max_zeta
+
+
+def test_merge_of_split_folds_matches_serial_fold(preset_config):
+    # a fold cut at any node-block bound and joined by `merge`, its second
+    # half through a pickle round trip as from a split pass's child, has
+    # the bits of the serial fold; a half whose nodes all have no offset
+    # leaves max |zeta| alone
+    cfg = preset_config
+    records = list(_reconstruct(cfg))
+    assert len(records) == 3
+
+    def fold(records):
+        scores = Scores(cfg.grid_spec(), cfg.region_halfwidth)
+        for record in records:
+            scores.add(record)
+        return scores
+
+    def bits(scores):
+        return [(key, repr(value)) for key, value in scores.ratios().items()], repr(
+            scores.max_zeta)
+
+    serial = bits(fold(records))
+    for cut in range(1, len(records)):
+        scores = fold(records[:cut])
+        scores.merge(pickle.loads(pickle.dumps(fold(records[cut:]))))
+        assert bits(scores) == serial
+    no_offset = fold(dataclasses.replace(r, zeta=np.full_like(r.zeta, np.nan))
+                     for r in records)
+    assert np.isnan(no_offset.max_zeta)
+    scores.merge(no_offset)
+    assert repr(scores.max_zeta) == serial[1]

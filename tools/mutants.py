@@ -73,8 +73,8 @@ MUTANTS = [
     ("src/holoplane/metrics.py", '("G\\\\D", not self.axis.all())',
      '("G\\\\D", self.axis.all())',
      "G\\D emptiness test inverted in compute_metrics (metrics.Scores)"),
-    ("src/holoplane/metrics.py", "np.fmax(self.max_zeta, max_zeta)",
-     "np.maximum(self.max_zeta, max_zeta)",
+    ("src/holoplane/metrics.py", "np.fmax(self.max_zeta, record.max_zeta)",
+     "np.maximum(self.max_zeta, record.max_zeta)",
      "maximum for fmax in Scores' max |zeta| fold: the initial NaN wins"),
     ("src/holoplane/metrics.py", "b.intensity - 1.0)", "np.abs(b.psi1) ** 2 - 1.0)",
      "|psi1|^2 for the true intensity in the E_dis reference of metrics.discrepancy"),
@@ -137,14 +137,10 @@ MUTANTS = [
     ("src/holoplane/cli.py", "offset, size = len(src.readline()),",
      "offset, size = 0 * len(src.readline()),",
      "the split's part file appended with its header line"),
-    ("src/holoplane/cli.py",
-     "        for block_sums, max_zeta in result:\n"
-     "            scores.merge(block_sums, max_zeta)\n",
-     "        own, scores.sums = scores.sums, {key: np.zeros(2) for key in scores.sums}\n"
-     "        for block_sums, max_zeta in result:\n"
-     "            scores.merge(block_sums, max_zeta)\n"
-     "        scores.merge([own], np.nan)\n",
-     "the split's child block sums merged before this process's sums"),
+    ("src/holoplane/metrics.py", "self.blocks += other.blocks",
+     "self.blocks[:0] = other.blocks",
+     "the split's child block sums merged before this process's: other's blocks put "
+     "first in Scores.merge"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
