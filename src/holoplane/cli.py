@@ -20,7 +20,7 @@ from .fields import far_field
 from .geometry import node_blocks, point_on_plane
 from .hologram import (add_noise, hologram_to_csv, hologram_to_pgm, intensity_lookup,
                        sample_hologram)
-from .metrics import Scores, l2_ratio, l2_sums, l2_terms, slope_estimate
+from .metrics import Scores, slope_estimate
 from .recon import (DET_FLOOR, BoundedOffset, SqrtScaled, recon_to_csv, reconstruct_grid,
                     reconstruct_points)
 
@@ -85,14 +85,14 @@ def _reconstruct(cfg):
     yield from _block_records(cfg)(node_blocks(cfg.grid_spec().size))
 
 
-def compute_metrics(cfg, records):
-    """Reconstruction error and intensity discrepancy on G, D, G\\D, folded
-    over `records`, which cover `cfg`'s grid in node order: the node-block
-    records of `_reconstruct`, or one whole-grid record."""
+def compute_metrics(cfg, records, regions=Scores.REGIONS):
+    """Reconstruction error and intensity discrepancy on `regions` (G, D and
+    G\\D), folded over `records`, which cover `cfg`'s grid in node order: the
+    node-block records of `_reconstruct`, or one whole-grid record."""
     scores = Scores(cfg.grid_spec(), cfg.region_halfwidth)
     for record in records:
         scores.add(record)
-    return scores.ratios()
+    return scores.ratios(regions)
 
 
 def run_reconstruct(cfg, outdir):
@@ -104,10 +104,10 @@ def run_reconstruct(cfg, outdir):
     block to the metric sums and max |zeta|. A grid of SPLIT_MIN_BLOCKS
     node blocks or more, in a process allowed two CPUs or more, makes the
     pass in two processes (`_split_pass`), with the same files and metric
-    bits. A run that fails leaves no file: the empty-region check runs
-    before the pass, and recon.csv and profile.csv are written under
-    temporary names and moved into place once every metric has its value.
-    Returns the metrics and max |zeta|."""
+    bits. A run that fails leaves no file: recon.csv and profile.csv are
+    written under temporary names and moved into place once every metric
+    has its value, so an empty D or G\\D fails after the pass, at
+    `Scores.ratios`. Returns the metrics and max |zeta|."""
     os.makedirs(outdir, exist_ok=True)
     spec = cfg.grid_spec()
     scores = Scores(spec, cfg.region_halfwidth)
@@ -216,34 +216,30 @@ def _write_profile(spec, path):
 def _sweep_config(cfg, param, value):
     if param == "s":
         return replace(cfg, s=float(value))
-    if param == "c":
-        c0, x0 = cfg.sources[0]
-        sources = ((complex(value), x0),) + cfg.sources[1:]
-        return replace(cfg, sources=sources)
     if param == "kappa":
         return cfg.with_kappa(float(value))
-    if param == "x0_2":
-        c0, x0 = cfg.sources[0]
-        x0 = list(x0)
-        x0[1] = float(value)
-        sources = ((c0, tuple(x0)),) + cfg.sources[1:]
-        return replace(cfg, sources=sources)
-    raise ValueError(f"unknown sweep parameter {param!r}")
+    c0, x0 = cfg.sources[0]
+    if param == "c":
+        first = (complex(value), x0)
+    elif param == "x0_2":
+        first = (c0, (x0[0], float(value), *x0[2:]))
+    else:
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    return replace(cfg, sources=(first, *cfg.sources[1:]))
 
 
-def run_sweep(cfg, param, values, outdir):
-    """One full reconstruction per value, a pass over its node blocks that
-    adds up the sums of E on G; writes sweep.csv with E on G. It scores no
-    region but G, so it runs where D or G\\D is empty. Every swept config
-    is built, and so checked, before the first run."""
+def run_sweep(cfg, param, values, outdir, known=None):
+    """E on G of a full reconstruction per value (`compute_metrics` on G
+    alone, so D or G\\D may be empty); writes sweep.csv. Each built config
+    is checked before the first run, and runs unless it is a key of
+    `known`, a map from config to E on G that each run adds to."""
     configs = [_sweep_config(cfg, param, value) for value in values]
     os.makedirs(outdir, exist_ok=True)
-    rows = []
-    for value, sub in zip(values, configs):
-        sums = np.zeros(2)
-        for block in _reconstruct(sub):
-            sums += l2_sums(l2_terms(block.psi1_rec, block.psi1), None)
-        rows.append((value, l2_ratio(sums)))
+    known = {} if known is None else known
+    for sub in configs:
+        if sub not in known:
+            known[sub] = compute_metrics(sub, _reconstruct(sub), ("G",))[("E", "G")]
+    rows = [(value, known[sub]) for value, sub in zip(values, configs)]
     with open(os.path.join(outdir, "sweep.csv"), "w", newline="") as fh:
         fh.write("param,value,E_G\n")
         for value, e_g in rows:
@@ -319,13 +315,15 @@ def run_reproduce(cfg, outdir):
 
     Runs the hologram synthesis, the full reconstruction and the four
     parameter sweeps of `REFERENCE_SWEEPS`, then compares each number with
-    its expected value.  Returns 0 iff everything is in tolerance.
+    its expected value.  Returns 0 iff everything is in tolerance. The
+    sweeps share `run_sweep`'s `known`, so each distinct config runs once.
     """
     os.makedirs(outdir, exist_ok=True)
     run_simulate(cfg, outdir)
     metrics, max_zeta = run_reconstruct(cfg, outdir)
+    known = {cfg: metrics[("E", "G")]}
     e_s, e_kappa, e_x0, e_c = (
-        [e for _, e in run_sweep(cfg, p, v, os.path.join(outdir, f"sweep_{p}"))]
+        [e for _, e in run_sweep(cfg, p, v, os.path.join(outdir, f"sweep_{p}"), known)]
         for p, v in REFERENCE_SWEEPS.items())
     v_s, v_kappa, v_x0, _ = REFERENCE_SWEEPS.values()
     e_g, e_d, e_gd = (metrics[("E", region)] for region in ("G", "D", "G\\D"))

@@ -79,17 +79,15 @@ class Scores:
     holds every node, so its sums take the whole block (mask None), and
     D's block mask comes from `in_box`. `ratios` totals the blocks in that
     order, the block order of `rel_l2`, so a pass split at a block bound
-    and joined by `merge` has the bits of a serial one. Whether D or G\\D
-    holds no node depends on the grid alone, so it is checked up front."""
+    and joined by `merge` has the bits of a serial one. `ratios` checks
+    that each region it reads holds a node, so G alone may be read anywhere."""
 
-    KEYS = [(metric, name) for name in ("G", "D", "G\\D") for metric in ("E", "E_dis")]
+    REGIONS = ("G", "D", "G\\D")
+    KEYS = [(metric, name) for name in REGIONS for metric in ("E", "E_dis")]
 
     def __init__(self, spec, box_half_width):
         self.spec = spec
         self.axis = box_axis(spec, box_half_width)
-        for name, occupied in (("D", self.axis.any()), ("G\\D", not self.axis.all())):
-            if not occupied:
-                raise UndefinedDenominatorError(f"region {name} holds no grid node")
         self.blocks = []  # per node block, the `l2_sums` of each of KEYS
         self.max_zeta = np.nan
 
@@ -112,10 +110,14 @@ class Scores:
         self.blocks += other.blocks
         self.max_zeta = np.fmax(self.max_zeta, other.max_zeta)
 
-    def ratios(self):
-        """{(metric, region): value}; raises where a reference vanishes."""
-        totals = sum(self.blocks, np.zeros((len(self.KEYS), 2)))
-        return {key: l2_ratio(sums) for key, sums in zip(self.KEYS, totals)}
+    def ratios(self, regions=REGIONS):
+        """{(metric, region): value}; raises where one of `regions` holds no
+        grid node, or else where a reference vanishes."""
+        for name, empty in (("D", not self.axis.any()), ("G\\D", self.axis.all())):
+            if empty and name in regions:
+                raise UndefinedDenominatorError(f"region {name} holds no grid node")
+        sums = sum(self.blocks, np.zeros((len(self.KEYS), 2)))
+        return {key: l2_ratio(s) for key, s in zip(self.KEYS, sums) if key[1] in regions}
 
 
 def slope_estimate(samples):

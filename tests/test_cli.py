@@ -470,6 +470,31 @@ FAIL  E(c sweep) in [9.7%, 13.8%], spread <= 1pt: ['11.14%', '11.16%', '12.33%',
             rows = (out / f"sweep_{param}" / "sweep.csv").read_text().splitlines()
             assert len(rows) == lines
 
+    @pytest.mark.parametrize("config, runs", [
+        # s = 100, kappa = 4, x0_2 = 2.5 and c = 1 each give the base config
+        (SMALL, 11),
+        # no sweep value gives the base config
+        (SMALL + "s = 60\nkappa = 3\nsource = 0.5, 0, 0, 1, 0\n", 15),
+        # with_kappa(4) moves the last bit of this k, so kappa = 4 runs apart
+        (SMALL + "k = 2, 3.4641016151377544, 0\n", 12),
+    ])
+    def test_each_distinct_config_runs_once(self, tmp_path, monkeypatch, config, runs):
+        made = []
+        block_records = cli._block_records
+        monkeypatch.setattr(cli, "_block_records",
+                            lambda cfg: made.append(cfg) or block_records(cfg))
+        rc, out = run(tmp_path / "reproduce", ["reproduce-paper"], config=config)
+        assert rc == 1
+        assert len(made) == len(set(made)) == runs
+        cfg = parse_config(config)
+        assert (cfg.with_kappa(cfg.kappa) == cfg) == (runs != 12)
+        # each sweep.csv is the standalone sweep's, byte for byte
+        for param, values in cli.REFERENCE_SWEEPS.items():
+            alone = tmp_path / f"sweep_{param}"
+            cli.run_sweep(cfg, param, values, str(alone))
+            assert ((out / f"sweep_{param}" / "sweep.csv").read_bytes()
+                    == (alone / "sweep.csv").read_bytes())
+
 
 class TestRates:
     def test_rates_table_and_slopes(self, tmp_path, capsys):

@@ -197,6 +197,16 @@ class TestSources:
         with pytest.raises(ConfigError):
             parse_config("source = 1, 0")
 
+    @pytest.mark.parametrize("line, message", [
+        # two numbers give no location; three give a location of one
+        # coordinate, which the dimension rule refuses
+        ("source = 1, 0", r"^line 1: source needs re_c, im_c, x0\.\.\.$"),
+        ("source = 1, 0, 2.5", r"^line 1: source location dimension mismatch$"),
+    ])
+    def test_source_arity_boundary(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(line)
+
     def test_non_finite_source_reports_line(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("source = 1, 0, 0, 2.5, 0\nsource = 1, 0, nan, 1, 0")

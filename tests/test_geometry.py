@@ -61,6 +61,12 @@ class TestMakeFrame:
         with pytest.raises(ValueError, match=r"^dimension must be at least 2$"):
             make_frame(np.array([1.0]), 1.0)
 
+    def test_near_unit_omega_normalised(self):
+        # |omega| is off 1 by 5e-10, inside the unit tolerance: omega is
+        # divided by its norm, which gives 1 exactly
+        fr = make_frame(np.array([1 + 5e-10, 0.0, 0.0]), 100.0)
+        assert fr.omega.tolist() == [1.0, 0.0, 0.0]
+
     @given(half_sphere_directions())
     # near the first axis one Gram-Schmidt pass leaves (omega, b2) = 1.6e-8
     @example(np.array([0.999999998, 6.10351561e-05, 9.99999998e-10]))

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -203,3 +204,33 @@ def test_merge_of_split_folds_matches_serial_fold(preset_config):
     assert np.isnan(no_offset.max_zeta)
     scores.merge(no_offset)
     assert repr(scores.max_zeta) == serial[1]
+
+
+@pytest.mark.parametrize("config, empty", [
+    ("n = 2\n", "D"),  # both nodes per axis at |u| = 20
+    ("n = 16\nh = 1\nregion_halfwidth = 4\n", "G\\D"),  # every node in the box
+])
+def test_empty_region_raises_where_it_is_read(config, empty):
+    # the fold runs on any grid; only reading an empty region's ratio fails,
+    # and before any reference is read
+    cfg = parse_config(config)
+    g_alone = compute_metrics(cfg, _reconstruct(cfg), ("G",))
+    assert list(g_alone) == [("E", "G"), ("E_dis", "G")]
+    other = ({"D", "G\\D"} - {empty}).pop()
+    assert list(compute_metrics(cfg, _reconstruct(cfg), ("G", other))) == [
+        key for key in Scores.KEYS if key[1] != empty]
+    for regions in (Scores.REGIONS, (empty,)):
+        with pytest.raises(UndefinedDenominatorError,
+                           match=rf"^region {re.escape(empty)} holds no grid node$"):
+            compute_metrics(cfg, _reconstruct(cfg), regions)
+    zero = dataclasses.replace(cfg, sources=((0j, cfg.sources[0][1]),))
+    with pytest.raises(UndefinedDenominatorError, match="holds no grid node"):
+        compute_metrics(zero, _reconstruct(zero))
+
+
+def test_g_alone_has_the_bits_of_every_region(preset_config):
+    cfg = preset_config
+    every = compute_metrics(cfg, _reconstruct(cfg))
+    g_alone = compute_metrics(cfg, _reconstruct(cfg), ("G",))
+    assert {key: repr(value) for key, value in g_alone.items()} == {
+        key: repr(every[key]) for key in g_alone}

@@ -70,8 +70,8 @@ MUTANTS = [
      "return np.abs(spec.coords) <= b", "< to <= in the central box"),
     ("src/holoplane/csvrows.py", "template = _template(values)",
      "template = _template(values).replace('10', '9')", "%.10g to %.9g in _pair_slots"),
-    ("src/holoplane/metrics.py", '("G\\\\D", not self.axis.all())',
-     '("G\\\\D", self.axis.all())',
+    ("src/holoplane/metrics.py", '("G\\\\D", self.axis.all())',
+     '("G\\\\D", not self.axis.all())',
      "G\\D emptiness test inverted in compute_metrics (metrics.Scores)"),
     ("src/holoplane/metrics.py", "np.fmax(self.max_zeta, record.max_zeta)",
      "np.maximum(self.max_zeta, record.max_zeta)",
@@ -141,6 +141,13 @@ MUTANTS = [
      "self.blocks[:0] = other.blocks",
      "the split's child block sums merged before this process's: other's blocks put "
      "first in Scores.merge"),
+    ("src/holoplane/geometry.py", "return v / n", "return v * n",
+     "geometry._as_unit multiplies by the norm: a near-unit omega is kept off 1"),
+    ("src/holoplane/config.py", "if len(parts) < 3:", "if len(parts) <= 3:",
+     "<= for < in the source arity rule: a 3-number source gets the arity error"),
+    ("src/holoplane/cli.py", 'known = {cfg: metrics[("E", "G")]}',
+     'known = {cfg: metrics[("E", "D")]}',
+     "reproduce-paper's config map seeded with the base run's E(D) for its E(G)"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -5,11 +5,11 @@
 runs `python -m holoplane.cli` with PYTHONPATH=SRC (the directory that
 holds the `holoplane` package) on each config of `CONFIGS`, with the
 commands `simulate`, `reconstruct` and `rates`; then `reproduce-paper` at
-n = 16, one `sweep` per parameter of the reference experiment, and one
-`sweep` on a grid with every node in D. Each run gets its own directory
-OUT/<case>/<command>/ holding the config text (`config.txt`), the files
-the command wrote (under `out/`), and its `stdout`, `stderr` and `exit`
-code.
+n = 16 on three configs, one `sweep` per parameter of the reference
+experiment, and one `sweep` on a grid with every node in D. Each run gets
+its own directory OUT/<case>/<command>/ holding the config text
+(`config.txt`), the files the command wrote (under `out/`), and its
+`stdout`, `stderr` and `exit` code.
 
 To check that a change leaves every output byte alone, snapshot the old
 and the new sources and compare the two trees:
@@ -97,6 +97,13 @@ RUNS = [
     *[(case, text, [command]) for case, text in CONFIGS.items()
       for command in ("simulate", "reconstruct", "rates")],
     ("reproduce-n16", SMALL, ["reproduce-paper"]),
+    # reproduce-paper reconstructs each distinct config once. Here no sweep
+    # value gives the base config, so all 15 runs are made; ...
+    ("reproduce-n16-base-in-no-sweep",
+     f"{SMALL}s = 60\nkappa = 3\nsource = 0.5, 0, 0, 1, 0\n", ["reproduce-paper"]),
+    # ... and here with_kappa(4) moves the last bit of k, so kappa = 4 runs
+    # apart from the base config.
+    ("reproduce-n16-tilted-k", f"{SMALL}k = 2, 3.4641016151377544, 0\n", ["reproduce-paper"]),
     ("sweep-s-n16", SMALL, ["sweep", "--param", "s", "--values", "5,10,100,200"]),
     ("sweep-kappa-n16", SMALL, ["sweep", "--param", "kappa", "--values", "1,4,16"]),
     ("sweep-x0_2-n16", SMALL, ["sweep", "--param", "x0_2", "--values", "0,2.5,5"]),
