@@ -5,10 +5,10 @@ All outputs are deterministic CSV/PGM files for a fixed config and seed.
 """
 
 import argparse
-import contextlib
 import os
 import pickle
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +17,7 @@ from .config import ExperimentConfig, _parse_number, parse_config
 from .errors import (ConfigError, DegenerateDeterminantError, ExceptionalDirectionError,
                      HoloplaneError)
 from .fields import far_field
-from .geometry import node_blocks, point_on_plane
+from .geometry import grid_points, node_blocks, point_on_plane
 from .hologram import (add_noise, hologram_to_csv, hologram_to_pgm, intensity_lookup,
                        sample_hologram)
 from .metrics import Scores, slope_estimate
@@ -104,18 +104,19 @@ def run_reconstruct(cfg, outdir):
     block to the metric sums and max |zeta|. A grid of SPLIT_MIN_BLOCKS
     node blocks or more, in a process allowed two CPUs or more, makes the
     pass in two processes (`_split_pass`), with the same files and metric
-    bits. A run that fails leaves no file: recon.csv and profile.csv are
-    written under temporary names and moved into place once every metric
-    has its value, so an empty D or G\\D fails after the pass, at
-    `Scores.ratios`. Returns the metrics and max |zeta|."""
+    bits. A run that fails leaves no file: the pass writes in a staging
+    directory under `outdir`, removed as the run ends, and recon.csv and
+    profile.csv are moved out of it once every metric has its value, so
+    an empty D or G\\D fails after the pass, at `Scores.ratios`. Returns
+    the metrics and max |zeta|."""
     os.makedirs(outdir, exist_ok=True)
     spec = cfg.grid_spec()
     scores = Scores(spec, cfg.region_halfwidth)
     names = ("recon.csv", "profile.csv")
-    staged = [os.path.join(outdir, f".{name}.part") for name in names]
     records, blocks = _block_records(cfg), node_blocks(spec.size)
-    excerpt = _write_profile(spec, staged[1])
-    try:
+    with tempfile.TemporaryDirectory(prefix=".reconstruct-", dir=outdir) as stage:
+        staged = [os.path.join(stage, name) for name in names]
+        excerpt = _write_profile(spec, staged[1])
         # a platform without sched_getaffinity (macOS, Windows) runs serially
         if (len(blocks) >= SPLIT_MIN_BLOCKS and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2):
@@ -127,10 +128,6 @@ def run_reconstruct(cfg, outdir):
         metrics = scores.ratios()
         for path, name in zip(staged, names):
             os.replace(path, os.path.join(outdir, name))
-    finally:
-        for path in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
     with open(os.path.join(outdir, "metrics.csv"), "w", newline="") as fh:
         fh.write("metric,region,value\n")
         for (metric, region), value in metrics.items():
@@ -145,62 +142,54 @@ def _split_pass(records, blocks, scores, path, excerpt):
     with the files and `scores` of the serial pass. A forked child takes
     the second half of `blocks`: it writes their rows to part files of its
     own (`path` and the excerpt's path with `2` appended), the excerpt's
-    rows shifted by minus its first node, and sends back its copy of
-    `scores`, empty at the fork, pickled, over a pipe. This process takes
-    the first half, merges the child's `Scores` after its own
-    (`Scores.merge`), and appends each part file after its header line. A
-    failure in either half raises here, and the child is reaped on every
-    path."""
+    rows shifted by minus its first node, and its copy of `scores`, empty
+    at the fork, pickled, to `result.pickle`, all in the staging directory
+    of `path`. This process takes the first half, reaps the child, merges
+    the child's `Scores` after its own (`Scores.merge`), and appends each
+    part file after its header line. A failure in either half raises here,
+    and the child is reaped on every path."""
     half = len(blocks) // 2
     first = blocks[half].start
     xpath, names, rows = excerpt
     parts = [f"{path}2", f"{xpath}2"]
-    read, write = os.pipe()
+    result_path = os.path.join(os.path.dirname(path), "result.pickle")
     pid = os.fork()
     if pid == 0:  # the child: it leaves only through os._exit
         code = 1
         try:
-            os.close(read)
             try:
                 recon_to_csv(map(scores.add, records(blocks[half:])), parts[0], excerpt=(
                     parts[1], names, slice(rows.start - first, rows.stop - first)))
                 result = scores
             except BaseException as exc:  # raised again by this process's parent
                 result = exc
-            with os.fdopen(write, "wb") as fh:
+            with open(result_path, "wb") as fh:
                 pickle.dump(result, fh)
             code = 0
         finally:
             os._exit(code)
-    os.close(write)
     try:
-        with os.fdopen(read, "rb") as fh:
-            try:
-                recon_to_csv(map(scores.add, records(blocks[:half])), path, excerpt=excerpt)
-                data = fh.read()  # before the reaping: the child may wait on the pipe
-            except BaseException:
-                import signal  # here alone: importing numpy does not load it
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:
-            raise ChildProcessError(f"the process of the second half of the grid exited "
-                                    f"with {status} and sent no result")
-        result = pickle.loads(data)
-        if isinstance(result, BaseException):
-            raise result
-        scores.merge(result)
-        for dst, part in zip((path, xpath), parts):
-            with open(part, "rb") as src, open(dst, "r+b") as out:
-                offset, size = len(src.readline()), os.fstat(src.fileno()).st_size
-                out.seek(0, os.SEEK_END)
-                while offset < size:
-                    offset += os.sendfile(out.fileno(), src.fileno(), offset, size - offset)
+        recon_to_csv(map(scores.add, records(blocks[:half])), path, excerpt=excerpt)
+    except BaseException:
+        import signal  # here alone: importing numpy does not load it
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        for part in parts:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(part)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise ChildProcessError(f"the process of the second half of the grid exited "
+                                f"with {status} and sent no result")
+    with open(result_path, "rb") as fh:
+        result = pickle.load(fh)
+    if isinstance(result, BaseException):
+        raise result
+    scores.merge(result)
+    for dst, part in zip((path, xpath), parts):
+        with open(part, "rb") as src, open(dst, "r+b") as out:
+            offset, size = len(src.readline()), os.fstat(src.fileno()).st_size
+            out.seek(0, os.SEEK_END)
+            while offset < size:
+                offset += os.sendfile(out.fileno(), src.fileno(), offset, size - offset)
 
 
 def _write_profile(spec, path):
@@ -253,8 +242,9 @@ def _probe_theta(cfg):
     (d=3) or 10 (d=2) on the base-config grid: the nearest axis value on
     each axis (ties: the smaller), as the squared distance sums the axes."""
     spec = cfg.grid_spec()
-    uv = spec.coords[[np.argmin(np.abs(spec.coords - 10.0))] * len(spec.shape)]
-    x = spec.frame.s * spec.frame.omega + uv @ spec.frame.basis
+    i = np.argmin(np.abs(spec.coords - 10.0))
+    node = np.ravel_multi_index((i,) * len(spec.shape), spec.shape)
+    x = grid_points(spec, slice(node, node + 1))[0]
     return x / np.linalg.norm(x)
 
 
@@ -396,23 +386,15 @@ def main(argv=None):
 
 def _dispatch(args):
     cfg = _load_config(args.config)
-    outdir = args.out
-    if args.command == "simulate":
-        run_simulate(cfg, outdir)
-        return 0
-    if args.command == "reconstruct":
-        run_reconstruct(cfg, outdir)
-        return 0
     if args.command == "sweep":
         values = [_parse_number(v, None) for v in args.values.split(",")]
-        run_sweep(cfg, args.param, values, outdir)
-        return 0
-    if args.command == "rates":
-        run_rates(cfg, outdir)
+        run_sweep(cfg, args.param, values, args.out)
         return 0
     if args.command == "reproduce-paper":
-        return run_reproduce(cfg, outdir)
-    raise AssertionError(args.command)
+        return run_reproduce(cfg, args.out)
+    runs = {"simulate": run_simulate, "reconstruct": run_reconstruct, "rates": run_rates}
+    runs[args.command](cfg, args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -206,7 +206,9 @@ class TestSplit:
     60 cut the grid at node 240 (8 blocks, the excerpt in the first half),
     of 110 at node 220 (5 blocks, across the cut), of 50 at node 200
     (9 blocks, in the second half); blocks of 64 cut the 301-node d = 2
-    line, all of it the profile, at node 128."""
+    line, all of it the profile, at node 128. Blocks of 8 give the
+    101 x 101 grid 1276 blocks, whose child `Scores` pickles to more than
+    64 KiB, the default size of a Linux pipe buffer."""
 
     @staticmethod
     def split(monkeypatch, block, cpus=(0, 1)):
@@ -237,8 +239,9 @@ class TestSplit:
         ("n = 21\nnoise_level = 0.01\n", 110),
         ("n = 21\nmode = bilinear\n", 50),
         ("dim = 2\nn = 301\nnoise_level = 0.01\n", 64),
+        ("n = 101\n", 8),
     ], ids=["3d-excerpt-first-half", "3d-excerpt-across", "3d-excerpt-second-half",
-            "3d-noisy", "3d-bilinear", "2d-noisy"])
+            "3d-noisy", "3d-bilinear", "2d-noisy", "3d-result-over-64-kib"])
     def test_matches_serial_run(self, tmp_path, monkeypatch, capsys, config, block):
         monkeypatch.setattr(geometry, "NODE_BLOCK", block)
         monkeypatch.setattr(cli, "SPLIT_MIN_BLOCKS", 10**9)
@@ -623,6 +626,21 @@ class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m holoplane.cli` without --config runs the default
+        # config, which an empty config file also gives
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        out = tmp_path / "module"
+        proc = subprocess.run(
+            [sys.executable, "-m", "holoplane.cli", "--out", str(out), "simulate"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rc, lib = run(tmp_path / "lib", ["simulate"], config="")
+        assert rc == 0
+        files = {p.name: p.read_bytes() for p in sorted(lib.iterdir())}
+        assert sorted(files) == ["hologram.csv", "hologram.pgm"]
+        assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == files
 
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -137,6 +137,8 @@ MUTANTS = [
     ("src/holoplane/cli.py", "offset, size = len(src.readline()),",
      "offset, size = 0 * len(src.readline()),",
      "the split's part file appended with its header line"),
+    ("src/holoplane/cli.py", "scores.merge(result)", "pass",
+     "the split's child Scores never merged: the metrics cover the first half alone"),
     ("src/holoplane/metrics.py", "self.blocks += other.blocks",
      "self.blocks[:0] = other.blocks",
      "the split's child block sums merged before this process's: other's blocks put "
