@@ -8,7 +8,11 @@ near the switch point.
 Both branches are numpy code over the whole argument array. The series is
 one in-place recurrence in which an element stops where a term-by-term
 loop over it alone would stop, and then adds only signed zeros; the
-asymptotic terms are tabulated per argument and summed in order. Either
+asymptotic terms are tabulated per argument and summed in order, each
+part (real and imaginary) in place. In a block of arguments each part
+sums only the terms that can change a bit of it, by a cut of its own: a
+dropped term is under half an ulp of its part's partial sum at every
+argument of the block, so it would round away (`_asymptotic`). Either
 way an element's value does not depend on the other elements. Scalars go
 through the same code as one-element arrays.
 """
@@ -72,12 +76,15 @@ def _asymptotic_coefficients():
 
 _COEF = _asymptotic_coefficients()
 _PARTS = _COEF.real + _COEF.imag  # the nonzero part: real for even m, else imaginary
+_SIZES = np.abs(_PARTS[:, 0])
 _POWERS = np.arange(_ASYMPTOTIC_TERMS)[:, None]
 # Arguments per asymptotic term table, which holds _ASYMPTOTIC_TERMS
 # values per argument: bounds its memory on long argument arrays.
 _BLOCK = 1024
-# Terms below this magnitude cannot change a bit of the sum (`_asymptotic`).
-_NEGLIGIBLE = 1e-30
+# A term below this times the least magnitude of its part's partial sums
+# rounds away when added to them; so does one below it in the real part,
+# whose partial sums lie in [0.5, 1] (`_asymptotic`).
+_HALF_ULP = 2.0 ** -55
 
 
 def _asymptotic(z):
@@ -86,33 +93,47 @@ def _asymptotic(z):
 
     The terms are tabulated, one column per argument, as the reals 1 / z^m
     times the nonzero part of i^m a_m, and the even ones are summed in order
-    into the real part, the odd ones into the imaginary part. That is the
+    into the real part, the odd ones into the imaginary part: each part is
+    its first row, to which each later row is added in place. That is the
     in-order complex sum bit for bit: numpy divides a + bi by a real c as
     ((a + b 0) (1 / c), (b - a 0) (1 / c)), and the zero parts add nothing.
 
-    A block of arguments sums only the terms that are at least _NEGLIGIBLE
-    at its smallest non-NaN z; the rest add nothing. For z > Z_SWITCH each term is
-    at most 0.64 times the one before, so every later term is smaller
-    still. The even terms add to the real part, which is about 1, and the
-    odd ones to the imaginary part, which is about -1/(8z). For z <= 1e4
-    half an ulp of either part is at least about 8e-22, and for larger z
-    the terms fall faster than the parts do. So in the in-order sum a term
-    below 1e-30 rounds away and leaves every bit as the full sum has it.
-    From z = 1.25e29 on no odd term is left, and the imaginary part is +0.
+    A block of arguments sums, in each part, only the terms that can change
+    a bit of it, and tabulates only the rows that either part sums; the
+    rest would add nothing. Each part has its own cut, taken from the
+    block's smallest and largest non-NaN z, z_min and z_max. A term
+    |a_m| / z^m is largest at z_min, and for z > Z_SWITCH each term is at
+    most 0.64 times the one before, so every later term of its part is
+    smaller still. Adding x to a partial sum p leaves p as it is when |x|
+    is under half the spacing of the doubles just below |p|: that holds
+    for |x| < 2^-55 when |p| lies in [0.5, 1], and for |x| < 2^-55 |p|
+    whatever p is. Every partial sum of the real part lies in [0.5, 1],
+    and the imaginary part's have magnitude at least 0.1247 / z. So an
+    even term below 2^-55 at z_min, and an odd term below
+    2^-55 * 0.124 / z_max at z_min, is under half a spacing of its partial
+    sum at every z of the block: it rounds away, and so does every later
+    term of its part, and the sum keeps every bit of the full one. The
+    first odd term, 0.125 / z, is never dropped. A block of NaN alone
+    keeps no term.
     """
     s = np.zeros(z.shape, dtype=complex)
     for start in range(0, z.size, _BLOCK):
         block = z[start:start + _BLOCK]
-        # fmin skips NaN arguments, so they do not cut the finite ones' sum. An
-        # inf z^m (z > 1e13.4) is of a term that is dropped, or would round away.
+        # fmin and fmax skip NaN arguments, so they do not cut the finite ones'
+        # sum. An inf z^m (z > 1e13.4) is of a term that is dropped, or would
+        # round away.
         with np.errstate(over="ignore"):
-            size = np.abs(_COEF[:, 0]) / np.fmin.reduce(block) ** _POWERS[:, 0]
-            used = np.count_nonzero(size >= _NEGLIGIBLE)
+            size = _SIZES / np.fmin.reduce(block) ** _POWERS[:, 0]
+            even = np.count_nonzero(size[0::2] >= _HALF_ULP)
+            odd = np.count_nonzero(size[1::2] >= _HALF_ULP * 0.124 / np.fmax.reduce(block))
+            used = max(2 * even - 1, 2 * odd)
             terms = 1.0 / block ** _POWERS[:used]
         terms *= _PARTS[:used]
-        for part, rows in ((s.real, terms[0::2]), (s.imag, terms[1::2])):
+        for part, rows in ((s.real, terms[0:2 * even:2]), (s.imag, terms[1:2 * odd:2])):
             if len(rows):
-                part[start:start + _BLOCK] = np.add.accumulate(rows, axis=0)[-1]
+                for row in rows[1:]:
+                    rows[0] += row
+                part[start:start + _BLOCK] = rows[0]
     amp = np.sqrt(2.0 / (math.pi * z))
     return amp * np.exp(1j * (z - 0.25 * math.pi)) * s
 

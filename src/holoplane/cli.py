@@ -248,18 +248,23 @@ def _probe_theta(cfg):
     return x / np.linalg.norm(x)
 
 
-def probe_errors(cfg, strategy, refine2d=False):
-    """|f11 - f1| at the probe direction over `RATE_S_LADDER`, with the
-    forward model read exactly.  Raises where the offset or the determinant
-    fails."""
+def _probe(cfg):
+    """What every rates study of `cfg` reads: the plane points of the probe
+    direction (`_probe_theta`) at the distances of `RATE_S_LADDER`, the
+    intensity there, the intensity lookup and the exact far field."""
     theta = _probe_theta(cfg)
-    field = cfg.radiation_field()
-    params = cfg.wave_params()
-    x = np.array([point_on_plane(theta, cfg.frame(s)) for s in RATE_S_LADDER])
+    field, params, frame = cfg.radiation_field(), cfg.wave_params(), cfg.frame()
+    x = np.array([point_on_plane(theta, replace(frame, s=s)) for s in RATE_S_LADDER])
     lookup = intensity_lookup(field, params)
+    return x, lookup(x)[0], lookup, far_field(field, params.kappa, theta)
+
+
+def _study(cfg, probe, strategy, refine2d):
+    """|f11 - f1| over `RATE_S_LADDER` on the `_probe` of `cfg`."""
+    x, i_x, lookup, f1 = probe
     # The planes differ only in s, which the kernel does not read.
     zeta, D, est, _, mn = reconstruct_points(
-        x, lookup(x)[0], lookup, params, cfg.frame(), strategy, refine2d)
+        x, i_x, lookup, cfg.wave_params(), cfg.frame(), strategy, refine2d)
     if np.isnan(zeta).any():
         raise ExceptionalDirectionError(
             f"|kappa*theta_par - k_par| = {float(mn[0])!r} "
@@ -267,12 +272,19 @@ def probe_errors(cfg, strategy, refine2d=False):
     if np.any(np.abs(D) <= DET_FLOOR):
         raise DegenerateDeterminantError(
             f"|D| = {float(np.abs(D).min())!r} <= {DET_FLOOR!r}")
-    err = np.abs(est - far_field(field, params.kappa, theta))
-    return list(zip(RATE_S_LADDER, err.tolist()))
+    return list(zip(RATE_S_LADDER, np.abs(est - f1).tolist()))
+
+
+def probe_errors(cfg, strategy, refine2d=False):
+    """|f11 - f1| at the probe direction over `RATE_S_LADDER`, with the
+    forward model read exactly: one study of `run_rates`.  Raises where the
+    offset or the determinant fails."""
+    return _study(cfg, _probe(cfg), strategy, refine2d)
 
 
 def run_rates(cfg, outdir):
-    """Convergence-rate study: error vs s for each offset strategy."""
+    """Convergence-rate study: error vs s for each offset strategy, every
+    study on one `_probe`."""
     os.makedirs(outdir, exist_ok=True)
     bounded = BoundedOffset(cfg.alpha, cfg.eps)
     studies = [("sqrt", SqrtScaled(-abs(cfg.alpha)), False),
@@ -281,11 +293,12 @@ def run_rates(cfg, outdir):
         # The refinement's improved order is stated for bounded offsets,
         # so the refined study reuses the bounded strategy.
         studies.append(("bounded_refined", bounded, True))
+    probe = _probe(cfg)
     # Every study runs before rates.csv is opened, so a failing one writes
     # no file.
     table = {}
     for name, strategy, refined in studies:
-        rows = probe_errors(cfg, strategy, refine2d=refined)
+        rows = _study(cfg, probe, strategy, refined)
         for s, err in rows:
             if err == 0:  # as on a zero field: log(error) is undefined
                 raise HoloplaneError(

@@ -13,7 +13,8 @@ Vectors are comma-separated; `#` starts a comment; a `source` line is
 Construction validates: an `ExperimentConfig`, however it is made, raises
 `ConfigError` on any input out of its domain.  Each rule is written once,
 in the type that enforces it; the config builds its domain objects to run
-their checks and checks here only what no domain object owns.
+their checks, keeps them for its accessors, and checks here only what no
+domain object owns.
 """
 
 import math
@@ -60,14 +61,22 @@ class ExperimentConfig:
             raise ConfigError("k and omega must have `dim` components", "dim", "k", "omega")
         if self.strategy not in ("sqrt", "bounded", "hybrid"):
             raise ConfigError(f"unknown strategy {self.strategy!r}", "strategy")
-        for build in (self.wave_params, self.frame, self.grid_spec, self.radiation_field,
-                      self.zeta_strategy):
-            try:
-                build()
-            except DomainError as exc:
-                # the grid's half_width is the key h
-                keys = ("h" if key == "half_width" else key for key in exc.keys)
-                raise ConfigError(str(exc), *keys) from exc
+        try:
+            params = WaveParams(kappa=self.kappa, k=np.array(self.k, dtype=float))
+            frame = make_frame(np.array(self.omega, dtype=float), self.s)
+            spec = GridSpec(frame=frame, half_width=self.h, n=self.n)
+            field = RadiationField(dim=self.dim, sources=tuple(
+                PointSource(c=c, x0=np.array(x0, dtype=float)) for c, x0 in self.sources))
+            self.zeta_strategy()
+        except DomainError as exc:
+            # the grid's half_width is the key h
+            keys = ("h" if key == "half_width" else key for key in exc.keys)
+            raise ConfigError(str(exc), *keys) from exc
+        # kept for the accessors below, past the frozen dataclass's __setattr__;
+        # not fields, so equality, hash and repr do not read them
+        for name, value in (("_wave_params", params), ("_frame", frame),
+                            ("_grid_spec", spec), ("_radiation_field", field)):
+            object.__setattr__(self, name, value)
         if not 0 < self.eps < 2 * self.kappa:
             raise ConfigError("eps must lie in (0, 2*kappa)", "eps", "kappa")
         if self.mode not in ("analytic", "bilinear"):
@@ -80,21 +89,20 @@ class ExperimentConfig:
             raise ConfigError("region_halfwidth must be positive", "region_halfwidth")
 
     # --- derived objects -------------------------------------------------
+    # The domain objects are immutable (their arrays are read-only), so each
+    # call returns the one that construction built and checked.
 
     def wave_params(self):
-        return WaveParams(kappa=self.kappa, k=np.array(self.k, dtype=float))
+        return self._wave_params
 
-    def frame(self, s=None):
-        return make_frame(np.array(self.omega, dtype=float),
-                          self.s if s is None else s)
+    def frame(self):
+        return self._frame
 
     def radiation_field(self):
-        srcs = tuple(PointSource(c=c, x0=np.array(x0, dtype=float))
-                     for c, x0 in self.sources)
-        return RadiationField(dim=self.dim, sources=srcs)
+        return self._radiation_field
 
     def grid_spec(self):
-        return GridSpec(frame=self.frame(), half_width=self.h, n=self.n)
+        return self._grid_spec
 
     def zeta_strategy(self):
         if self.strategy == "bounded":

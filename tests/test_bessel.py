@@ -212,10 +212,40 @@ def test_nan_arguments_keep_the_bits_of_the_others():
 
 
 def test_first_term_only_has_the_bits_of_the_complex_sum():
-    # from 0.125 / z < 1e-30 on only the first term is summed: no odd term is
-    # left, and the imaginary part of the sum is that term's +0
+    # from about z = 1e13 on only the first term of each part is summed: 1,
+    # and the odd -0.125 / z, which the cut never drops
     z = np.concatenate([np.logspace(29.1, 300, 500), [1.26e29, 1e200, 3e29]])
     expected = _complex_formula(z)
     _assert_same_bits(hankel0_first_kind(z), expected)
     assert all(bessel._asymptotic(np.array([v])).tobytes() == e.tobytes()
                for v, e in zip(z[-3:], expected[-3:]))
+
+
+@pytest.mark.parametrize("low, high", [
+    (380.0, 505.0),  # kappa |x - x0| of the planar workload: 8 term rows
+    (1e4, 1e8),  # blocks over four decades: the odd cut, at z_max, sets the table's 6 rows
+])
+def test_cut_ranges_have_the_bits_of_the_complex_sum(low, high):
+    z = np.random.default_rng(14).permutation(np.geomspace(low, high, 3000))
+    expected = _complex_formula(z)
+    _assert_same_bits(hankel0_first_kind(z), expected)
+    got = np.array([hankel0_first_kind(float(v)) for v in z[:300]])
+    _assert_same_bits(got, expected[:300])
+
+
+def test_block_of_near_switch_and_huge_arguments_has_the_bits_of_the_complex_sum():
+    # one term-table block: its smallest z keeps every even term, its largest
+    # sets the odd cut, and each must hold for the other end of the block
+    rng = np.random.default_rng(15)
+    z = rng.permutation(np.concatenate([rng.uniform(18.4, 18.6, 50),
+                                        np.geomspace(1e6, 1e12, 950)]))
+    assert z.size <= bessel._BLOCK
+    _assert_same_bits(bessel._asymptotic(z), _complex_formula(z))
+
+
+def test_block_of_nan_alone_gives_nan():
+    z = np.full(bessel._BLOCK, np.nan)
+    with np.errstate(invalid="ignore"):
+        got = bessel._asymptotic(z)
+        _assert_same_bits(got, _complex_formula(z))
+        assert np.isnan(bessel._asymptotic(np.array([np.nan]))).all()

@@ -11,7 +11,7 @@ from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe
 from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
 from holoplane.fields import far_field
-from holoplane.geometry import grid_coords, grid_points, point_on_plane
+from holoplane.geometry import grid_coords, grid_points, make_frame, point_on_plane
 from holoplane.recon import BoundedOffset, SqrtScaled, zeta_bounded, zeta_sqrt
 
 from closed_form import two_point_f11
@@ -535,7 +535,7 @@ def scalar_probe(cfg, strategy_name, refine2d=False):
     f1 = far_field(field, params.kappa, theta)
     rows = []
     for s in RATE_S_LADDER:
-        frame = cfg.frame(s)
+        frame = make_frame(np.array(cfg.omega), s)
         x = point_on_plane(theta, frame)
         if strategy_name == "bounded":
             zeta = zeta_bounded(theta, params, frame, cfg.alpha, cfg.eps)
@@ -595,6 +595,37 @@ class TestProbe:
         assert [(name, float(s)) for name, s, _ in rows] == [(n, s) for n, s, _ in want]
         np.testing.assert_allclose([float(e) for _, _, e in rows],
                                    [e for _, _, e in want], rtol=1e-5)
+
+    def test_rates_run_makes_one_probe(self, tmp_path, monkeypatch):
+        made = []
+        probe_theta = cli._probe_theta
+        monkeypatch.setattr(cli, "_probe_theta", lambda cfg: made.append(cfg) or probe_theta(cfg))
+        rc, out = run(tmp_path, ["rates"], config="dim = 2\nn = 40\n")
+        assert rc == 0 and len(made) == 1
+        assert len((out / "rates.csv").read_text().splitlines()) == 1 + 3 * len(RATE_S_LADDER)
+
+    @pytest.mark.parametrize("config", [
+        "", "dim = 2\n", "dim = 2\nstrategy = bounded\nalpha = 0.7\n",
+        "omega = 0.8, 0.6, 0\nn = 41\n"])
+    def test_rates_has_the_bits_of_separate_probes(self, tmp_path, config):
+        cfg = parse_config(config)
+        table = cli.run_rates(cfg, str(tmp_path))
+        bounded = BoundedOffset(cfg.alpha, cfg.eps)
+        studies = {"sqrt": (SqrtScaled(-abs(cfg.alpha)), False),
+                   "bounded": (bounded, False), "bounded_refined": (bounded, True)}
+        assert list(table) == list(studies)[:5 - cfg.dim]
+        lines = ["strategy,s,error"]
+        for name, (rows, _) in table.items():
+            strategy, refine2d = studies[name]
+            alone = probe_errors(cfg, strategy, refine2d=refine2d)
+            assert np.array(rows).tobytes() == np.array(alone).tobytes()
+            lines += [f"{name},{s:.6g},{err:.6g}" for s, err in alone]
+        assert (tmp_path / "rates.csv").read_text() == "\n".join(lines) + "\n"
+        # the probe's planes are the measurement plane moved to each s
+        theta = _probe_theta(cfg)
+        want = [point_on_plane(theta, make_frame(np.array(cfg.omega), s))
+                for s in RATE_S_LADDER]
+        assert cli._probe(cfg)[0].tobytes() == np.array(want).tobytes()
 
     def test_exceptional_probe_exits_2_after_sqrt_rows(self, tmp_path, capsys):
         rc, out = run(tmp_path, ["rates"], config="strategy = bounded\neps = 1\n")

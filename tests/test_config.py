@@ -239,6 +239,31 @@ class TestDerivedObjects:
         assert parse_config("refine2d = true").refine2d
         assert not parse_config("refine2d = false").refine2d
 
+    def test_objects_are_built_once(self):
+        cfg = parse_config("dim = 2\nn = 40\n")
+        assert cfg.grid_spec().frame is cfg.frame()
+        for name in ("wave_params", "frame", "grid_spec", "radiation_field"):
+            assert getattr(cfg, name)() is getattr(cfg, name)()
+
+    def test_replace_builds_fresh_objects(self):
+        cfg = parse_config("dim = 2\nn = 40\n")
+        moved = replace(cfg, s=50.0, kappa=2.0, k=(2.0, 0.0))
+        assert moved.frame() is not cfg.frame() and moved.frame().s == 50.0
+        assert moved.grid_spec().frame is moved.frame()
+        assert moved.wave_params().kappa == 2.0 and cfg.wave_params().kappa == 4.0
+        same = replace(cfg)
+        assert same == cfg
+        for name in ("wave_params", "frame", "grid_spec", "radiation_field"):
+            assert getattr(same, name)() is not getattr(cfg, name)()
+
+    def test_equality_hash_and_repr_read_the_fields_alone(self):
+        a, b = parse_config("s = 50\n"), ExperimentConfig(s=50.0)
+        assert a.frame() is not b.frame()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_frame" not in repr(a)
+        assert {a: 1}[b] == 1
+        assert a != replace(a, s=60.0)
+
 
 class TestReferenceBox:
     """The default central box D is the one the reference error levels

@@ -96,11 +96,22 @@ MUTANTS = [
     ("src/holoplane/csvrows.py", "ends[c1 - 1] ^ ends[-1], excerpt[2])",
      "ends[c1 - 1] ^ ends[-1], slice(excerpt[2].start + 1, excerpt[2].stop + 1))",
      "excerpt rows off by one"),
-    ("src/holoplane/bessel.py", "((s.real, terms[0::2]), (s.imag, terms[1::2]))",
-     "((s.real, terms[1::2]), (s.imag, terms[0::2]))",
+    ("src/holoplane/bessel.py", "((s.real, terms[0:2 * even:2]), (s.imag, terms[1:2 * odd:2]))",
+     "((s.real, terms[1:2 * odd:2]), (s.imag, terms[0:2 * even:2]))",
      "even and odd asymptotic terms swapped"),
-    ("src/holoplane/bessel.py", "np.add.accumulate(rows, axis=0)[-1]", "rows.sum(axis=0)",
+    ("src/holoplane/bessel.py",
+     "                for row in rows[1:]:\n"
+     "                    rows[0] += row\n",
+     "                rows[0] = rows.sum(axis=0)\n",
      "pairwise sum(axis=0) for the in-order asymptotic sum"),
+    ("src/holoplane/bessel.py", "size[0::2] >= _HALF_ULP)", "size[0::2] >= 2.0 ** -40)",
+     "2^-40 for 2^-55 in the even asymptotic cut: terms that change bits dropped"),
+    ("src/holoplane/bessel.py", "size[1::2] >= _HALF_ULP * 0.124 / np.fmax.reduce(block))",
+     "size[1::2] >= _HALF_ULP)",
+     "odd asymptotic cut against 1, not the imaginary part's 0.124 / z_max"),
+    ("src/holoplane/bessel.py", "0.124 / np.fmax.reduce(block))", "0.124 / np.fmin.reduce(block))",
+     "equivalent: z_min for z_max in the odd asymptotic cut; an odd term's ratio to "
+     "the imaginary part, 8 |a_m| / z^(m-1), falls as z grows, so that cut keeps every bit"),
     ("src/holoplane/bessel.py", "_BLOCK = 1024", "_BLOCK = 10**6",
      "one asymptotic term table for the whole argument array"),
     ("src/holoplane/bessel.py", "term[done] = 0.0", "pass",

@@ -69,6 +69,10 @@ CONFIGS = {
     "2d-series-switch-n9001": "dim = 2\nkappa = 1\ns = 16\nn = 9001\n",
     "2d-series-bilinear-noise-n501": ("dim = 2\nkappa = 1\ns = 6\nh = 5\nn = 501\n"
                                       "mode = bilinear\nnoise_level = 0.01\n"),
+    # d=2 with H0's arguments from about 600 to 4e6, so a term-table block of
+    # bessel._asymptotic spans decades of z: its odd cut's bound is taken at
+    # the block's largest z, its terms at the smallest.
+    "2d-wide-z-n9000": "dim = 2\nh = 1e6\nn = 9000\nregion_halfwidth = 1000\n",
     # reconstruct splits a grid of cli.SPLIT_MIN_BLOCKS node blocks or more
     # over two processes. In d=2 the profile is the whole line, so it
     # crosses the cut: 4 blocks, and 5 with noise (the last block 1 node).
