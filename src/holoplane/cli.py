@@ -259,8 +259,10 @@ def _probe(cfg):
     return x, lookup(x)[0], lookup, far_field(field, params.kappa, theta)
 
 
-def _study(cfg, probe, strategy, refine2d):
-    """|f11 - f1| over `RATE_S_LADDER` on the `_probe` of `cfg`."""
+def probe_errors(cfg, probe, strategy, refine2d=False):
+    """|f11 - f1| at the probe direction over `RATE_S_LADDER`, on the
+    `_probe` of `cfg`, with the forward model read exactly: one study of
+    `run_rates`.  Raises where the offset or the determinant fails."""
     x, i_x, lookup, f1 = probe
     # The planes differ only in s, which the kernel does not read.
     zeta, D, est, _, mn = reconstruct_points(
@@ -273,13 +275,6 @@ def _study(cfg, probe, strategy, refine2d):
         raise DegenerateDeterminantError(
             f"|D| = {float(np.abs(D).min())!r} <= {DET_FLOOR!r}")
     return list(zip(RATE_S_LADDER, np.abs(est - f1).tolist()))
-
-
-def probe_errors(cfg, strategy, refine2d=False):
-    """|f11 - f1| at the probe direction over `RATE_S_LADDER`, with the
-    forward model read exactly: one study of `run_rates`.  Raises where the
-    offset or the determinant fails."""
-    return _study(cfg, _probe(cfg), strategy, refine2d)
 
 
 def run_rates(cfg, outdir):
@@ -298,7 +293,7 @@ def run_rates(cfg, outdir):
     # no file.
     table = {}
     for name, strategy, refined in studies:
-        rows = _study(cfg, probe, strategy, refined)
+        rows = probe_errors(cfg, probe, strategy, refined)
         for s, err in rows:
             if err == 0:  # as on a zero field: log(error) is undefined
                 raise HoloplaneError(

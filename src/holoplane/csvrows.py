@@ -134,10 +134,10 @@ def _tables():
     pairs = [f"{a:02d}" for a in range(100)] + ["10"]
     quad = np.arange(10**4)
     ascii4 = np.zeros(10**4, U8)
-    sig = np.where(quad > 0, 4, 0)
+    sig = np.full(10**4, 4)  # 4 less the trailing zeros: 0 for 0000
     for k in range(4):
         ascii4 |= (quad // 10 ** (3 - k) % 10 + ord("0")).astype(U8) << np.uint64(8 * k)
-        sig -= (quad % 10 ** (k + 1) == 0) & (quad > 0)
+        sig -= quad % 10 ** (k + 1) == 0
     t = SimpleNamespace(
         ascii_a=np.array([_pack(p, 6) for p in pairs], U8),
         ascii4=ascii4,

@@ -254,7 +254,6 @@ class ReconGridResult:
     f11: np.ndarray  # complex (m,)
     psi1_rec: np.ndarray  # complex (m,)
     flag_exceptional: np.ndarray  # bool (m,)
-    flag_small_d: np.ndarray  # bool (m,)
 
     def blocks(self):
         """The record's node blocks (`node_blocks`), in order, as records of
@@ -365,8 +364,7 @@ def _reconstruct_block(spec, rows, lookup, field, params, strategy, refine2d, ho
     zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
         pts, i_x, lookup, params, spec.frame, strategy, refine2d)
     return ReconGridResult(spec, rows, psi0, psi1, intensity, zeta, D, f11_vals, psi1_rec,
-                           flag_exceptional=mn < flag_eps,
-                           flag_small_d=np.abs(D) <= DET_FLOOR)
+                           flag_exceptional=mn < flag_eps)
 
 
 def recon_to_csv(blocks, path, excerpt=None):
@@ -386,13 +384,14 @@ def recon_to_csv(blocks, path, excerpt=None):
 
 def _csv_columns(r):
     """The `recon_to_csv` columns of the one-block record `r`."""
+    abs_d = np.abs(r.D)
     return {
         **grid_columns(r.spec, r.rows),
         "re_psi1": r.psi1.real, "im_psi1": r.psi1.imag,
         "re_psi1rec": r.psi1_rec.real, "im_psi1rec": r.psi1_rec.imag,
         "re_f11": r.f11.real, "im_f11": r.f11.imag,
-        "abs_D": np.abs(r.D),
+        "abs_D": abs_d,
         "zeta_norm": row_norm(r.zeta),
         "flag_exceptional": r.flag_exceptional,
-        "flag_smallD": r.flag_small_d,
+        "flag_smallD": abs_d <= DET_FLOOR,
     }

@@ -564,7 +564,7 @@ class TestProbe:
             strategy = BoundedOffset(cfg.alpha, cfg.eps)
         else:
             strategy = SqrtScaled(-abs(cfg.alpha))
-        got = probe_errors(cfg, strategy, refine2d=refine2d)
+        got = probe_errors(cfg, cli._probe(cfg), strategy, refine2d=refine2d)
         want = scalar_probe(cfg, name, refine2d)
         assert [s for s, _ in got] == list(RATE_S_LADDER)
         # Batched and 1-d norms round differently, hence not bit-equal.
@@ -604,6 +604,17 @@ class TestProbe:
         assert rc == 0 and len(made) == 1
         assert len((out / "rates.csv").read_text().splitlines()) == 1 + 3 * len(RATE_S_LADDER)
 
+    @pytest.mark.parametrize("config, studies", [(SMALL, 2), ("dim = 2\nn = 40\n", 3)])
+    def test_rates_run_calls_probe_errors_per_study(self, tmp_path, monkeypatch, config,
+                                                     studies):
+        calls = []
+        for name in ("_probe_theta", "probe_errors"):
+            monkeypatch.setattr(cli, name, lambda *args, _f=getattr(cli, name), _name=name:
+                                calls.append(_name) or _f(*args))
+        rc, _ = run(tmp_path, ["rates"], config=config)
+        assert rc == 0
+        assert calls == ["_probe_theta"] + ["probe_errors"] * studies
+
     @pytest.mark.parametrize("config", [
         "", "dim = 2\n", "dim = 2\nstrategy = bounded\nalpha = 0.7\n",
         "omega = 0.8, 0.6, 0\nn = 41\n"])
@@ -617,7 +628,7 @@ class TestProbe:
         lines = ["strategy,s,error"]
         for name, (rows, _) in table.items():
             strategy, refine2d = studies[name]
-            alone = probe_errors(cfg, strategy, refine2d=refine2d)
+            alone = probe_errors(cfg, cli._probe(cfg), strategy, refine2d=refine2d)
             assert np.array(rows).tobytes() == np.array(alone).tobytes()
             lines += [f"{name},{s:.6g},{err:.6g}" for s, err in alone]
         assert (tmp_path / "rates.csv").read_text() == "\n".join(lines) + "\n"
@@ -644,13 +655,15 @@ class TestProbe:
             return (zeta, np.full_like(D, 1j * cli.DET_FLOOR), *rest)
 
         monkeypatch.setattr(cli, "reconstruct_points", at_floor)
+        cfg = parse_config("")
         with pytest.raises(DegenerateDeterminantError, match=r"^\|D\| = 1e-06 <= 1e-06$"):
-            probe_errors(parse_config(""), SqrtScaled(-0.5))
+            probe_errors(cfg, cli._probe(cfg), SqrtScaled(-0.5))
 
     def test_small_determinant_raises(self, monkeypatch):
         monkeypatch.setattr(cli, "DET_FLOOR", 2.0)  # |D| <= 2 always
+        cfg = parse_config("")
         with pytest.raises(DegenerateDeterminantError, match=r"^\|D\| = [0-9.e-]+ <= 2\.0$"):
-            probe_errors(parse_config(""), SqrtScaled(-0.5))
+            probe_errors(cfg, cli._probe(cfg), SqrtScaled(-0.5))
 
 
 class TestParser:

@@ -6,10 +6,11 @@ slots at a time, whether they are given one whole-grid `ReconGridResult`
 record or the node-block records of a `reconstruct` run, so their traced
 peaks are held against the size of the record. That size is counted over
 the fields the record held before it carried psi0 and the true intensity,
-and with the (m, d) node points it held then, so the bounds stay as strict
-as they were. Any one whole-grid float or index array would take more
-than 12 % of the record at this size. `cli.run_reconstruct` consumes each block's record before
-the next one is made, so the traced peak of a whole run does not grow
+and with the (m, d) node points and the small-|D| flag it held then, so
+the bounds stay as strict as they were. Any one whole-grid float or index
+array would take more than 12 % of the record at this size.
+`cli.run_reconstruct` consumes each block's record before the next one
+is made, so the traced peak of a whole run does not grow
 with the grid. A sampled run (`simulate`, or `reconstruct` with noise or
 `mode = bilinear`) holds the hologram's values whole, for the bilinear
 lookup, and samples it, adds its noise and writes its image a node block
@@ -31,9 +32,9 @@ from holoplane.recon import recon_to_csv, reconstruct_grid
 
 BOUND = 0.12
 # The per-node fields the bounds are held against, with 8 d bytes a node
-# for the points.
-RECORD_FIELDS = ("psi1", "zeta", "D", "f11", "psi1_rec", "flag_exceptional",
-                 "flag_small_d")
+# for the points and 1 for the small-|D| flag, which the record held until
+# the recon.csv writer formed it from D.
+RECORD_FIELDS = ("psi1", "zeta", "D", "f11", "psi1_rec", "flag_exceptional")
 # Every field of a whole-grid record.
 KEPT_FIELDS = ("psi0", "intensity") + RECORD_FIELDS
 # Peak growth allowed from n = 100 to n = 300, against a peak of 1.2 MB:
@@ -49,8 +50,8 @@ def field_bytes(records, names):
 
 
 def record_bytes(records):
-    points = sum(8 * r.spec.frame.dim * (r.rows.stop - r.rows.start) for r in records)
-    return field_bytes(records, RECORD_FIELDS) + points
+    dropped = sum((8 * r.spec.frame.dim + 1) * (r.rows.stop - r.rows.start) for r in records)
+    return field_bytes(records, RECORD_FIELDS) + dropped
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +87,8 @@ def test_reconstruct_grid_peak_is_the_record(run300):
     cfg, result, _ = run300
     args = (cfg.radiation_field(), cfg.wave_params(), cfg.grid_spec(), cfg.zeta_strategy())
     peak = traced_peak(lambda: reconstruct_grid(*args, flag_eps=cfg.eps))
-    assert peak < field_bytes([result], KEPT_FIELDS) + 2 * 2**20
+    # with the small-|D| flag's byte a node, as the record held it
+    assert peak < field_bytes([result], KEPT_FIELDS) + result.spec.size + 2 * 2**20
 
 
 def test_compute_metrics_peak(run300):

@@ -18,6 +18,7 @@ from holoplane.geometry import GridSpec, grid_coords, grid_points, make_frame, p
 from holoplane.hologram import intensity_lookup, sample_hologram
 from holoplane.metrics import rel_l2, slope_estimate
 from holoplane.recon import (
+    DET_FLOOR,
     BoundedOffset,
     HybridStrategy,
     SqrtScaled,
@@ -404,7 +405,7 @@ class TestReconstructGrid:
     def test_preset_flags(self, preset_run):
         _, result = preset_run
         assert int(result.flag_exceptional.sum()) == 120
-        assert int(result.flag_small_d.sum()) == 0
+        assert int((np.abs(result.D) <= DET_FLOOR).sum()) == 0
 
     def test_offsets_stay_in_plane(self, preset_run):
         cfg, result = preset_run
@@ -473,7 +474,7 @@ def recon_csv_reference(result):
             f"{ex.real:.10g},{ex.imag:.10g},{rec.real:.10g},{rec.imag:.10g},"
             f"{f.real:.10g},{f.imag:.10g},{abs(result.D[idx]):.10g},"
             f"{zn[idx]:.10g},{int(result.flag_exceptional[idx])},"
-            f"{int(result.flag_small_d[idx])}\n"
+            f"{int(abs(result.D[idx]) <= DET_FLOOR)}\n"
         )
         if spec.frame.dim == 3:
             i, j = divmod(idx, spec.n)
@@ -486,14 +487,17 @@ def recon_csv_reference(result):
 class TestCsvBytes:
     """The chunked writer gives the bytes of a per-row f-string writer."""
 
-    def test_small_d_flag_includes_the_floor(self, monkeypatch):
-        # a node whose |D| equals DET_FLOOR exactly is flagged
+    def test_small_d_flag_includes_the_floor(self, monkeypatch, tmp_path):
+        # recon.csv flags a node whose |D| equals DET_FLOOR exactly
         field, p, spec = preset_field(3), params_d(3), small_spec(9)
-        floor = np.abs(reconstruct_grid(field, p, spec, SqrtScaled(-0.5)).D).min()
-        monkeypatch.setattr(recon, "DET_FLOOR", floor)
         res = reconstruct_grid(field, p, spec, SqrtScaled(-0.5))
-        assert res.flag_small_d.any()
-        np.testing.assert_array_equal(res.flag_small_d, np.abs(res.D) <= floor)
+        floor = np.abs(res.D).min()
+        monkeypatch.setattr(recon, "DET_FLOOR", floor)
+        path = tmp_path / "recon.csv"
+        recon_to_csv([res], str(path))
+        flags = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+        assert "1" in flags
+        assert flags == ["1" if d <= floor else "0" for d in np.abs(res.D)]
 
     @pytest.mark.parametrize("dim, n, header", [
         (3, 21, "i,j,x2,x3,"),
@@ -510,7 +514,7 @@ class TestCsvBytes:
         nodes = spec.size
         nan_rows = np.isnan(res.f11)
         assert (nan_rows & ~res.flag_exceptional).any()
-        assert res.flag_exceptional.any() and res.flag_small_d.any()
+        assert res.flag_exceptional.any() and (np.abs(res.D) <= DET_FLOOR).any()
         path = tmp_path / "recon.csv"
         recon_to_csv([res], str(path))
         assert nodes > steps[-1] and nodes % steps[-1]
@@ -559,8 +563,10 @@ class TestGridMatchesClosedForm:
             blocks = reconstruct_grid(field, p, spec, strategy, hologram=holo)
             assert blocks.max_zeta == whole.max_zeta
             for name in ("psi0", "psi1", "intensity", "zeta", "D", "f11", "psi1_rec",
-                         "flag_exceptional", "flag_small_d"):
+                         "flag_exceptional"):
                 np.testing.assert_array_equal(getattr(blocks, name), getattr(whole, name))
+            np.testing.assert_array_equal(np.abs(blocks.D) <= DET_FLOOR,
+                                          np.abs(whole.D) <= DET_FLOOR)
 
     def test_node_range_is_a_slice_of_the_grid(self):
         # a range across a block boundary, read bilinearly, is the same

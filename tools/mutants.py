@@ -44,8 +44,8 @@ MUTANTS = [
      "2.0 * alpha / (mn - np.sqrt(disc))", "root sign in recon._beta"),
     ("src/holoplane/recon.py", "ok = mn >= eps", "ok = mn > eps",
      ">= to > in recon._bounded_offset: |m| = eps has a bounded offset"),
-    ("src/holoplane/recon.py", "flag_small_d=np.abs(D) <= DET_FLOOR",
-     "flag_small_d=np.abs(D) < DET_FLOOR", "<= to < at DET_FLOOR in the grid's flag"),
+    ("src/holoplane/recon.py", '"flag_smallD": abs_d <= DET_FLOOR',
+     '"flag_smallD": abs_d < DET_FLOOR', "<= to < at DET_FLOOR in the grid's flag"),
     ("src/holoplane/cli.py", "if np.any(np.abs(D) <= DET_FLOOR):",
      "if np.any(np.abs(D) < DET_FLOOR):", "<= to < at DET_FLOOR in the rates probe"),
     ("src/holoplane/recon.py", "np.fmax.reduce(row_norm(b.zeta))",
