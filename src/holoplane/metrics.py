@@ -123,17 +123,23 @@ class Scores:
 def slope_estimate(samples):
     """Least-squares slope of log(error) vs log(scale).
 
-    `samples` is a sequence of (scale, error) pairs, all positive, at
-    least three distinct scales.
+    `samples` is a sequence of (scale, error) pairs, all positive and
+    finite, at least three distinct scales. The slope is in closed form,
+    sum x (y - mean y) / sum x^2 over the centred x = log(scale) - its
+    mean and y = log(error), so no LAPACK routine runs.
     """
     samples = list(samples)
     if len(samples) < 3:
         raise ValueError("need at least 3 samples")
     s = np.array([p[0] for p in samples], dtype=float)
     e = np.array([p[1] for p in samples], dtype=float)
+    if not (np.isfinite(s).all() and np.isfinite(e).all()):
+        raise ValueError("scales and errors must be finite")
     if np.any(s <= 0) or np.any(e <= 0):
         raise ValueError("scales and errors must be positive")
     if len(np.unique(s)) < len(s):
         raise ValueError("scales must be distinct")
-    slope, _ = np.polyfit(np.log(s), np.log(e), 1)
-    return float(slope)
+    x = np.log(s)
+    x -= x.mean()
+    y = np.log(e)
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))

@@ -526,6 +526,25 @@ class TestRates:
         assert err == "error: sqrt probe error is 0 at s = 50: no convergence rate\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("config", ["", "dim = 2\n"])
+    def test_slopes_need_no_lapack(self, tmp_path, capsys, monkeypatch, config):
+        # the slopes are fitted in closed form, so a run with numpy's
+        # least-squares routines broken writes the bytes of an unbroken one
+        cfg = parse_config(config)
+        want = cli.run_rates(cfg, str(tmp_path / "plain"))
+        printed = capsys.readouterr().out
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("least-squares routine called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lapack)
+        monkeypatch.setattr(np, "polyfit", lapack)
+        got = cli.run_rates(cfg, str(tmp_path / "patched"))
+        assert [slope for _, slope in got.values()] == [slope for _, slope in want.values()]
+        assert capsys.readouterr().out == printed
+        assert ((tmp_path / "patched" / "rates.csv").read_bytes()
+                == (tmp_path / "plain" / "rates.csv").read_bytes())
+
 
 def scalar_probe(cfg, strategy_name, refine2d=False):
     """The rates probe one s at a time through the offset helpers and the

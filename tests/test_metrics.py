@@ -148,6 +148,30 @@ class TestSlopeEstimate:
         with pytest.raises(ValueError):
             slope_estimate([(1, 1.0), (1, 0.5), (3, 0.2)])
 
+    @pytest.mark.parametrize("rows", [
+        [(1, 1.0), (2, np.nan), (3, 0.2)],
+        [(1, 1.0), (2, np.inf), (3, 0.2)],
+        [(1, 1.0), (np.nan, 0.5), (3, 0.2)],
+        [(1, 1.0), (np.inf, 0.5), (3, 0.2)],
+    ])
+    def test_nonfinite_rejected(self, rows):
+        # a NaN or inf sample has no log-log line: no NaN slope, no LAPACK error
+        with pytest.raises(ValueError, match="^scales and errors must be finite$"):
+            slope_estimate(rows)
+
+    @given(st.floats(1e-3, 1e3), st.lists(st.floats(1.05, 4.0), min_size=2, max_size=7),
+           st.lists(st.floats(-12.0, 2.0), min_size=8, max_size=8))
+    @settings(max_examples=300)
+    def test_matches_polyfit(self, s0, ratios, decades):
+        # a ladder of 3-8 distinct scales, errors over 14 decades; np.polyfit
+        # is the reference. The absolute part of the tolerance covers slopes
+        # near 0, where both fits keep only rounding noise of size eps * |y|.
+        s = s0 * np.cumprod([1.0] + ratios)
+        e = 10.0 ** np.array(decades[:len(s)])
+        want = np.polyfit(np.log(s), np.log(e), 1)[0]
+        scale = (1.0 + np.abs(np.log(e)).max()) / np.ptp(np.log(s))
+        assert slope_estimate(zip(s, e)) == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
 
 def test_compute_metrics_matches_whole_grid_formula(preset_run):
     # the preset grid ends in a partial node block

@@ -78,6 +78,8 @@ MUTANTS = [
      "maximum for fmax in Scores' max |zeta| fold: the initial NaN wins"),
     ("src/holoplane/metrics.py", "b.intensity - 1.0)", "np.abs(b.psi1) ** 2 - 1.0)",
      "|psi1|^2 for the true intensity in the E_dis reference of metrics.discrepancy"),
+    ("src/holoplane/metrics.py", "/ np.sum(x * x))", "/ np.mean(x * x))",
+     "mean for sum in the denominator of slope_estimate's closed form"),
     ("src/holoplane/cli.py",
      "        metrics = scores.ratios()\n"
      "        for path, name in zip(staged, names):\n"
