@@ -7,14 +7,11 @@ near the switch point.
 
 Both branches are numpy code over the whole argument array. The series is
 one in-place recurrence in which an element stops where a term-by-term
-loop over it alone would stop, and then adds only signed zeros; the
-asymptotic terms are tabulated per argument and summed in order, each
-part (real and imaginary) in place. In a block of arguments each part
-sums only the terms that can change a bit of it, by a cut of its own: a
-dropped term is under half an ulp of its part's partial sum at every
-argument of the block, so it would round away (`_asymptotic`). Either
-way an element's value does not depend on the other elements. Scalars go
-through the same code as one-element arrays.
+loop over it alone would stop, and then adds only signed zeros. The
+asymptotic series is summed by Horner's rule in 1 / z^2 over a fixed 24
+terms, within 1e-15 (relative) of the same terms summed in order
+(`_asymptotic`). Either way an element's value does not depend on the
+other elements. Scalars go through the same code as one-element arrays.
 """
 
 import math
@@ -63,77 +60,47 @@ def _series(z):
 
 
 def _asymptotic_coefficients():
-    """i^m a_m for m < _ASYMPTOTIC_TERMS, a_m = prod_{j<=m} (-(2j-1)^2) / (8j),
-    as a column."""
+    """i^m a_m for m < _ASYMPTOTIC_TERMS, a_m = prod_{j<=m} (-(2j-1)^2) / (8j)."""
     coef = []
     a = 1.0
     for m in range(_ASYMPTOTIC_TERMS):
         if m > 0:
             a *= -((2 * m - 1) ** 2) / (8.0 * m)
         coef.append((1j ** m) * a)
-    return np.array(coef)[:, None]
+    return np.array(coef)
 
 
 _COEF = _asymptotic_coefficients()
-_PARTS = _COEF.real + _COEF.imag  # the nonzero part: real for even m, else imaginary
-_SIZES = np.abs(_PARTS[:, 0])
-_POWERS = np.arange(_ASYMPTOTIC_TERMS)[:, None]
-# Arguments per asymptotic term table, which holds _ASYMPTOTIC_TERMS
-# values per argument: bounds its memory on long argument arrays.
-_BLOCK = 1024
-# A term below this times the least magnitude of its part's partial sums
-# rounds away when added to them; so does one below it in the real part,
-# whose partial sums lie in [0.5, 1] (`_asymptotic`).
-_HALF_ULP = 2.0 ** -55
+# The nonzero part of each i^m a_m, for Horner's rule in u = 1 / z^2:
+# the real parts of the even terms and the imaginary parts of the odd
+# ones, highest power of u first.
+_EVEN = _COEF.real[0::2][::-1]
+_ODD = _COEF.imag[1::2][::-1]
 
 
 def _asymptotic(z):
     """Large-argument form for a 1-d array z > Z_SWITCH:
     sqrt(2/(pi z)) e^{i(z - pi/4)} sum_{m < _ASYMPTOTIC_TERMS} i^m a_m / z^m.
 
-    The terms are tabulated, one column per argument, as the reals 1 / z^m
-    times the nonzero part of i^m a_m, and the even ones are summed in order
-    into the real part, the odd ones into the imaginary part: each part is
-    its first row, to which each later row is added in place. That is the
-    in-order complex sum bit for bit: numpy divides a + bi by a real c as
-    ((a + b 0) (1 / c), (b - a 0) (1 / c)), and the zero parts add nothing.
-
-    A block of arguments sums, in each part, only the terms that can change
-    a bit of it, and tabulates only the rows that either part sums; the
-    rest would add nothing. Each part has its own cut, taken from the
-    block's smallest and largest non-NaN z, z_min and z_max. A term
-    |a_m| / z^m is largest at z_min, and for z > Z_SWITCH each term is at
-    most 0.64 times the one before, so every later term of its part is
-    smaller still. Adding x to a partial sum p leaves p as it is when |x|
-    is under half the spacing of the doubles just below |p|: that holds
-    for |x| < 2^-55 when |p| lies in [0.5, 1], and for |x| < 2^-55 |p|
-    whatever p is. Every partial sum of the real part lies in [0.5, 1],
-    and the imaginary part's have magnitude at least 0.1247 / z. So an
-    even term below 2^-55 at z_min, and an odd term below
-    2^-55 * 0.124 / z_max at z_min, is under half a spacing of its partial
-    sum at every z of the block: it rounds away, and so does every later
-    term of its part, and the sum keeps every bit of the full one. The
-    first odd term, 0.125 / z, is never dropped. A block of NaN alone
-    keeps no term.
+    The even terms are real and the odd ones imaginary, so with w = 1 / z
+    and u = w^2 the sum is P(u) + i w Q(u), where P and Q are polynomials
+    of degree 11; each is evaluated by Horner's rule over all of its
+    coefficients, whatever z is. Every element's bits depend on its own z
+    alone, and it lies within 1e-15 (relative) of the 24 complex terms
+    summed in order.
     """
-    s = np.zeros(z.shape, dtype=complex)
-    for start in range(0, z.size, _BLOCK):
-        block = z[start:start + _BLOCK]
-        # fmin and fmax skip NaN arguments, so they do not cut the finite ones'
-        # sum. An inf z^m (z > 1e13.4) is of a term that is dropped, or would
-        # round away.
-        with np.errstate(over="ignore"):
-            size = _SIZES / np.fmin.reduce(block) ** _POWERS[:, 0]
-            even = np.count_nonzero(size[0::2] >= _HALF_ULP)
-            odd = np.count_nonzero(size[1::2] >= _HALF_ULP * 0.124 / np.fmax.reduce(block))
-            used = max(2 * even - 1, 2 * odd)
-            terms = 1.0 / block ** _POWERS[:used]
-        terms *= _PARTS[:used]
-        for part, rows in ((s.real, terms[0:2 * even:2]), (s.imag, terms[1:2 * odd:2])):
-            if len(rows):
-                for row in rows[1:]:
-                    rows[0] += row
-                part[start:start + _BLOCK] = rows[0]
+    w = 1.0 / z
+    u = w * w
+    re = np.zeros_like(z)
+    im = np.zeros_like(z)
+    for even, odd in zip(_EVEN, _ODD):
+        re *= u
+        re += even
+        im *= u
+        im += odd
+    s = np.empty(z.shape, dtype=complex)
+    s.real = re
+    s.imag = im * w
     amp = np.sqrt(2.0 / (math.pi * z))
     return amp * np.exp(1j * (z - 0.25 * math.pi)) * s
 
@@ -148,11 +115,15 @@ def hankel0_first_kind(z):
     if np.any(z_arr <= 0):
         raise ValueError("argument of H0^(1) must be positive")
     flat = z_arr.ravel()
-    out = np.empty(flat.shape, dtype=complex)
     series = flat <= Z_SWITCH
-    for branch, mask in ((_series, series), (_asymptotic, ~series)):
-        if mask.any():
-            out[mask] = branch(flat[mask])
+    if not series.any():
+        out = _asymptotic(flat)
+    elif series.all():
+        out = _series(flat)
+    else:
+        out = np.empty(flat.shape, dtype=complex)
+        out[series] = _series(flat[series])
+        out[~series] = _asymptotic(flat[~series])
     out = out.reshape(z_arr.shape)
     if z_arr.ndim == 0:
         return complex(out.reshape(())[()])

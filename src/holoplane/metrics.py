@@ -137,7 +137,8 @@ def slope_estimate(samples):
         raise ValueError("scales and errors must be finite")
     if np.any(s <= 0) or np.any(e <= 0):
         raise ValueError("scales and errors must be positive")
-    if len(np.unique(s)) < len(s):
+    # a set, not np.unique: np.unique imports numpy.ma on its first call
+    if len(set(s.tolist())) < len(s):
         raise ValueError("scales must be distinct")
     x = np.log(s)
     x -= x.mean()

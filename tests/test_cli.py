@@ -545,6 +545,19 @@ class TestRates:
         assert ((tmp_path / "patched" / "rates.csv").read_bytes()
                 == (tmp_path / "plain" / "rates.csv").read_bytes())
 
+    def test_rates_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma costs a fresh process about 10 ms and 1.2 MB to import;
+        # nothing on the rates path needs it
+        script = ("import sys\n"
+                  "from holoplane import cli\n"
+                  "from holoplane.config import parse_config\n"
+                  "cli.run_rates(parse_config('dim = 2\\n'), sys.argv[1])\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 def scalar_probe(cfg, strategy_name, refine2d=False):
     """The rates probe one s at a time through the offset helpers and the

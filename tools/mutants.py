@@ -32,8 +32,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 MUTANTS = [
-    ("src/holoplane/bessel.py", "/ np.fmin.reduce(block) **", "/ np.min(block) **",
-     "min for fmin in bessel._asymptotic: a NaN argument cuts the series"),
     ("src/holoplane/recon.py", "return 2j * np.sin(zeta @ params.k",
      "return -2j * np.sin(zeta @ params.k", "sign of recon._determinant"),
     ("src/holoplane/recon.py", "return np.exp(1j * ((x @ params.k)",
@@ -98,24 +96,20 @@ MUTANTS = [
     ("src/holoplane/csvrows.py", "ends[c1 - 1] ^ ends[-1], excerpt[2])",
      "ends[c1 - 1] ^ ends[-1], slice(excerpt[2].start + 1, excerpt[2].stop + 1))",
      "excerpt rows off by one"),
-    ("src/holoplane/bessel.py", "((s.real, terms[0:2 * even:2]), (s.imag, terms[1:2 * odd:2]))",
-     "((s.real, terms[1:2 * odd:2]), (s.imag, terms[0:2 * even:2]))",
-     "even and odd asymptotic terms swapped"),
-    ("src/holoplane/bessel.py",
-     "                for row in rows[1:]:\n"
-     "                    rows[0] += row\n",
-     "                rows[0] = rows.sum(axis=0)\n",
-     "pairwise sum(axis=0) for the in-order asymptotic sum"),
-    ("src/holoplane/bessel.py", "size[0::2] >= _HALF_ULP)", "size[0::2] >= 2.0 ** -40)",
-     "2^-40 for 2^-55 in the even asymptotic cut: terms that change bits dropped"),
-    ("src/holoplane/bessel.py", "size[1::2] >= _HALF_ULP * 0.124 / np.fmax.reduce(block))",
-     "size[1::2] >= _HALF_ULP)",
-     "odd asymptotic cut against 1, not the imaginary part's 0.124 / z_max"),
-    ("src/holoplane/bessel.py", "0.124 / np.fmax.reduce(block))", "0.124 / np.fmin.reduce(block))",
-     "equivalent: z_min for z_max in the odd asymptotic cut; an odd term's ratio to "
-     "the imaginary part, 8 |a_m| / z^(m-1), falls as z grows, so that cut keeps every bit"),
-    ("src/holoplane/bessel.py", "_BLOCK = 1024", "_BLOCK = 10**6",
-     "one asymptotic term table for the whole argument array"),
+    ("src/holoplane/bessel.py", "    u = w * w\n", "    u = w\n",
+     "1 / z for 1 / z^2 as the variable of the asymptotic Horner rule"),
+    ("src/holoplane/bessel.py", "s.imag = im * w", "s.imag = im",
+     "odd asymptotic part not multiplied by 1 / z"),
+    ("src/holoplane/bessel.py", "zip(_EVEN, _ODD)", "zip(_EVEN[1:], _ODD[1:])",
+     "Horner rule started one coefficient short: the last two terms dropped"),
+    ("src/holoplane/bessel.py", "_ODD = _COEF.imag[1::2][::-1]", "_ODD = _COEF.imag[1::2]",
+     "odd asymptotic coefficients in ascending order for Horner's rule"),
+    ("src/holoplane/bessel.py", "if not series.any():", "if not series.all():",
+     "all for any in H0's fast path: an array with series arguments sent to the "
+     "asymptotic branch"),
+    ("src/holoplane/bessel.py", "elif series.all():", "elif series.any():",
+     "any for all in H0's fast path: an array with asymptotic arguments sent to the "
+     "series"),
     ("src/holoplane/bessel.py", "term[done] = 0.0", "pass",
      "stopped series term not zeroed: a stopped element keeps adding its terms"),
     ("src/holoplane/bessel.py",
