@@ -5,10 +5,12 @@ All outputs are deterministic CSV/PGM files for a fixed config and seed.
 """
 
 import argparse
+import contextlib
+import ctypes
+import itertools
 import os
 import pickle
 import sys
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +30,26 @@ RATE_S_LADDER = (50.0, 100.0, 200.0, 400.0, 800.0)
 # Node blocks from which `run_reconstruct` splits its pass over two
 # processes (`_split_pass`), measured on a 2-core machine (README).
 SPLIT_MIN_BLOCKS = 4
+# The files a reconstruct stages in its output directory, each name after a
+# prefix of its own call (`run_reconstruct`): the two it moves into place,
+# then the split child's part files and result (`_split_pass`).
+STAGED = ("recon.csv", "profile.csv", "recon.csv2", "profile.csv2", "result.pickle")
+_STAGE_COUNT = itertools.count()
+# glibc's malloc, pinned for the process: requests from MMAP_THRESHOLD bytes
+# are mmapped, and free memory at the heap top is handed back from
+# TRIM_THRESHOLD bytes. By default both thresholds start low (128 kB) and
+# rise with the largest mmapped block freed so far, so a run's page faults
+# depend on what the process allocated before it. A reconstruct pass
+# allocates at most 258 kB at a time (a recon.csv chunk's slot array), the
+# n = 400 hologram's values 1.28 MB once, and the writer's working set is
+# about 1.1 MB a chunk (tracemalloc, a 667-row d = 2 chunk). Measured on a
+# 2-core x86-64 machine, warm d = 2, n = 4000 reconstructs took 951 minor
+# faults a run by default, 276 with these values but a 1 MiB trim
+# threshold, and 0-1 from 2 MiB. 8 MiB is twice the mmap threshold, the
+# pair glibc's own rule sets.
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 8 << 20
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # mallopt's parameter numbers in glibc
 # The reference experiment's parameter sweeps, in run order.
 REFERENCE_SWEEPS = {
     "s": (5, 10, 100, 200),
@@ -35,6 +57,21 @@ REFERENCE_SWEEPS = {
     "x0_2": (0, 2.5, 5),
     "c": (0.1, 1, 10, 20),
 }
+
+
+def _pin_heap():
+    """Set glibc's thresholds to MMAP_THRESHOLD and TRIM_THRESHOLD; where
+    the C library has no `mallopt` (macOS, Windows) leave malloc as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: Windows takes no None
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_pin_heap()
 
 
 def _load_config(path):
@@ -104,30 +141,36 @@ def run_reconstruct(cfg, outdir):
     block to the metric sums and max |zeta|. A grid of SPLIT_MIN_BLOCKS
     node blocks or more, in a process allowed two CPUs or more, makes the
     pass in two processes (`_split_pass`), with the same files and metric
-    bits. A run that fails leaves no file: the pass writes in a staging
-    directory under `outdir`, removed as the run ends, and recon.csv and
-    profile.csv are moved out of it once every metric has its value, so
-    an empty D or G\\D fails after the pass, at `Scores.ratios`. Returns
-    the metrics and max |zeta|."""
+    bits. A run that fails leaves no file: the pass writes under hidden
+    staged names in `outdir`, the names of `STAGED` after the prefix
+    `.reconstruct-<pid>-<count>-` of this call, and recon.csv and
+    profile.csv are moved into place once every metric has its value, so
+    an empty D or G\\D fails after the pass, at `Scores.ratios`; the staged
+    names left are removed as the run ends. Returns the metrics and max
+    |zeta|."""
     os.makedirs(outdir, exist_ok=True)
     spec = cfg.grid_spec()
     scores = Scores(spec, cfg.region_halfwidth)
-    names = ("recon.csv", "profile.csv")
     records, blocks = _block_records(cfg), node_blocks(spec.size)
-    with tempfile.TemporaryDirectory(prefix=".reconstruct-", dir=outdir) as stage:
-        staged = [os.path.join(stage, name) for name in names]
-        excerpt = _write_profile(spec, staged[1])
+    stage = os.path.join(outdir, f".reconstruct-{os.getpid()}-{next(_STAGE_COUNT)}-")
+    try:
+        excerpt = _write_profile(spec, stage + STAGED[1])
         # a platform without sched_getaffinity (macOS, Windows) runs serially
         if (len(blocks) >= SPLIT_MIN_BLOCKS and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2):
-            _split_pass(records, blocks, scores, staged[0], excerpt)
+            _split_pass(records, blocks, scores, stage, excerpt)
         else:
             # map keeps no reference to a block it is done with, so the
             # writer lets each block go before the next one is made
-            recon_to_csv(map(scores.add, records(blocks)), staged[0], excerpt=excerpt)
+            recon_to_csv(map(scores.add, records(blocks)), stage + STAGED[0],
+                         excerpt=excerpt)
         metrics = scores.ratios()
-        for path, name in zip(staged, names):
-            os.replace(path, os.path.join(outdir, name))
+        for name in STAGED[:2]:
+            os.replace(stage + name, os.path.join(outdir, name))
+    finally:
+        for name in STAGED:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(stage + name)
     with open(os.path.join(outdir, "metrics.csv"), "w", newline="") as fh:
         fh.write("metric,region,value\n")
         for (metric, region), value in metrics.items():
@@ -137,22 +180,22 @@ def run_reconstruct(cfg, outdir):
     return metrics, float(scores.max_zeta)
 
 
-def _split_pass(records, blocks, scores, path, excerpt):
+def _split_pass(records, blocks, scores, stage, excerpt):
     """`run_reconstruct`'s pass over `records(blocks)` in two processes,
-    with the files and `scores` of the serial pass. A forked child takes
-    the second half of `blocks`: it writes their rows to part files of its
-    own (`path` and the excerpt's path with `2` appended), the excerpt's
-    rows shifted by minus its first node, and its copy of `scores`, empty
-    at the fork, pickled, to `result.pickle`, all in the staging directory
-    of `path`. This process takes the first half, reaps the child, merges
-    the child's `Scores` after its own (`Scores.merge`), and appends each
-    part file after its header line. A failure in either half raises here,
-    and the child is reaped on every path."""
+    with the files and `scores` of the serial pass, under the staged names
+    (`STAGED`) of the prefix `stage`. A forked child takes the second half
+    of `blocks`: it writes their rows to part files of its own (recon.csv2
+    and profile.csv2), the excerpt's rows shifted by minus its first node,
+    and its copy of `scores`, empty at the fork, pickled, to
+    result.pickle. This process takes the first half into recon.csv and
+    the excerpt's profile.csv, reaps the child, merges the child's
+    `Scores` after its own (`Scores.merge`), and appends each part file
+    after its header line. A failure in either half raises here, and the
+    child is reaped on every path; the caller removes the staged files."""
     half = len(blocks) // 2
     first = blocks[half].start
-    xpath, names, rows = excerpt
-    parts = [f"{path}2", f"{xpath}2"]
-    result_path = os.path.join(os.path.dirname(path), "result.pickle")
+    path, xpath, *parts, result_path = (stage + name for name in STAGED)
+    _, names, rows = excerpt
     pid = os.fork()
     if pid == 0:  # the child: it leaves only through os._exit
         code = 1

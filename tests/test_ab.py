@@ -6,6 +6,7 @@ import argparse
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,28 @@ def test_failed_run_and_metric_past_its_bound_are_problems():
     assert found == [
         "planar-2d-n4000 seed 3001 change: 1 of 34 operations failed, output check passed",
         "planar-2d-n4000 job_s_p50: worse by 31.13%, bound 25%"]
+
+def test_parent_median_of_zero():
+    runs = [{"workload": "w", "seed": pair, "pair": pair, "side": side, "correct": True,
+             "attempted": 1, "failed": 0, "metrics": {"c": c, "d": d}}
+            for pair in (1, 2, 3) for side, c, d in (("parent", 0, 0), ("change", 0, pair))]
+    metrics = {name: {"better": "lower"} for name in ("c", "d")}
+    rows = ab.summarize(runs, metrics)["w"]
+    assert (rows["c"]["worse_frac"], rows["d"]["worse_frac"]) == (0.0, math.inf)
+    assert ab.problems(runs, {"w": rows}, metrics) == []
+
+
+def test_cold_run_of_the_working_tree():
+    record = ab.run_cold(ROOT, "planar-2d-n4000", 3801)
+    assert (record["correct"], record["attempted"], record["failed"]) == (True, 1, 0)
+    metrics = record["metrics"]
+    assert list(metrics) == list(ab.COLD_METRICS)
+    assert 0 < metrics["cold_wall_s"] < 10
+    assert isinstance(metrics["cold_minflt"], int) and metrics["cold_minflt"] > 0
+    # counted over the job alone: the d = 2 grid is one node block, so the
+    # job forks no child, and the interpreter's own start is not counted
+    assert metrics["cold_minflt_children"] == 0
+
 
 def test_seed_range():
     assert list(ab.parse_seeds("3301-3304")) == [3301, 3302, 3303, 3304]

@@ -80,10 +80,10 @@ MUTANTS = [
      "mean for sum in the denominator of slope_estimate's closed form"),
     ("src/holoplane/cli.py",
      "        metrics = scores.ratios()\n"
-     "        for path, name in zip(staged, names):\n"
-     "            os.replace(path, os.path.join(outdir, name))\n",
-     "        for path, name in zip(staged, names):\n"
-     "            os.replace(path, os.path.join(outdir, name))\n"
+     "        for name in STAGED[:2]:\n"
+     "            os.replace(stage + name, os.path.join(outdir, name))\n",
+     "        for name in STAGED[:2]:\n"
+     "            os.replace(stage + name, os.path.join(outdir, name))\n"
      "        metrics = scores.ratios()\n",
      "os.replace before the metric ratios: a failing run leaves its files"),
     ("src/holoplane/csvrows.py", "count = max(1, round(nrows / step))",
@@ -157,6 +157,13 @@ MUTANTS = [
     ("src/holoplane/cli.py", 'known = {cfg: metrics[("E", "G")]}',
      'known = {cfg: metrics[("E", "D")]}',
      "reproduce-paper's config map seeded with the base run's E(D) for its E(G)"),
+    ("src/holoplane/cli.py", "TRIM_THRESHOLD = 8 << 20", "TRIM_THRESHOLD = 0",
+     "heap trim threshold 0: every free hands the heap top back to the kernel"),
+    ("src/holoplane/cli.py", "        for name in STAGED:\n", "        for name in STAGED[:-1]:\n",
+     "the staged names' clean-up skips the split child's result.pickle"),
+    ("src/holoplane/cli.py", "        for name in STAGED:\n",
+     "        for name in STAGED[:1] + STAGED[2:]:\n",
+     "a failed run keeps its staged profile.csv: the clean-up skips it"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
