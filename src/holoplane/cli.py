@@ -28,11 +28,11 @@ from .recon import (DET_FLOOR, BoundedOffset, SqrtScaled, recon_to_csv, reconstr
 
 RATE_S_LADDER = (50.0, 100.0, 200.0, 400.0, 800.0)
 # Node blocks from which `run_reconstruct` splits its pass over two
-# processes (`_split_pass`), measured on a 2-core machine (README).
+# processes (`_forked`), measured on a 2-core machine (README).
 SPLIT_MIN_BLOCKS = 4
 # The files a reconstruct stages in its output directory, each name after a
 # prefix of its own call (`run_reconstruct`): the two it moves into place,
-# then the split child's part files and result (`_split_pass`).
+# then the split child's part files and result (`_forked`).
 STAGED = ("recon.csv", "profile.csv", "recon.csv2", "profile.csv2", "result.pickle")
 _STAGE_COUNT = itertools.count()
 # glibc's malloc, pinned for the process: requests from MMAP_THRESHOLD bytes
@@ -135,35 +135,52 @@ def compute_metrics(cfg, records, regions=Scores.REGIONS):
 def run_reconstruct(cfg, outdir):
     """Full-grid reconstruction; writes recon.csv, profile.csv, metrics.csv.
 
-    One pass over the node blocks (`_block_records`): `recon_to_csv` writes
-    each block's rows as it takes the block, with the profile
-    (`_write_profile`) as an excerpt of them, and `Scores.add` adds the
-    block to the metric sums and max |zeta|. A grid of SPLIT_MIN_BLOCKS
-    node blocks or more, in a process allowed two CPUs or more, makes the
-    pass in two processes (`_split_pass`), with the same files and metric
-    bits. A run that fails leaves no file: the pass writes under hidden
-    staged names in `outdir`, the names of `STAGED` after the prefix
-    `.reconstruct-<pid>-<count>-` of this call, and recon.csv and
-    profile.csv are moved into place once every metric has its value, so
-    an empty D or G\\D fails after the pass, at `Scores.ratios`; the staged
-    names left are removed as the run ends. Returns the metrics and max
-    |zeta|."""
+    One pass over the node blocks (`_block_records`), through one `write`:
+    `recon_to_csv` writes each block's rows as it takes the block, with the
+    profile (`_write_profile`) as an excerpt of them, and `Scores.add` adds
+    the block to the metric sums and max |zeta|. A grid of
+    SPLIT_MIN_BLOCKS node blocks or more, in a process allowed two CPUs or
+    more, makes the pass in two processes (`_forked`): a child writes the
+    second half of the blocks to part files of its own and returns its
+    `Scores`, empty at the fork; this process writes the first half,
+    merges the child's `Scores` after its own (`Scores.merge`) and appends
+    each part file after its header line, so the files and metric bits
+    are the serial pass's. A run that fails leaves no file: the pass
+    writes under hidden staged names in `outdir`, the names of `STAGED`
+    after the prefix `.reconstruct-<pid>-<count>-` of this call, and
+    recon.csv and profile.csv are moved into place once every metric has
+    its value, so an empty D or G\\D fails after the pass, at
+    `Scores.ratios`; the staged names left are removed as the run ends.
+    Returns the metrics and max |zeta|."""
     os.makedirs(outdir, exist_ok=True)
     spec = cfg.grid_spec()
     scores = Scores(spec, cfg.region_halfwidth)
     records, blocks = _block_records(cfg), node_blocks(spec.size)
     stage = os.path.join(outdir, f".reconstruct-{os.getpid()}-{next(_STAGE_COUNT)}-")
+    path, xpath, *parts, result_path = (stage + name for name in STAGED)
+
+    def write(blocks, path, profile_path):
+        # map keeps no reference to a block it is done with, so the
+        # writer lets each block go before the next one is made
+        recon_to_csv(map(scores.add, records(blocks)), path,
+                     excerpt=_write_profile(spec, profile_path, blocks[0].start))
+        return scores
+
     try:
-        excerpt = _write_profile(spec, stage + STAGED[1])
         # a platform without sched_getaffinity (macOS, Windows) runs serially
         if (len(blocks) >= SPLIT_MIN_BLOCKS and hasattr(os, "sched_getaffinity")
                 and len(os.sched_getaffinity(0)) >= 2):
-            _split_pass(records, blocks, scores, stage, excerpt)
+            half = len(blocks) // 2
+            scores.merge(_forked(lambda: write(blocks[:half], path, xpath),
+                                 lambda: write(blocks[half:], *parts), result_path))
+            for dst, part in zip((path, xpath), parts):
+                with open(part, "rb") as src, open(dst, "r+b") as out:
+                    offset, size = len(src.readline()), os.fstat(src.fileno()).st_size
+                    out.seek(0, os.SEEK_END)
+                    while offset < size:
+                        offset += os.sendfile(out.fileno(), src.fileno(), offset, size - offset)
         else:
-            # map keeps no reference to a block it is done with, so the
-            # writer lets each block go before the next one is made
-            recon_to_csv(map(scores.add, records(blocks)), stage + STAGED[0],
-                         excerpt=excerpt)
+            write(blocks, path, xpath)
         metrics = scores.ratios()
         for name in STAGED[:2]:
             os.replace(stage + name, os.path.join(outdir, name))
@@ -180,30 +197,18 @@ def run_reconstruct(cfg, outdir):
     return metrics, float(scores.max_zeta)
 
 
-def _split_pass(records, blocks, scores, stage, excerpt):
-    """`run_reconstruct`'s pass over `records(blocks)` in two processes,
-    with the files and `scores` of the serial pass, under the staged names
-    (`STAGED`) of the prefix `stage`. A forked child takes the second half
-    of `blocks`: it writes their rows to part files of its own (recon.csv2
-    and profile.csv2), the excerpt's rows shifted by minus its first node,
-    and its copy of `scores`, empty at the fork, pickled, to
-    result.pickle. This process takes the first half into recon.csv and
-    the excerpt's profile.csv, reaps the child, merges the child's
-    `Scores` after its own (`Scores.merge`), and appends each part file
-    after its header line. A failure in either half raises here, and the
-    child is reaped on every path; the caller removes the staged files."""
-    half = len(blocks) // 2
-    first = blocks[half].start
-    path, xpath, *parts, result_path = (stage + name for name in STAGED)
-    _, names, rows = excerpt
+def _forked(first, second, result_path):
+    """Run `first()` here and `second()` in a forked child, at once, and
+    return the value of `second()`: the child pickles it, or the exception
+    `second()` raised, to `result_path`, and that exception is raised
+    again here. The child is killed if `first()` raises, and reaped on
+    every path; one that exits without a result raises ChildProcessError."""
     pid = os.fork()
     if pid == 0:  # the child: it leaves only through os._exit
         code = 1
         try:
             try:
-                recon_to_csv(map(scores.add, records(blocks[half:])), parts[0], excerpt=(
-                    parts[1], names, slice(rows.start - first, rows.stop - first)))
-                result = scores
+                result = second()
             except BaseException as exc:  # raised again by this process's parent
                 result = exc
             with open(result_path, "wb") as fh:
@@ -212,7 +217,7 @@ def _split_pass(records, blocks, scores, stage, excerpt):
         finally:
             os._exit(code)
     try:
-        recon_to_csv(map(scores.add, records(blocks[:half])), path, excerpt=excerpt)
+        first()
     except BaseException:
         import signal  # here alone: importing numpy does not load it
         os.kill(pid, signal.SIGKILL)
@@ -226,23 +231,17 @@ def _split_pass(records, blocks, scores, stage, excerpt):
         result = pickle.load(fh)
     if isinstance(result, BaseException):
         raise result
-    scores.merge(result)
-    for dst, part in zip((path, xpath), parts):
-        with open(part, "rb") as src, open(dst, "r+b") as out:
-            offset, size = len(src.readline()), os.fstat(src.fileno()).st_size
-            out.seek(0, os.SEEK_END)
-            while offset < size:
-                offset += os.sendfile(out.fileno(), src.fileno(), offset, size - offset)
+    return result
 
 
-def _write_profile(spec, path):
-    """The central vertical profile as the `write_csv` excerpt of recon.csv
-    to `path`: columns x{d} to im_psi1rec, at the row of `GridSpec.shape`
-    with smallest |first in-plane coordinate| (ties -> smaller index); in
-    d=2 the whole line."""
+def _write_profile(spec, path, first):
+    """The central vertical profile as the `write_csv` excerpt to `path` of
+    a recon.csv part whose first row is node `first`: columns x{d} to
+    im_psi1rec, at the row of `GridSpec.shape` with smallest |first
+    in-plane coordinate| (ties -> smaller index); in d=2 the whole line."""
     row = int(np.argmin(np.abs(spec.coords))) if spec.frame.dim == 3 else 0
     names = (f"x{spec.frame.dim}", "re_psi1", "im_psi1", "re_psi1rec", "im_psi1rec")
-    return path, names, slice(row * spec.n, (row + 1) * spec.n)
+    return path, names, slice(row * spec.n - first, (row + 1) * spec.n - first)
 
 
 def _sweep_config(cfg, param, value):

@@ -3,6 +3,7 @@ import pickle
 import platform
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from holoplane import cli, csvrows, fields, geometry
 from holoplane.cli import RATE_S_LADDER, _probe_theta, _reconstruct, main, probe_errors
 from holoplane.config import parse_config
 from holoplane.errors import DegenerateDeterminantError
+from holoplane.metrics import Scores
 from holoplane.fields import far_field
 from holoplane.geometry import grid_coords, grid_points, make_frame, point_on_plane
 from holoplane.recon import BoundedOffset, SqrtScaled, zeta_bounded, zeta_sqrt
@@ -200,7 +202,7 @@ class TestProfileBytes:
 
 class TestSplit:
     """A `reconstruct` of SPLIT_MIN_BLOCKS node blocks or more makes its
-    pass in two processes (`cli._split_pass`), with the bytes and metric
+    pass in two processes (`cli._forked`), with the bytes and metric
     bits of the serial pass. Small node blocks force the split on small
     grids, and a stub affinity of two CPUs makes it independent of the
     machine. The profile of the 21 x 21 grid is nodes 210-230: blocks of
@@ -326,6 +328,53 @@ class TestSplit:
                          {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
         assert outs[0] == outs[1]
         assert sorted(outs[0][1]) == ["metrics.csv", "profile.csv", "recon.csv"]
+
+
+class TestForked:
+    """`cli._forked`, the split pass's fork helper, on plain functions:
+    `first()` runs in this process and `second()` in a child, whose value
+    or exception comes back through the result file."""
+
+    def test_returns_the_child_value(self, tmp_path):
+        cfg = parse_config(SMALL)
+        records = list(_reconstruct(cfg))
+        ran = []
+
+        def second():
+            scores = Scores(cfg.grid_spec(), cfg.region_halfwidth)
+            for record in records:
+                scores.add(record)
+            return os.getpid(), scores
+
+        pid, scores = cli._forked(lambda: ran.append(os.getpid()), second,
+                                  tmp_path / "result")
+        assert ran == [os.getpid()] and pid != os.getpid()
+        assert scores.ratios() == cli.compute_metrics(cfg, records)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exception_is_raised_again(self, tmp_path):
+        def second():
+            raise ValueError("the child's half failed")
+
+        with pytest.raises(ValueError, match="^the child's half failed$"):
+            cli._forked(lambda: None, second, tmp_path / "result")
+
+    def test_child_without_result_names_its_exit_code(self, tmp_path):
+        with pytest.raises(ChildProcessError, match=" exited with 3 and sent no result$"):
+            cli._forked(lambda: None, lambda: os._exit(3), tmp_path / "result")
+        assert not (tmp_path / "result").exists()
+
+    def test_failing_first_kills_the_child(self, tmp_path):
+        def first():
+            raise KeyError("first")
+
+        start = time.perf_counter()
+        with pytest.raises(KeyError):
+            cli._forked(first, lambda: time.sleep(60), tmp_path / "result")
+        assert time.perf_counter() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestStaging:

@@ -88,8 +88,8 @@ MUTANTS = [
      "os.replace before the metric ratios: a failing run leaves its files"),
     ("src/holoplane/csvrows.py", "count = max(1, round(nrows / step))",
      "count = max(1, -(-nrows // step))", "ceil for round in the chunk rule"),
-    ("src/holoplane/cli.py", "return path, names, slice(row * spec.n, (row + 1) * spec.n)",
-     "return path, names, slice(row * spec.n + 1, (row + 1) * spec.n + 1)",
+    ("src/holoplane/cli.py", "slice(row * spec.n - first, (row + 1) * spec.n - first)",
+     "slice(row * spec.n + 1 - first, (row + 1) * spec.n + 1 - first)",
      "profile row offset off by one"),
     ("src/holoplane/csvrows.py", "part[:, -1] ^= flip", "part[:, -1] ^= 0",
      "no `\\n` rewrite of an excerpt's last delimiter"),
@@ -138,14 +138,30 @@ MUTANTS = [
     ("src/holoplane/recon.py", "sing[..., None], frame.basis[0],",
      "sing[..., None], frame.basis[-1],",
      "last in-plane basis vector for the first on the sqrt offset's singular direction"),
-    ("src/holoplane/cli.py", "slice(rows.start - first, rows.stop - first)",
-     "slice(rows.start - first + 1, rows.stop - first + 1)",
+    ("src/holoplane/cli.py", "_write_profile(spec, profile_path, blocks[0].start)",
+     "_write_profile(spec, profile_path, max(0, blocks[0].start - 1))",
      "the split's child excerpt rows off by one"),
     ("src/holoplane/cli.py", "offset, size = len(src.readline()),",
      "offset, size = 0 * len(src.readline()),",
      "the split's part file appended with its header line"),
-    ("src/holoplane/cli.py", "scores.merge(result)", "pass",
+    ("src/holoplane/cli.py", "scores.merge(_forked(", "(_forked(",
      "the split's child Scores never merged: the metrics cover the first half alone"),
+    ("src/holoplane/cli.py", "os.kill(pid, signal.SIGKILL)", "pass",
+     "the fork helper's child not killed when this process's half fails: the "
+     "failure waits for the child's half"),
+    ("src/holoplane/cli.py", "if status != 0:", "if False:",
+     "the fork helper's child exit status unchecked: a child that sent no result "
+     "fails on the missing result file"),
+    ("src/holoplane/cli.py", "        raise result\n", "        return result\n",
+     "the fork helper returns the child's exception as its value"),
+    ("src/holoplane/recon.py", "(params.k @ frame.omega) * frame.omega",
+     "params.k[0] * frame.omega",
+     "k's normal component read off its first axis in recon._mismatch: right only "
+     "for omega = e1"),
+    ("src/holoplane/recon.py", "sing[..., None], frame.basis[0],",
+     "sing[..., None], np.eye(len(frame.omega))[1],",
+     "the second ambient axis for the frame's first basis vector on the sqrt "
+     "offset's singular direction: right only for omega = e1"),
     ("src/holoplane/metrics.py", "self.blocks += other.blocks",
      "self.blocks[:0] = other.blocks",
      "the split's child block sums merged before this process's: other's blocks put "
