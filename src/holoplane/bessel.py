@@ -5,7 +5,8 @@ arguments, and the large-argument asymptotic (amplitude/phase) expansion.
 Both are accurate to better than 1e-7 absolute over their ranges and agree
 near the switch point.
 
-Both branches are numpy code over the whole argument array. The series is
+Each branch is numpy code over all the arguments of its range, which
+`hankel0_first_kind` picks out of the call's array by one mask. The series is
 one in-place recurrence in which an element stops where a term-by-term
 loop over it alone would stop, and then adds only signed zeros. The
 asymptotic series is summed by Horner's rule in 1 / z^2 over a fixed 24
@@ -114,17 +115,8 @@ def hankel0_first_kind(z):
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr <= 0):
         raise ValueError("argument of H0^(1) must be positive")
-    flat = z_arr.ravel()
-    series = flat <= Z_SWITCH
-    if not series.any():
-        out = _asymptotic(flat)
-    elif series.all():
-        out = _series(flat)
-    else:
-        out = np.empty(flat.shape, dtype=complex)
-        out[series] = _series(flat[series])
-        out[~series] = _asymptotic(flat[~series])
-    out = out.reshape(z_arr.shape)
-    if z_arr.ndim == 0:
-        return complex(out.reshape(())[()])
-    return out
+    series = z_arr <= Z_SWITCH
+    out = np.empty(z_arr.shape, dtype=complex)
+    out[series] = _series(z_arr[series])
+    out[~series] = _asymptotic(z_arr[~series])
+    return complex(out) if out.ndim == 0 else out

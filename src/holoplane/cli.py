@@ -188,13 +188,16 @@ def run_reconstruct(cfg, outdir):
         for name in STAGED:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(stage + name)
-    with open(os.path.join(outdir, "metrics.csv"), "w", newline="") as fh:
-        fh.write("metric,region,value\n")
-        for (metric, region), value in metrics.items():
-            fh.write(f"{metric},{region},{value:.6g}\n")
-            print(f"{metric},{region},{value:.6g}")
-    print(f"max_zeta,,{scores.max_zeta:.6g}")
+    lines = [f"{metric},{region},{value:.6g}" for (metric, region), value in metrics.items()]
+    _write_lines(os.path.join(outdir, "metrics.csv"), ["metric,region,value", *lines])
+    print(*lines, f"max_zeta,,{scores.max_zeta:.6g}", sep="\n")
     return metrics, float(scores.max_zeta)
+
+
+def _write_lines(path, lines):
+    """Write the strings `lines` to `path`, each ended by a newline."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _forked(first, second, result_path):
@@ -271,11 +274,10 @@ def run_sweep(cfg, param, values, outdir, known=None):
         if sub not in known:
             known[sub] = compute_metrics(sub, _reconstruct(sub), ("G",))[("E", "G")]
     rows = [(value, known[sub]) for value, sub in zip(values, configs)]
-    with open(os.path.join(outdir, "sweep.csv"), "w", newline="") as fh:
-        fh.write("param,value,E_G\n")
-        for value, e_g in rows:
-            fh.write(f"{param},{value:.6g},{e_g:.6g}\n")
-            print(f"{param},{value:.6g},{e_g:.6g}")
+    lines = [f"{param},{value:.6g},{e_g:.6g}" for value, e_g in rows]
+    _write_lines(os.path.join(outdir, "sweep.csv"), ["param,value,E_G", *lines])
+    for line in lines:
+        print(line)
     return rows
 
 
@@ -341,12 +343,10 @@ def run_rates(cfg, outdir):
                 raise HoloplaneError(
                     f"{name} probe error is 0 at s = {s:g}: no convergence rate")
         table[name] = (rows, slope_estimate(rows))
-    with open(os.path.join(outdir, "rates.csv"), "w", newline="") as fh:
-        fh.write("strategy,s,error\n")
-        for name, (rows, slope) in table.items():
-            for s, err in rows:
-                fh.write(f"{name},{s:.6g},{err:.6g}\n")
-            print(f"{name}: slope = {slope:.3f}")
+    _write_lines(os.path.join(outdir, "rates.csv"), ["strategy,s,error", *(
+        f"{name},{s:.6g},{err:.6g}" for name, (rows, _) in table.items() for s, err in rows)])
+    for name, (_, slope) in table.items():
+        print(f"{name}: slope = {slope:.3f}")
     return table
 
 
@@ -397,8 +397,7 @@ def run_reproduce(cfg, outdir):
     ]
     lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {value}"
              for name, value, ok in checks]
-    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(outdir, "summary.txt"), lines)
     print("\n".join(lines))
     ok = all(ok for _, _, ok in checks)
     print("ALL CHECKS PASSED" if ok else "SOME CHECKS FAILED")

@@ -340,8 +340,15 @@ def reconstruct_grid(
         raise ValueError(f"node range {start}:{stop} holds no node")
     out = None
     for b in node_blocks(stop, start):
-        block = _reconstruct_block(spec, b, lookup, field, params, strategy, refine2d,
-                                   hologram, flag_eps)
+        pts = grid_points(spec, b)
+        psi0 = plane_wave(pts, params)
+        psi1 = eval_radiation(field, params.kappa, pts)
+        intensity = np.abs(psi0 + psi1) ** 2
+        i_x = intensity if hologram is None else hologram.values[b]
+        zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
+            pts, i_x, lookup, params, spec.frame, strategy, refine2d)
+        block = ReconGridResult(spec, b, psi0, psi1, intensity, zeta, D, f11_vals, psi1_rec,
+                                flag_exceptional=mn < flag_eps)
         if b.stop - b.start == stop - start:
             return block
         arrays = {name: a for name, a in vars(block).items() if isinstance(a, np.ndarray)}
@@ -351,20 +358,6 @@ def reconstruct_grid(
         for name, a in arrays.items():
             out[name][b.start - start:b.stop - start] = a
     return ReconGridResult(spec, slice(start, stop), **out)
-
-
-def _reconstruct_block(spec, rows, lookup, field, params, strategy, refine2d, hologram,
-                       flag_eps):
-    """The record of one node block `rows` of `reconstruct_grid`."""
-    pts = grid_points(spec, rows)
-    psi0 = plane_wave(pts, params)
-    psi1 = eval_radiation(field, params.kappa, pts)
-    intensity = np.abs(psi0 + psi1) ** 2
-    i_x = intensity if hologram is None else hologram.values[rows]
-    zeta, D, f11_vals, psi1_rec, mn = reconstruct_points(
-        pts, i_x, lookup, params, spec.frame, strategy, refine2d)
-    return ReconGridResult(spec, rows, psi0, psi1, intensity, zeta, D, f11_vals, psi1_rec,
-                           flag_exceptional=mn < flag_eps)
 
 
 def recon_to_csv(blocks, path, excerpt=None):

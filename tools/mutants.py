@@ -104,12 +104,6 @@ MUTANTS = [
      "Horner rule started one coefficient short: the last two terms dropped"),
     ("src/holoplane/bessel.py", "_ODD = _COEF.imag[1::2][::-1]", "_ODD = _COEF.imag[1::2]",
      "odd asymptotic coefficients in ascending order for Horner's rule"),
-    ("src/holoplane/bessel.py", "if not series.any():", "if not series.all():",
-     "all for any in H0's fast path: an array with series arguments sent to the "
-     "asymptotic branch"),
-    ("src/holoplane/bessel.py", "elif series.all():", "elif series.any():",
-     "any for all in H0's fast path: an array with asymptotic arguments sent to the "
-     "series"),
     ("src/holoplane/bessel.py", "term[done] = 0.0", "pass",
      "stopped series term not zeroed: a stopped element keeps adding its terms"),
     ("src/holoplane/bessel.py",
@@ -162,6 +156,8 @@ MUTANTS = [
      "sing[..., None], np.eye(len(frame.omega))[1],",
      "the second ambient axis for the frame's first basis vector on the sqrt "
      "offset's singular direction: right only for omega = e1"),
+    ("src/holoplane/recon.py", "* r ** (-half) * f11_vals", "* r ** (-1.0) * f11_vals",
+     "the d = 3 decay 1 / |x| for |x|^(-(d-1)/2) in psi1_rec: wrong only in d = 2"),
     ("src/holoplane/metrics.py", "self.blocks += other.blocks",
      "self.blocks[:0] = other.blocks",
      "the split's child block sums merged before this process's: other's blocks put "
@@ -180,6 +176,8 @@ MUTANTS = [
     ("src/holoplane/cli.py", "        for name in STAGED:\n",
      "        for name in STAGED[:1] + STAGED[2:]:\n",
      "a failed run keeps its staged profile.csv: the clean-up skips it"),
+    ("src/holoplane/cli.py", '["metric,region,value", *lines]', "lines",
+     "metrics.csv written without its header line"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
